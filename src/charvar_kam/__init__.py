@@ -35,11 +35,6 @@ from .jets import (
     Jet,
     JetVector,
     QQi,
-    jet_add,
-    jet_compose,
-    jet_derivative,
-    jet_eval,
-    jet_mul,
     jet_sqrt,
     jet_variables,
     normalized_coefficient,

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateChartError, SingularChartError
+from .errors import ConsistencyError, DegenerateChartError, SingularChartError
 from .jets import Jet, JetVector, jet_sqrt, jet_variables
 from .mcg import cat_map_su3_poly, fixed_family_su2, fixed_family_su3, level_of_s
 from .varieties import Su3Point, kappa_su2, p_poly, q_poly
@@ -143,7 +143,8 @@ def solve_t(spec: ChartSpec) -> Jet:
     if r0 <= 0:
         raise SingularChartError(f"s = {spec.s}: radicand {r0} <= 0 at the center")
     gap = spec.center.t - x0 * y0
-    assert gap * gap == r0, "center must satisfy P/2 = ell exactly"
+    if gap * gap != r0:
+        raise ConsistencyError(f"s = {spec.s}: center must satisfy P/2 = ell exactly")
     root = jet_sqrt(radicand.map_coefficients(float))
     return a_jet.map_coefficients(float) + root * float(spec.sqrt_branch)
 
@@ -237,7 +238,8 @@ def _chart_map_jet_cached(spec: ChartSpec) -> ChartJet:
         # the first eight components never involve U: drop that variable
         coeffs = {}
         for e, v in poly9.coeffs.items():
-            assert e[8] == 0
+            if e[8] != 0:
+                raise ConsistencyError(f"cat-map component {i} involves U")
             coeffs[e[:8]] = v
         poly8 = Jet(8, td, coeffs)
         centered = _translate(poly8, centers8, td) - centers8[i]
@@ -245,7 +247,8 @@ def _chart_map_jet_cached(spec: ChartSpec) -> ChartJet:
         g7 = centered.map_coefficients(float).substitute_variable(_T8, t7, _MAP_8_TO_7)
         g6 = g7.substitute_variable(_Z7, zeta, _MAP_7_TO_6)
         const = g6.constant_term()
-        assert abs(complex(const)) < 1e-10, f"chart map constant term {const} should vanish"
+        if not abs(complex(const)) < 1e-10:
+            raise ConsistencyError(f"s = {spec.s}: chart map constant term {const} should vanish")
         out.append(g6 - const)
     return ChartJet(spec=spec, t_jet=t_jet, z_jet=z_jet, map_jet=JetVector(out))
 
@@ -311,7 +314,8 @@ def su2_chart_map_jet(s, trunc_degree: int = 3) -> Su2ChartJet:
     yv = w[0] + y0
     zv = w[1] + z0
     disc = yv * zv * yv * zv - 4 * (yv * yv + zv * zv - 2 - level)
-    assert disc.constant_term() == gap * gap
+    if disc.constant_term() != gap * gap:
+        raise ConsistencyError(f"s = {s}: discriminant at the center must be (2x - yz)^2")
     x_jet = (yv * zv).map_coefficients(float) + jet_sqrt(disc.map_coefficients(float)) * float(
         branch
     )
@@ -323,7 +327,8 @@ def su2_chart_map_jet(s, trunc_degree: int = 3) -> Su2ChartJet:
     comps = []
     for comp in (out_y, out_z):
         const = comp.constant_term()
-        assert abs(float(const)) < 1e-10
+        if not abs(float(const)) < 1e-10:
+            raise ConsistencyError(f"s = {s}: chart map constant term {const} should vanish")
         comps.append(comp - const)
     return Su2ChartJet(
         s=s,

@@ -1,8 +1,8 @@
 """Batch front-end: scan the fixed families over s-grids and emit verdict reports.
 
-Reports are deterministic: rows come back in input order regardless of the
-worker pool, dict keys are fixed, and floats print with 17 significant digits
-so identical configs produce byte-identical JSON.
+Reports are deterministic: rows run one after another in input order, dict
+keys are fixed, and floats print with 17 significant digits so identical
+configs produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -12,18 +12,19 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from .pipelines import su2_brown_point, su3_main_point
 
-__all__ = ["RunConfig", "run_su2_brown", "run_su3_main", "dump_goldens", "main"]
+__all__ = ["RunConfig", "run", "dump_goldens", "main"]
 
 SCHEMA = "kam-report/1"
+
+#: Most s values one --s may ask for; checked before any s value is built.
+MAX_S_VALUES = 10**6
 
 #: Reference values as printed in the source write-up (6 significant digits).
 #: Printed degree-k jet terms carry k! times the polynomial coefficient; the
@@ -127,7 +128,7 @@ class RunConfig:
 
 
 def parse_s_values(text: str) -> list:
-    """Parse '0.239,0.24' or '0.239:0.249:0.002' into exact Fractions."""
+    """Parse '0.239,0.24' or '0.239:0.249:0.002' into exact Fractions (at most MAX_S_VALUES)."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -136,13 +137,17 @@ def parse_s_values(text: str) -> list:
         start, stop, step = (Fraction(p) for p in parts)
         if step <= 0:
             raise ValueError("range step must be positive")
-        out = []
-        v = start
-        while v <= stop:
-            out.append(v)
-            v += step
-        return out
-    return [Fraction(p) for p in text.split(",") if p.strip()]
+        count = max(0, (stop - start) // step + 1)
+        _check_count(count)
+        return [start + k * step for k in range(count)]
+    parts = [p for p in text.split(",") if p.strip()]
+    _check_count(len(parts))
+    return [Fraction(p) for p in parts]
+
+
+def _check_count(count: int):
+    if count > MAX_S_VALUES:
+        raise ValueError(f"{count} s values requested, more than the cap of {MAX_S_VALUES}")
 
 
 def _json_escape(s: str) -> str:
@@ -193,49 +198,35 @@ def dump_deterministic_json(obj, out: io.TextIOBase, indent: int = 0):
 
 
 def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get("CHARVAR_KAM_THREADS", "")
-    try:
-        cap = max(1, int(env)) if env else min(4, os.cpu_count() or 1)
-    except ValueError:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, n_jobs)) if n_jobs else 1
+    return 1  # scans are serial; the benchmark in perfbench/ records this as its pool width
 
 
 def _scan(fn, s_values):
-    if not s_values:
-        return []
-    with ThreadPoolExecutor(max_workers=_worker_count(len(s_values))) as pool:
-        return list(pool.map(fn, s_values))
+    return [fn(s) for s in s_values]
 
 
-def run_su2_brown(cfg: RunConfig) -> tuple[dict, int]:
-    """Scan the SU(2) pipeline; verdict = some s with elliptic multiplier and alpha2 != 0."""
-    rows = _scan(su2_brown_point, cfg.s_values)
-    hit = any(r.get("spec_class") == "elliptic" and r.get("twist_ok") for r in rows)
+def run(cfg: RunConfig) -> tuple[dict, int]:
+    """Scan cfg.s_values through cfg.pipeline and return (report, exit code).
+
+    Verdict: su2-brown needs some s with elliptic multiplier and alpha2 != 0;
+    su3-main needs some s with nonzero twist determinant, non-planarity and no
+    resonance.  ``--golden`` applies to su3-main only.
+    """
+    if cfg.pipeline == "su2-brown":
+        rows = _scan(su2_brown_point, cfg.s_values)
+        hit = any(r.get("spec_class") == "elliptic" and r.get("twist_ok") for r in rows)
+    else:
+        rows = _scan(lambda s: su3_main_point(s, cfg.trunc_degree, cfg.dump_jets), cfg.s_values)
+        hit = any(r.get("verdict") for r in rows)
     report = {
         "schema": SCHEMA,
-        "pipeline": "su2-brown",
+        "pipeline": cfg.pipeline,
         "config": _config_dict(cfg),
         "rows": rows,
         "verdict_found": hit,
     }
     code = 3 if cfg.require_verdict and cfg.s_values and not hit else 0
-    return report, code
-
-
-def run_su3_main(cfg: RunConfig) -> tuple[dict, int]:
-    """Scan the SU(3) pipeline; verdict = twist determinant nonzero + non-planarity."""
-    rows = _scan(lambda s: su3_main_point(s, cfg.trunc_degree, cfg.dump_jets), cfg.s_values)
-    hit = any(r.get("verdict") for r in rows)
-    report = {
-        "schema": SCHEMA,
-        "pipeline": "su3-main",
-        "config": _config_dict(cfg),
-        "rows": rows,
-        "verdict_found": hit,
-    }
-    code = 3 if cfg.require_verdict and cfg.s_values and not hit else 0
-    if cfg.golden:
+    if cfg.golden and cfg.pipeline == "su3-main":
         golden_result = compare_golden(Path(cfg.golden))
         report["golden"] = golden_result
         if not golden_result["ok"] and code == 0:
@@ -415,8 +406,7 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    runner = run_su2_brown if cfg.pipeline == "su2-brown" else run_su3_main
-    report, code = runner(cfg)
+    report, code = run(cfg)
     write_report(report, cfg)
     return code
 

@@ -43,3 +43,7 @@ class NonDiagonalizableError(ArithmeticError):
 
 class SpectrumStructureError(ValueError):
     """Eigenvalues could not be organized into conjugate pairs."""
+
+
+class ConsistencyError(ArithmeticError):
+    """An exact identity the construction relies on fails for its inputs."""

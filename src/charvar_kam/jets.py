@@ -27,11 +27,6 @@ __all__ = [
     "QQi",
     "Jet",
     "JetVector",
-    "jet_add",
-    "jet_mul",
-    "jet_compose",
-    "jet_derivative",
-    "jet_eval",
     "jet_sqrt",
     "normalized_coefficient",
     "jet_variables",
@@ -117,10 +112,6 @@ def _as_qqi(value):
     if isinstance(value, (int, Fraction)):
         return QQi(value)
     return NotImplemented
-
-
-def _coeff_to_complex(c) -> complex:
-    return complex(c)
 
 
 class Jet:
@@ -451,7 +442,7 @@ class Jet:
         """JSON form {num_vars, trunc_degree, terms:[{exps, re, im}]} in graded-lex order."""
         terms = []
         for e, c in self.sorted_terms():
-            z = _coeff_to_complex(c)
+            z = complex(c)
             terms.append({"exps": list(e), "re": z.real, "im": z.imag})
         return {"num_vars": self.num_vars, "trunc_degree": self.trunc_degree, "terms": terms}
 
@@ -540,28 +531,6 @@ class JetVector:
 
     def __repr__(self):
         return f"JetVector({len(self.components)} components, num_vars={self.num_vars}, trunc_degree={self.trunc_degree})"
-
-
-# -- functional aliases (operation-per-function surface) --------------------
-
-def jet_add(a: Jet, b: Jet) -> Jet:
-    return a + b
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    return a * b
-
-
-def jet_compose(outer: Jet, inner: JetVector | Sequence[Jet], allow_constant: bool = False) -> Jet:
-    return outer.compose(list(inner), allow_constant=allow_constant)
-
-
-def jet_derivative(a: Jet, var: int) -> Jet:
-    return a.derivative(var)
-
-
-def jet_eval(a: Jet, point: Sequence[object]):
-    return a.eval(point)
 
 
 def jet_variables(num_vars: int, trunc_degree: int, coeff_one=1) -> tuple[Jet, ...]:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PoleError, ShapeMismatchError, UnrealizableError
+from .errors import ConsistencyError, PoleError, ShapeMismatchError, UnrealizableError
 from .jets import Jet, JetVector, jet_variables
 from .varieties import LevelValue, Su2Point, Su3Point
 
@@ -348,7 +348,8 @@ def realizable_interval_su3(tol: float = 1e-13) -> tuple[float, float]:
 
     def bisect(lo: Fraction, hi: Fraction) -> float:
         flo = g_prime(lo)
-        assert (flo > 0) != (g_prime(hi) > 0), "bracket must straddle the root"
+        if (flo > 0) == (g_prime(hi) > 0):
+            raise ConsistencyError(f"bracket [{lo}, {hi}] must straddle the root")
         while hi - lo > Fraction(tol).limit_denominator(10**16):
             mid = (lo + hi) / 2
             fm = g_prime(mid)

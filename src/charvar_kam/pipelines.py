@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .birkhoff import (
+    BirkhoffCoefficients,
     KamReport,
     TWIST_DET_TOL,
     alpha2_closed_form,
@@ -22,8 +23,9 @@ from .birkhoff import (
     nonresonance_check,
     twist_determinant,
 )
-from .charts import chart_linear_matrix, chart_map_jet, su2_chart_map_jet
+from .charts import ChartJet, chart_linear_matrix, chart_map_jet, su2_chart_map_jet
 from .errors import (
+    ConsistencyError,
     DegenerateChartError,
     NonDiagonalizableError,
     PoleError,
@@ -34,7 +36,7 @@ from .errors import (
     UnrealizableError,
 )
 from .mcg import fixed_family_su2, fixed_family_su3
-from .spectral import build_C0, classify_spectrum
+from .spectral import SpectrumReport, build_C0, classify_spectrum
 from .varieties import kappa_su2
 
 __all__ = ["su2_brown_point", "su3_main_point", "su3_kam_report", "SCAN_ERRORS"]
@@ -49,6 +51,7 @@ SCAN_ERRORS = (
     SpectrumStructureError,
     NonDiagonalizableError,
     ShapeMismatchError,
+    ConsistencyError,
 )
 
 
@@ -106,26 +109,42 @@ def su2_brown_point(s) -> dict:
     return row
 
 
-def su3_kam_report(s, trunc_degree: int = 3) -> KamReport:
-    """Twist/non-planarity verdicts for the SU(3) fixed point at parameter s."""
-    chart = chart_map_jet(s, trunc_degree)
+def _su3_spectrum(chart: ChartJet) -> tuple[np.ndarray, SpectrumReport]:
+    """First half of the SU(3) chain: linear part of the chart map and its spectrum.
+
+    The chain stops here when the spectrum is not elliptic, and a scan row
+    records the spectrum before the second half runs, so a row whose normal
+    form fails still reports it.
+    """
     L = chart_linear_matrix(chart)
-    report = classify_spectrum(L)
-    if not report.is_elliptic():
-        raise ResonanceError(f"spectrum at s = {s} is not elliptic: {report.classification}")
-    basis = build_C0(L, report)
-    nf = diagonalized_jets(chart.map_jet, basis)
+    return L, classify_spectrum(L)
+
+
+def _su3_verdicts(
+    chart: ChartJet, L: np.ndarray, spectrum: SpectrumReport
+) -> tuple[BirkhoffCoefficients, KamReport]:
+    """Second half, for an elliptic spectrum: Birkhoff coefficients and KAM verdicts."""
+    nf = diagonalized_jets(chart.map_jet, build_C0(L, spectrum))
     bc = birkhoff_coefficients(nf)
     det = twist_determinant(bc.alpha)
-    omega = report.elliptic_frequencies()
+    omega = spectrum.elliptic_frequencies()
     flags = nonresonance_check([nf.lam[j] for j in range(nf.d)], order=4)
-    return KamReport(
+    return bc, KamReport(
         alpha_det=det,
         twist_ok=bool(abs(det) > TWIST_DET_TOL),
         nonplanarity_ok=bool(nonplanarity_check(omega, bc.b)),
         resonance_flags=flags,
         brjuno_partial=max(brjuno_partial_sum(w).partial_sum for w in omega),
     )
+
+
+def su3_kam_report(s, trunc_degree: int = 3) -> KamReport:
+    """Twist/non-planarity verdicts for the SU(3) fixed point at parameter s."""
+    chart = chart_map_jet(s, trunc_degree)
+    L, spectrum = _su3_spectrum(chart)
+    if not spectrum.is_elliptic():
+        raise ResonanceError(f"spectrum at s = {s} is not elliptic: {spectrum.classification}")
+    return _su3_verdicts(chart, L, spectrum)[1]
 
 
 def su3_main_point(s, trunc_degree: int = 3, dump_jets: bool = False) -> dict:
@@ -146,33 +165,28 @@ def su3_main_point(s, trunc_degree: int = 3, dump_jets: bool = False) -> dict:
         chart = chart_map_jet(s, trunc_degree)
         row["residual_h"] = chart.residual_h()
         row["residual_level"] = chart.residual_level()
-        L = chart_linear_matrix(chart)
-        report = classify_spectrum(L)
-        row["spec_class"] = list(report.classification)
-        row["eigenvalues"] = [_c(v) for v in report.eigenvalues]
+        L, spectrum = _su3_spectrum(chart)
+        row["spec_class"] = list(spectrum.classification)
+        row["eigenvalues"] = [_c(v) for v in spectrum.eigenvalues]
         if dump_jets:
             row["jets"] = {
                 "t_jet": chart.t_jet.to_json(),
                 "z_jet": chart.z_jet.to_json(),
                 "map_jet": [c.to_json() for c in chart.map_jet],
             }
-        if not report.is_elliptic():
+        if not spectrum.is_elliptic():
             row["notes"] = "spectrum not elliptic; no KAM verdict claimed"
             return row
-        row["omega"] = list(report.elliptic_frequencies())
-        basis = build_C0(L, report)
-        nf = diagonalized_jets(chart.map_jet, basis)
-        bc = birkhoff_coefficients(nf)
+        row["omega"] = list(spectrum.elliptic_frequencies())
+        bc, kam = _su3_verdicts(chart, L, spectrum)
         row["alpha"] = [[_c(bc.alpha[j, k]) for k in range(3)] for j in range(3)]
         row["max_im_b"] = float(np.max(np.abs(bc.b.imag)))
-        det = twist_determinant(bc.alpha)
-        flags = nonresonance_check([nf.lam[j] for j in range(3)], order=4)
-        row["alpha_det"] = _c(det)
-        row["twist_ok"] = bool(abs(det) > TWIST_DET_TOL)
-        row["nonplanar_ok"] = bool(nonplanarity_check(row["omega"], bc.b))
-        row["resonance_flags"] = [list(f) for f in flags]
-        row["brjuno_partial"] = max(brjuno_partial_sum(w).partial_sum for w in row["omega"])
-        row["verdict"] = bool(row["twist_ok"] and row["nonplanar_ok"] and not flags)
+        row["alpha_det"] = _c(kam.alpha_det)
+        row["twist_ok"] = kam.twist_ok
+        row["nonplanar_ok"] = kam.nonplanarity_ok
+        row["resonance_flags"] = [list(f) for f in kam.resonance_flags]
+        row["brjuno_partial"] = kam.brjuno_partial
+        row["verdict"] = kam.twist_ok and kam.nonplanarity_ok and not kam.resonance_flags
     except SCAN_ERRORS as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row

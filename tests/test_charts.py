@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -13,8 +14,9 @@ from charvar_kam.charts import (
     solve_z_implicit,
     su2_chart_map_jet,
 )
-from charvar_kam.errors import SingularChartError
+from charvar_kam.errors import ConsistencyError, SingularChartError
 from charvar_kam.mcg import cat_map_su3, fixed_family_su3
+from charvar_kam.pipelines import SCAN_ERRORS
 from charvar_kam.spectral import classify_spectrum
 from charvar_kam.varieties import kappa_su2
 
@@ -219,3 +221,12 @@ def test_su2_chart_map_tracks_exact_action():
             exact = (img.y - y0, img.z - z0)
             jet_img = [comp.eval([dy, dz]) for comp in ch.map_jet]
             assert max(abs(a - b) for a, b in zip(jet_img, exact)) < 1e-10
+
+
+def test_center_off_level_raises_scan_error():
+    """A center that misses P/2 = ell raises a typed error a scan records, even under -O."""
+    spec = chart_spec(S249)
+    off = dataclasses.replace(spec, level=spec.level + Fraction(1, 10**6))
+    with pytest.raises(ConsistencyError):
+        solve_t(off)
+    assert issubclass(ConsistencyError, SCAN_ERRORS)

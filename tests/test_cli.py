@@ -1,17 +1,18 @@
 import json
+import resource
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+from charvar_kam import cli
 from charvar_kam.cli import (
     RunConfig,
     compare_golden,
     dump_goldens,
     parse_s_values,
-    run_su2_brown,
-    run_su3_main,
+    run,
 )
 
 
@@ -42,6 +43,36 @@ def test_parse_s_range_exact():
     assert got[-1] == Fraction("0.249")
 
 
+def test_parse_s_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_S_VALUES", 5)
+    assert len(parse_s_values("0:0.4:0.1")) == 5
+    assert len(parse_s_values("1,2,3,4,5")) == 5
+    with pytest.raises(ValueError, match="cap"):
+        parse_s_values("0:0.5:0.1")
+    with pytest.raises(ValueError, match="cap"):
+        parse_s_values("1,2,3,4,5,6")
+
+
+def test_cli_rejects_huge_grid_before_building_it():
+    """About 2.5e8 rows: rejected from start, stop and step alone.
+
+    The child's address space is capped at 2 GiB, far below what building the
+    grid would take, so a regression fails here instead of exhausting memory.
+    """
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    res = subprocess.run(
+        [sys.executable, "-m", "charvar_kam.cli", "--pipeline", "su2-brown", "--s", "0:0.249:1e-9"],
+        capture_output=True,
+        text=True,
+        preexec_fn=cap_memory,
+    )
+    assert res.returncode == 2
+    assert "config error" in res.stderr and "cap" in res.stderr
+
+
 def test_config_rejects_pole():
     with pytest.raises(ValueError):
         RunConfig(pipeline="su3-main", s_values=[Fraction(1, 2)])
@@ -62,7 +93,7 @@ def test_cli_exit_2_on_pole():
 
 
 def test_empty_scan_exits_zero():
-    report, code = run_su2_brown(RunConfig(pipeline="su2-brown", s_values=[]))
+    report, code = run(RunConfig(pipeline="su2-brown", s_values=[]))
     assert code == 0
     assert report["rows"] == []
     assert report["schema"] == "kam-report/1"
@@ -70,7 +101,7 @@ def test_empty_scan_exits_zero():
 
 def test_su2_scan_rows():
     cfg = RunConfig(pipeline="su2-brown", s_values=[Fraction(0), Fraction(1, 10)])
-    report, code = run_su2_brown(cfg)
+    report, code = run(cfg)
     assert code == 0
     assert report["rows"][0]["degenerate"] is True
     assert report["rows"][1]["spec_class"] == "elliptic"
@@ -82,16 +113,23 @@ def test_su2_require_verdict_failure_is_exit_3():
     cfg = RunConfig(
         pipeline="su2-brown", s_values=[Fraction(9, 10)], require_verdict=True
     )
-    report, code = run_su2_brown(cfg)
+    report, code = run(cfg)
     assert code == 3
     assert "error" in report["rows"][0]
+
+
+def test_su2_scan_ignores_golden():
+    cfg = RunConfig(pipeline="su2-brown", s_values=[Fraction(1, 10)], golden="missing.json")
+    report, code = run(cfg)
+    assert code == 0
+    assert "golden" not in report
 
 
 def test_su3_row_errors_do_not_abort_scan():
     cfg = RunConfig(
         pipeline="su3-main", s_values=[Fraction(0), Fraction(241, 1000)]
     )
-    report, code = run_su3_main(cfg)
+    report, code = run(cfg)
     assert code == 0
     assert "error" in report["rows"][0]  # degenerate chart at the reducible point
     assert report["rows"][1]["verdict"] is True
@@ -139,7 +177,7 @@ def test_thread_env_respected(tmp_path):
 
 def test_dump_jets_embeds_schema():
     cfg = RunConfig(pipeline="su3-main", s_values=[Fraction(249, 1000)], dump_jets=True)
-    report, _ = run_su3_main(cfg)
+    report, _ = run(cfg)
     jets = report["rows"][0]["jets"]
     assert jets["t_jet"]["num_vars"] == 7
     assert jets["z_jet"]["num_vars"] == 6
@@ -193,7 +231,7 @@ def test_golden_mismatch_detected(tmp_path):
     cfg = RunConfig(
         pipeline="su3-main", s_values=[Fraction(249, 1000)], golden=str(golden_path)
     )
-    report, code = run_su3_main(cfg)
+    report, code = run(cfg)
     assert code == 1
     assert report["golden"]["ok"] is False
 

@@ -10,11 +10,6 @@ from charvar_kam.jets import (
     Jet,
     JetVector,
     QQi,
-    jet_add,
-    jet_compose,
-    jet_derivative,
-    jet_eval,
-    jet_mul,
     jet_sqrt,
     jet_variables,
     normalized_coefficient,
@@ -45,7 +40,7 @@ def _all_exponents(num_vars, max_total):
 
 
 def naive_product(a, b):
-    """Untruncated convolution; the oracle for jet_mul."""
+    """Untruncated convolution; the oracle for Jet.__mul__."""
     out = {}
     for ea, ca in a.coeffs.items():
         for eb, cb in b.coeffs.items():
@@ -55,7 +50,7 @@ def naive_product(a, b):
 
 
 def poly_eval(coeffs, point):
-    """Plain sum-of-monomials evaluation; the oracle for jet_eval."""
+    """Plain sum-of-monomials evaluation; the oracle for Jet.eval."""
     total = 0
     for e, c in coeffs.items():
         term = c
@@ -75,7 +70,7 @@ def to_sympy(jet, symbols):
     return sympy.expand(expr)
 
 
-# ---------------------------------------------------------------- jet_add
+# ---------------------------------------------------------------- add
 
 
 def test_add_inverse_gives_zero():
@@ -102,12 +97,12 @@ def test_add_matches_pointwise_eval():
 
 def test_add_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        jet_add(Jet.zero(2, 3), Jet.zero(3, 3))
+        Jet.zero(2, 3) + Jet.zero(3, 3)
     with pytest.raises(ShapeMismatchError):
-        jet_add(Jet.zero(2, 3), Jet.zero(2, 4))
+        Jet.zero(2, 3) + Jet.zero(2, 4)
 
 
-# ---------------------------------------------------------------- jet_mul
+# ---------------------------------------------------------------- mul
 
 
 def test_mul_monomials():
@@ -126,7 +121,7 @@ def test_mul_matches_truncated_convolution():
     for _ in range(25):
         a = random_jet(rng, 3, 3, exact=True)
         b = random_jet(rng, 3, 3, exact=True)
-        got = jet_mul(a, b)
+        got = a * b
         full = naive_product(a, b)
         expected = {e: c for e, c in full.items() if sum(e) <= 3}
         assert got.coeffs == expected
@@ -138,14 +133,14 @@ def test_mul_matches_truncated_convolution():
 def test_compose_square_of_sum():
     x, y = jet_variables(2, 3)
     outer = Jet(2, 3, {(2, 0): 1})  # x^2
-    got = jet_compose(outer, [x + y, y])
+    got = outer.compose([x + y, y])
     assert got == Jet(2, 3, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
 
 
 def test_compose_identity():
     rng = random.Random(3)
     a = random_jet(rng, 3, 3, exact=True)
-    assert jet_compose(a, jet_variables(3, 3), allow_constant=True) == a
+    assert a.compose(jet_variables(3, 3), allow_constant=True) == a
 
 
 def test_compose_matches_sympy_expansion():
@@ -155,7 +150,7 @@ def test_compose_matches_sympy_expansion():
         outer = random_jet(rng, 2, 3, exact=True)
         inner = [random_jet(rng, 2, 3, exact=True) for _ in range(2)]
         inner = [j - j.constant_term() for j in inner]
-        got = jet_compose(outer, inner)
+        got = outer.compose(inner)
         full = to_sympy(outer, xs).subs(
             [(s, to_sympy(j, xs)) for s, j in zip(xs, inner)], simultaneous=True
         )
@@ -169,15 +164,15 @@ def test_compose_matches_sympy_expansion():
 def test_compose_rejects_constant_terms():
     x, y = jet_variables(2, 3)
     with pytest.raises(ConstantTermError):
-        jet_compose(x, [x + 1, y])
+        x.compose([x + 1, y])
     # identical call is authorized in recentering mode
-    jet_compose(x, [x + 1, y], allow_constant=True)
+    x.compose([x + 1, y], allow_constant=True)
 
 
 def test_compose_component_count():
     x, y = jet_variables(2, 3)
     with pytest.raises(ShapeMismatchError):
-        jet_compose(x, [y])
+        x.compose([y])
 
 
 def test_compose_associativity():
@@ -188,8 +183,8 @@ def test_compose_associativity():
         h = [random_jet(rng, 2, 3, exact=True) for _ in range(2)]
         g = [j - j.constant_term() for j in g]
         h = [j - j.constant_term() for j in h]
-        lhs = jet_compose(jet_compose(f, g), h)
-        rhs = jet_compose(f, [jet_compose(c, h) for c in g])
+        lhs = f.compose(g).compose(h)
+        rhs = f.compose([c.compose(h) for c in g])
         assert lhs == rhs
 
 
@@ -227,14 +222,14 @@ def test_derivative_constant():
 
 def test_derivative_out_of_range():
     with pytest.raises(ShapeMismatchError):
-        jet_derivative(Jet.zero(2, 3), 2)
+        Jet.zero(2, 3).derivative(2)
 
 
 def test_derivative_matches_finite_differences():
     rng = random.Random(17)
     a = random_jet(rng, 3, 3)
     for var in range(3):
-        da = jet_derivative(a, var)
+        da = a.derivative(var)
         for _ in range(5):
             v = [rng.uniform(-0.5, 0.5) for _ in range(3)]
             h = 1e-5
@@ -283,7 +278,7 @@ def test_eval_matches_naive_sum():
 
 def test_eval_length_mismatch():
     with pytest.raises(ShapeMismatchError):
-        jet_eval(Jet.zero(2, 2), [1.0])
+        Jet.zero(2, 2).eval([1.0])
 
 
 def test_eval_homomorphism():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from charvar_kam.birkhoff import KamReport, birkhoff_coefficients, diagonalized_jets
-from charvar_kam.charts import chart_linear_matrix, chart_map_jet
+from charvar_kam.charts import ChartJet, chart_linear_matrix, chart_map_jet
+from charvar_kam.errors import ResonanceError
 from charvar_kam.pipelines import su2_brown_point, su3_kam_report, su3_main_point
 from charvar_kam.spectral import build_C0, classify_spectrum
 
@@ -95,6 +96,30 @@ def test_su3_kam_report_round_trip():
     assert rep.twist_ok and rep.nonplanarity_ok
     data = rep.to_json()
     assert set(data) == {"alpha_det", "twist_ok", "nonplanarity_ok", "resonance_flags", "brjuno_partial"}
+
+
+def test_su3_kam_report_matches_main_row():
+    """Both SU(3) entry points run the same chain, so their verdicts agree exactly."""
+    s = Fraction(241, 1000)
+    row = su3_main_point(s)
+    assert su3_kam_report(s).to_json() == {
+        "alpha_det": row["alpha_det"],
+        "twist_ok": row["twist_ok"],
+        "nonplanarity_ok": row["nonplanar_ok"],
+        "resonance_flags": row["resonance_flags"],
+        "brjuno_partial": row["brjuno_partial"],
+    }
+
+
+def test_su3_kam_report_skips_residuals_and_rejects_non_elliptic(monkeypatch):
+    def unexpected(self):
+        raise AssertionError("su3_kam_report must not compute chart residuals")
+
+    monkeypatch.setattr(ChartJet, "residual_h", unexpected)
+    monkeypatch.setattr(ChartJet, "residual_level", unexpected)
+    assert su3_kam_report(Fraction(242, 1000)).twist_ok
+    with pytest.raises(ResonanceError, match="not elliptic"):
+        su3_kam_report(Fraction(3, 10))
 
 
 def test_su3_scan_errors_recorded():
