@@ -8,6 +8,12 @@ variables are (x, X, y, Y, Z, T), displacements from the fixed point; the cat
 map's components are recentered and pushed through both eliminations, then
 projected by forgetting the eliminated slots.
 
+Recentering an exact polynomial at the fixed point is a Taylor shift: each
+monomial c * x^e expands binomially in the displacements w = x - center and
+is truncated at the chart's degree, with no jet products.  P and Q are
+recentered and t-substituted once per chart; the z-solve and both residual
+diagnostics read that one result.
+
 SU(2): the level set kappa = ell is a surface in (x, y, z); x is eliminated
 from the quadratic kappa = ell (branch from the center) and (y, z) survive.
 
@@ -18,6 +24,8 @@ at the chart's truncation degree (default 3).
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -102,16 +110,69 @@ def _center7(spec: ChartSpec) -> tuple:
     return (c.x, c.X, c.y, c.Y, c.z, c.Z, c.T)
 
 
+def _center8(spec: ChartSpec) -> tuple:
+    c = spec.center
+    return (c.x, c.X, c.y, c.Y, c.z, c.Z, c.t, c.T)
+
+
 def _translate(poly: Jet, centers, trunc_degree: int) -> Jet:
     """Recenter an exact polynomial: poly(center + w) as a truncated jet in w.
 
-    The polynomial keeps its full degree going in (high-order terms feed the
-    low-order jet coefficients through the shift); only the result truncates.
+    A Taylor shift: each monomial c * x^e of the rational polynomial becomes
+    c * prod_i sum_j C(e_i, j) c_i^(e_i - j) w_i^j, dropping every term above
+    the truncation degree.  The polynomial keeps its full degree going in
+    (high-order terms feed the low-order jet coefficients through the shift);
+    only the result truncates.  Sums run in integers over one common
+    denominator, and each result coefficient is one reduced ``Fraction``.
+
+    The result equals ``poly.compose([w_i + c_i], allow_constant=True)`` item
+    for item, insertion order included: variables nest in index order with the
+    first outermost, j runs downwards (the order of the powers of w_i + c_i),
+    and terms add into one dict that drops a key when its sum cancels.  The
+    order fixes the float summation order of the substitutions downstream, so
+    it keeps reports byte-identical; ascending j gives equal jets but moves
+    report floats in their last digits.
     """
-    n = poly.num_vars
-    w = jet_variables(n, trunc_degree, coeff_one=Fraction(1))
-    inner = [w[i] + centers[i] for i in range(n)]
-    return poly.compose(inner, allow_constant=True)
+    nums = [c.numerator for c in centers]
+    dens = [c.denominator for c in centers]
+    top = [max((e[i] for e in poly._coeffs), default=0) for i in range(poly.num_vars)]
+    coeff_den = math.lcm(*(c.denominator for c in poly._coeffs.values()))
+    den = coeff_den * math.prod(map(pow, dens, top))
+
+    @lru_cache(maxsize=None)
+    def shift(i: int, e: int) -> list:
+        """(j, C(e, j) a^(e - j) b^j) for j = e..0 with c_i = a/b, zero factors left out."""
+        a, b = nums[i], dens[i]
+        factors = [(j, math.comb(e, j) * a ** (e - j) * b**j) for j in range(e, -1, -1)]
+        return [(j, f) for j, f in factors if f]
+
+    sums: dict[tuple, int] = {}
+    for exps, c in poly._coeffs.items():
+        # den * c / prod_i b_i^e_i: each shift factor multiplies its b_i^e_i back in
+        scale = c.numerator * (coeff_den // c.denominator)
+        scale *= math.prod(map(pow, dens, map(operator.sub, top, exps)))
+        terms = [((), 0, scale)]
+        pad = ()  # exponents of the variables since the last shifted one, all zero
+        for i, e in enumerate(exps):
+            if not e:
+                pad += (0,)
+                continue
+            terms = [
+                (key + pad + (j,), deg + j, v * f)
+                for key, deg, v in terms
+                for j, f in shift(i, e)
+                if deg + j <= trunc_degree
+            ]
+            pad = ()
+        for key, _, v in terms:
+            key += pad
+            total = sums.get(key, 0) + v
+            if total:
+                sums[key] = total
+            else:
+                sums.pop(key, None)
+    out = {key: Fraction(total, den) for key, total in sums.items()}
+    return Jet._raw(poly.num_vars, trunc_degree, out)
 
 
 @lru_cache(maxsize=32)
@@ -152,8 +213,7 @@ def solve_t(spec: ChartSpec) -> Jet:
 def _substituted_pq(spec: ChartSpec, t_jet: Jet) -> tuple[Jet, Jet]:
     """P and Q recentered at the fixed point with the t-jet substituted (7 variables)."""
     td = spec.trunc_degree
-    c = spec.center
-    centers8 = (c.x, c.X, c.y, c.Y, c.z, c.Z, c.t, c.T)
+    centers8 = _center8(spec)
     t_disp = t_jet - t_jet.constant_term()
     p_c = _translate(p_poly(), centers8, td).map_coefficients(float)
     q_c = _translate(q_poly(), centers8, td).map_coefficients(float)
@@ -162,26 +222,25 @@ def _substituted_pq(spec: ChartSpec, t_jet: Jet) -> tuple[Jet, Jet]:
     return p7, q7
 
 
-def _h_tilde(spec: ChartSpec, t_jet: Jet) -> Jet:
-    """H = (P/2)^2 - Q after recentering and the t-substitution (7 variables).
+def _h_tilde(p7: Jet, q7: Jet) -> Jet:
+    """H = (P/2)^2 - Q from the recentered, t-substituted P and Q (7 variables).
 
     The recentered P carries constant P(center) = 2*ell, so no level shift is
     needed here; the constant of the result is ell^2 - Q(center) = 0.
     """
-    p7, q7 = _substituted_pq(spec, t_jet)
     half_p = p7 * 0.5
     return half_p * half_p - q7
 
 
-def solve_z_implicit(spec: ChartSpec, t_jet: Jet) -> Jet:
+def solve_z_implicit(spec: ChartSpec, h: Jet) -> Jet:
     """Degree-3 jet of z over (x, X, y, Y, Z, T), from H = 0 by implicit differentiation.
 
+    ``h`` is H after the t-substitution (7 variables, see ``_h_tilde``).
     Fixed-slope Newton on jets gains one degree of accuracy per sweep, so
     trunc_degree + 1 sweeps determine the jet completely.  The implicit
     function theorem hypothesis dH/dz != 0 is checked numerically.
     """
     td = spec.trunc_degree
-    h = _h_tilde(spec, t_jet)
     e_z = tuple(1 if i == _Z7 else 0 for i in range(7))
     slope = float(h.coefficient(e_z))
     if abs(slope) < 1e-8:
@@ -198,24 +257,28 @@ def solve_z_implicit(spec: ChartSpec, t_jet: Jet) -> Jet:
 
 @dataclass(frozen=True)
 class ChartJet:
-    """Jets of the eliminated variables and of the cat map in chart coordinates."""
+    """Jets of the eliminated variables and of the cat map in chart coordinates.
+
+    ``p7`` and ``h7`` are P and H recentered with the t-jet substituted (7
+    variables), kept from the chart build for the residual diagnostics.
+    """
 
     spec: ChartSpec
     t_jet: Jet
     z_jet: Jet
     map_jet: JetVector
+    p7: Jet
+    h7: Jet
 
     def residual_h(self) -> float:
         """Largest coefficient of H after substituting both eliminations."""
-        h = _h_tilde(self.spec, self.t_jet)
         zeta = self.z_jet - self.z_jet.constant_term()
-        r = h.substitute_variable(_Z7, zeta, _MAP_7_TO_6)
+        r = self.h7.substitute_variable(_Z7, zeta, _MAP_7_TO_6)
         return max((abs(c) for c in r.coeffs.values()), default=0.0)
 
     def residual_level(self) -> float:
         """Largest coefficient of P/2 - ell after the t-substitution."""
-        p7, _ = _substituted_pq(self.spec, self.t_jet)
-        diff = p7 * 0.5 - float(self.spec.level)
+        diff = self.p7 * 0.5 - float(self.spec.level)
         return max((abs(v) for v in diff.coeffs.values()), default=0.0)
 
 
@@ -225,12 +288,11 @@ _KEEP_COMPONENTS = (0, 1, 2, 3, 5, 7)  # x', X', y', Y', Z', T'
 def _chart_map_jet_cached(spec: ChartSpec) -> ChartJet:
     td = spec.trunc_degree
     t_jet = solve_t(spec)
-    z_jet = solve_z_implicit(spec, t_jet)
+    p7, q7 = _substituted_pq(spec, t_jet)
+    h7 = _h_tilde(p7, q7)
+    z_jet = solve_z_implicit(spec, h7)
     zeta = z_jet - z_jet.constant_term()
-    t6 = t_jet.substitute_variable(_Z7, zeta, _MAP_7_TO_6)
-    t6 = t6 - t6.constant_term()
-    c = spec.center
-    centers8 = (c.x, c.X, c.y, c.Y, c.z, c.Z, c.t, c.T)
+    centers8 = _center8(spec)
     t7 = t_jet - t_jet.constant_term()
     out = []
     for i in _KEEP_COMPONENTS:
@@ -250,7 +312,7 @@ def _chart_map_jet_cached(spec: ChartSpec) -> ChartJet:
         if not abs(complex(const)) < 1e-10:
             raise ConsistencyError(f"s = {spec.s}: chart map constant term {const} should vanish")
         out.append(g6 - const)
-    return ChartJet(spec=spec, t_jet=t_jet, z_jet=z_jet, map_jet=JetVector(out))
+    return ChartJet(spec=spec, t_jet=t_jet, z_jet=z_jet, map_jet=JetVector(out), p7=p7, h7=h7)
 
 
 @lru_cache(maxsize=64)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .pipelines import su2_brown_point, su3_main_point
+from .pipelines import su2_brown_point, su3_kam_report, su3_main_point
 
 __all__ = ["RunConfig", "run", "dump_goldens", "main"]
 
@@ -303,10 +303,7 @@ def compare_golden(path: Path, rel_tol: float = 1e-3) -> dict:
         got = zj.coefficient(e) * math.factorial(sum(e))
         check(f"z_jet[{','.join(map(str, e))}]", got, term["printed"])
     # diagnostic only: normalization-dependent
-    from .pipelines import su3_main_point
-
-    row = su3_main_point(s)
-    det = complex(row["alpha_det"]["re"], row["alpha_det"]["im"])
+    det = complex(su3_kam_report(s).alpha_det)
     want_det = complex(golden["alpha"]["det"]["re"], golden["alpha"]["det"]["im"])
     checks.append(
         {

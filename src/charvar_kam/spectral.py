@@ -43,7 +43,10 @@ def eigen_small(m, residual_tol: float = 1e-9):
         raise ValueError(f"need a square matrix, got shape {m.shape}")
     if m.shape[0] > 8:
         raise ValueError("eigen_small is for matrices of size <= 8")
-    vals, vecs = np.linalg.eig(m)
+    try:
+        vals, vecs = np.linalg.eig(m)
+    except np.linalg.LinAlgError as exc:
+        raise NonDiagonalizableError(f"eigendecomposition failed: {exc}") from exc
     scale = np.linalg.norm(m)
     if scale == 0.0:
         return vals, vecs
@@ -243,7 +246,10 @@ def build_C0(m, report: SpectrumReport | None = None, tol: float = 1e-9) -> Diag
         cols.append(np.conj(v))
         lam_order.append(vals[k])
     C0 = np.column_stack(cols)
-    inv = np.linalg.inv(C0)
+    try:
+        inv = np.linalg.inv(C0)
+    except np.linalg.LinAlgError as exc:
+        raise NonDiagonalizableError(f"eigenvector basis C0 is not invertible: {exc}") from exc
     diag = inv @ m @ C0
     off = diag - np.diag(np.diag(diag))
     scale = max(1.0, float(np.linalg.norm(m)))

@@ -1,12 +1,17 @@
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from charvar_kam import charts
 from charvar_kam.charts import (
+    _h_tilde,
+    _substituted_pq,
     chart_linear_matrix,
     chart_map_jet,
     chart_spec,
@@ -15,10 +20,11 @@ from charvar_kam.charts import (
     su2_chart_map_jet,
 )
 from charvar_kam.errors import ConsistencyError, SingularChartError
-from charvar_kam.mcg import cat_map_su3, fixed_family_su3
-from charvar_kam.pipelines import SCAN_ERRORS
+from charvar_kam.jets import Jet, jet_variables
+from charvar_kam.mcg import cat_map_su3, cat_map_su3_poly, fixed_family_su3
+from charvar_kam.pipelines import SCAN_ERRORS, su3_main_point
 from charvar_kam.spectral import classify_spectrum
-from charvar_kam.varieties import kappa_su2
+from charvar_kam.varieties import kappa_su2, p_poly, q_poly
 
 S249 = Fraction(249, 1000)
 
@@ -82,7 +88,7 @@ def test_branch_constant_matches_center_along_scan():
         spec = chart_spec(s)
         tj = solve_t(spec)
         assert tj.constant_term() == pytest.approx(float(spec.center.t), abs=1e-12)
-        zj = solve_z_implicit(spec, tj)
+        zj = solve_z_implicit(spec, _h_tilde(*_substituted_pq(spec, tj)))
         assert zj.constant_term() == pytest.approx(float(spec.center.z), abs=1e-12)
 
 
@@ -172,6 +178,68 @@ def test_chart_json_round_trip(chart249):
 
     back = Jet.from_json(data)
     assert back == chart249.t_jet
+
+
+# ------------------------------------------------------------------ recentering
+
+
+def _compose_recentered(poly, centers, trunc_degree):
+    """Oracle: poly(center + w) by jet composition."""
+    w = jet_variables(poly.num_vars, trunc_degree, coeff_one=Fraction(1))
+    return poly.compose([w[i] + centers[i] for i in range(poly.num_vars)], allow_constant=True)
+
+
+@pytest.mark.parametrize("trunc_degree", [3, 4, 5])
+def test_translate_matches_compose_items_and_order(trunc_degree):
+    spec = chart_spec(S249, trunc_degree)
+    centers8 = charts._center8(spec)
+    cases = [(p_poly(), centers8), (q_poly(), centers8), (charts._p_no_t_7(), charts._center7(spec))]
+    for i in charts._KEEP_COMPONENTS:
+        poly9 = cat_map_su3_poly(trunc_degree).components[i]
+        cases.append((Jet(8, trunc_degree, {e[:8]: c for e, c in poly9.coeffs.items()}), centers8))
+    # zero and repeated coordinates, denominators shared and not
+    odd = (Fraction(0), Fraction(1, 3), Fraction(1, 3), 0, Fraction(-2, 7), Fraction(-2, 7), Fraction(5), 2)
+    cases += [(p_poly(), odd), (q_poly(), odd)]
+    for poly, centers in cases:
+        got = charts._translate(poly, centers, trunc_degree)
+        want = _compose_recentered(poly, centers, trunc_degree)
+        assert got.trunc_degree == want.trunc_degree == trunc_degree
+        assert list(got._coeffs.items()) == list(want._coeffs.items())
+        assert all(type(c) is Fraction for c in got._coeffs.values())
+
+
+def test_chart_build_recenters_p_and_q_once(monkeypatch):
+    calls = []
+    real = charts._substituted_pq
+
+    def counted(spec, t_jet):
+        calls.append(spec.s)
+        return real(spec, t_jet)
+
+    monkeypatch.setattr(charts, "_substituted_pq", counted)
+    charts._chart_cache.cache_clear()
+    chart = chart_map_jet(S249)
+    assert calls == [S249]
+    p7, q7 = real(chart.spec, chart.t_jet)
+    zeta = chart.z_jet - chart.z_jet.constant_term()
+    r = _h_tilde(p7, q7).substitute_variable(charts._Z7, zeta, charts._MAP_7_TO_6)
+    assert chart.residual_h() == max(abs(c) for c in r.coeffs.values())
+    diff = p7 * 0.5 - float(chart.spec.level)
+    assert chart.residual_level() == max(abs(c) for c in diff.coeffs.values())
+    assert calls == [S249]
+
+
+_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "su3-window.json"
+
+
+@pytest.mark.parametrize("s_text", ["0.2411", "0.2439"])  # sparse and dense eigenbasis C0
+def test_su3_rows_equal_stored_reference(s_text):
+    rows = json.loads(_REFERENCE.read_text())["report"]["rows"]
+    want = next(r for r in rows if r["s"] == float(s_text))
+    got = su3_main_point(Fraction(s_text))
+    assert sorted(got) == sorted(want)
+    for key, value in want.items():
+        assert got[key] == value, key
 
 
 # ------------------------------------------------------------------ SU(2) chart

@@ -184,6 +184,27 @@ def test_dump_jets_embeds_schema():
     assert len(jets["map_jet"]) == 6
 
 
+def test_linalg_error_in_spectral_is_recorded_and_scan_goes_on(monkeypatch):
+    from charvar_kam import spectral
+
+    real_inv = spectral.np.linalg.inv
+    calls = []
+
+    def inv_failing_once(a):
+        calls.append(1)
+        if len(calls) == 1:
+            raise spectral.np.linalg.LinAlgError("Singular matrix")
+        return real_inv(a)
+
+    monkeypatch.setattr(spectral.np.linalg, "inv", inv_failing_once)
+    cfg = RunConfig(pipeline="su3-main", s_values=[Fraction(241, 1000), Fraction(249, 1000)])
+    report, code = run(cfg)
+    assert code == 0
+    assert report["rows"][0]["error"].startswith("NonDiagonalizableError: ")
+    assert "verdict" not in report["rows"][0]
+    assert report["rows"][1]["verdict"] is True
+
+
 # ------------------------------------------------------------------ goldens
 
 
@@ -218,6 +239,31 @@ def test_cli_golden_flag(tmp_path):
     assert res.returncode == 0
     report = json.loads(out.read_text())
     assert report["golden"]["ok"] is True
+
+
+def test_golden_reuses_kam_report_not_a_full_row(tmp_path, monkeypatch):
+    """--golden takes its alpha_det diagnostic without a second full row."""
+    from charvar_kam.charts import ChartJet
+    from charvar_kam.pipelines import su3_main_point
+
+    dump_goldens(tmp_path)
+    real = ChartJet.residual_h
+    calls = []
+
+    def counted(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(ChartJet, "residual_h", counted)
+    out = tmp_path / "rep.json"
+    argv = ["--pipeline", "su3-main", "--s", "0.249", "--out", str(out)]
+    assert cli.main([*argv, "--golden", str(tmp_path / "su3_chart_s249.json")]) == 0
+    assert len(calls) == 1
+    report = json.loads(out.read_text())
+    diagnostic = report["golden"]["checks"][-1]
+    assert diagnostic["name"] == "alpha_det (diagnostic)"
+    det = su3_main_point(Fraction(249, 1000))["alpha_det"]
+    assert diagnostic["got"] == [det["re"], det["im"]]
 
 
 def test_golden_mismatch_detected(tmp_path):

@@ -25,6 +25,18 @@ def block_diag(*blocks):
 # ------------------------------------------------------------------ eigen_small
 
 
+def test_eigen_small_linalg_error_is_typed(monkeypatch):
+    from charvar_kam import spectral
+
+    def failing_eig(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(spectral.np.linalg, "eig", failing_eig)
+    with pytest.raises(NonDiagonalizableError) as info:
+        eigen_small(np.diag([2.0, 3.0]))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_eigen_small_diagonal():
     vals, _ = eigen_small(np.diag([2.0, 3.0]))
     assert sorted(v.real for v in vals) == [2.0, 3.0]
