@@ -41,15 +41,24 @@ __all__ = [
     "nonplanarity_check",
     "brjuno_partial_sum",
     "RESONANCE_DENOM_TOL",
+    "NORMAL_FORM_DEGREE",
 ]
 
 #: Homological denominators smaller than this are treated as resonant.
 RESONANCE_DENOM_TOL = 1e-10
 
+#: Degree of the map jet the normal form works on: alpha_jk are degree-3
+#: coefficients, and nothing downstream reads a higher degree.
+NORMAL_FORM_DEGREE = 3
+
 
 @dataclass(frozen=True)
 class NormalFormInput:
-    """Degree-3 jets of a diagonalized map in variables (xi_1..xi_d, eta_1..eta_d)."""
+    """Degree-3 jets of a diagonalized map in variables (xi_1..xi_d, eta_1..eta_d).
+
+    ``diagonalized_jets`` builds them from the 3-jet of the chart map (lower
+    for a chart truncated below degree 3), whatever the chart's degree.
+    """
 
     d: int
     p_jets: JetVector
@@ -88,10 +97,17 @@ def diagonalized_jets(map_jet: JetVector, basis: DiagonalizingBasis, tol: float 
     ``map_jet`` has 2d components in 2d real variables, zero constant terms.
     The basis columns are interleaved; jets downstream use block variable
     order (xi_1..xi_d, eta_1..eta_d), so the permutation happens here.
+
+    The normal form works on the 3-jet: a map jet of higher degree is
+    truncated at ``NORMAL_FORM_DEGREE`` first (never raised to it).  With zero
+    constant terms every coefficient up to degree 3 gets the same float
+    contributions in the same order as at the map jet's own degree.
     """
     n = len(map_jet)
     if map_jet.num_vars != n or n % 2:
         raise ShapeMismatchError("map jet must be square with an even number of variables")
+    if map_jet.trunc_degree > NORMAL_FORM_DEGREE:
+        map_jet = JetVector(c.truncated(NORMAL_FORM_DEGREE) for c in map_jet)
     d = n // 2
     C0, inv = basis.C0, basis.inverse
     # block index -> interleaved index

@@ -296,14 +296,16 @@ def _chart_map_jet_cached(spec: ChartSpec) -> ChartJet:
     t7 = t_jet - t_jet.constant_term()
     out = []
     for i in _KEEP_COMPONENTS:
-        poly9 = cat_map_su3_poly(td).components[i]
+        # the cat map is cubic: built at its full degree, like P and Q, so
+        # recentering a chart below degree 3 still sees its cubic terms
+        poly9 = cat_map_su3_poly(max(td, 3)).components[i]
         # the first eight components never involve U: drop that variable
         coeffs = {}
         for e, v in poly9.coeffs.items():
             if e[8] != 0:
                 raise ConsistencyError(f"cat-map component {i} involves U")
             coeffs[e[:8]] = v
-        poly8 = Jet(8, td, coeffs)
+        poly8 = Jet(8, poly9.trunc_degree, coeffs)
         centered = _translate(poly8, centers8, td) - centers8[i]
         # substitute t (8 -> 7 variables), then z (7 -> 6): elimination order
         g7 = centered.map_coefficients(float).substitute_variable(_T8, t7, _MAP_8_TO_7)

@@ -120,8 +120,9 @@ class RunConfig:
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
         if self.format not in ("json", "csv"):
             raise ValueError(f"unknown format {self.format!r}")
-        if self.trunc_degree < 2:
-            raise ValueError("truncation degree must be at least 2")
+        if self.trunc_degree < 3:
+            # alpha_jk are degree-3 coefficients: a lower chart has no twist to report
+            raise ValueError("truncation degree must be at least 3")
         for s in self.s_values:
             if s == Fraction(1, 2):
                 raise ValueError("s = 1/2 is a pole of the fixed family")
@@ -374,7 +375,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--pipeline", choices=["su2-brown", "su3-main"], help="which scan to run")
     parser.add_argument("--s", dest="s_text", default="", help="comma list '0.239,0.24' or range 'start:stop:step'")
-    parser.add_argument("--degree", type=int, default=3, help="jet truncation degree (default 3)")
+    parser.add_argument("--degree", type=int, default=3, help="chart jet truncation degree (default 3, at least 3)")
     parser.add_argument("--out", default="-", help="output path ('-' = stdout)")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--golden", default=None, help="golden file to compare against (su3-main)")

@@ -10,14 +10,16 @@ Design notes
 ------------
 * Canonical sparse form: zero coefficients are never stored, so two jets are
   equal iff their coefficient maps are equal.
-* Truncation degree is fixed per jet; products silently discard terms above
-  it, which is the semantics of jet arithmetic (not data loss).
+* Truncation degree is fixed per jet; products and substitutions never form
+  terms above it (each term only meets the terms of the other factor that
+  fit), which is the semantics of jet arithmetic (not data loss).
 * Jets are immutable values and safe to share between workers.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -255,20 +257,22 @@ class Jet:
             )
         self._check_shape(other)
         td = self.trunc_degree
+        # within[r]: the terms of other of degree <= r, in other's dict order, so
+        # each key gets the same contributions in the same order as a full scan
+        within: list[list] = [[] for _ in range(td + 1)]
+        for eb, cb in other._coeffs.items():
+            for r in range(sum(eb), td + 1):
+                within[r].append((eb, cb))
         out: dict[tuple, object] = {}
-        a_items = [(e, sum(e), c) for e, c in self._coeffs.items()]
-        b_items = [(e, sum(e), c) for e, c in other._coeffs.items()]
-        for ea, da, ca in a_items:
-            room = td - da
-            for eb, db, cb in b_items:
-                if db > room:
-                    continue
-                key = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(key, 0) + ca * cb
+        get, pop, add = out.get, out.pop, operator.add
+        for ea, ca in self._coeffs.items():
+            for eb, cb in within[td - sum(ea)]:
+                key = tuple(map(add, ea, eb))
+                s = get(key, 0) + ca * cb
                 if s:
                     out[key] = s
                 else:
-                    out.pop(key, None)
+                    pop(key, None)
         return Jet._raw(self.num_vars, self.trunc_degree, out)
 
     __rmul__ = __mul__
@@ -408,7 +412,18 @@ class Jet:
                 powers[k] = got
             return got
 
+        fitting: dict[tuple, list] = {}
+
+        def power_within(k: int, room: int) -> list:
+            """Terms of power(k) of degree <= room, in dict order."""
+            got = fitting.get((k, room))
+            if got is None:
+                got = [(pe, pc) for pe, pc in power(k)._coeffs.items() if sum(pe) <= room]
+                fitting[(k, room)] = got
+            return got
+
         out: dict[tuple, object] = {}
+        get, pop, add = out.get, out.pop, operator.add
         for e, c in self._coeffs.items():
             k = e[var]
             rest_deg = sum(e) - k
@@ -420,21 +435,19 @@ class Jet:
                     te[var_map[i]] += ei
             if k == 0:
                 key = tuple(te)
-                s = out.get(key, 0) + c
+                s = get(key, 0) + c
                 if s:
                     out[key] = s
                 else:
-                    out.pop(key, None)
+                    pop(key, None)
                 continue
-            for pe, pc in power(k)._coeffs.items():
-                if sum(pe) + rest_deg > td:
-                    continue
-                key = tuple(a + b for a, b in zip(pe, te))
-                s = out.get(key, 0) + c * pc
+            for pe, pc in power_within(k, td - rest_deg):
+                key = tuple(map(add, pe, te))
+                s = get(key, 0) + c * pc
                 if s:
                     out[key] = s
                 else:
-                    out.pop(key, None)
+                    pop(key, None)
         return Jet._raw(nv_t, td, out)
 
     # -- serialization ------------------------------------------------------

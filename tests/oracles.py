@@ -1,10 +1,14 @@
-"""Shared test oracles: the full functional-equation residual of a normal form.
+"""Shared test oracles.
 
-Given a diagonalized degree-3 map, solve for the cubic corrections at every
-non-resonant monomial and check that phi(u xi, v eta) - p(phi, psi) vanishes
-identically through degree 3 (and the psi/q analogue).  This exercises the
-defining property of the alpha/beta coefficients independently of how they
-were extracted.
+The full functional-equation residual of a normal form: given a diagonalized
+degree-3 map, solve for the cubic corrections at every non-resonant monomial
+and check that phi(u xi, v eta) - p(phi, psi) vanishes identically through
+degree 3 (and the psi/q analogue).  This exercises the defining property of
+the alpha/beta coefficients independently of how they were extracted.
+
+Reference loops for truncated jet products and one-variable substitutions:
+they visit every coefficient pair and skip those above the truncation degree,
+so they fix which contributions each result key receives and in what order.
 """
 
 import numpy as np
@@ -104,3 +108,65 @@ def functional_equation_residual(nf):
             ),
         )
     return worst
+
+
+def mul_items(a, b):
+    """Items of the truncated product a * b, from a scan over every pair."""
+    td = a.trunc_degree
+    out = {}
+    a_items = [(e, sum(e), c) for e, c in a._coeffs.items()]
+    b_items = [(e, sum(e), c) for e, c in b._coeffs.items()]
+    for ea, da, ca in a_items:
+        room = td - da
+        for eb, db, cb in b_items:
+            if db > room:
+                continue
+            key = tuple(x + y for x, y in zip(ea, eb))
+            s = out.get(key, 0) + ca * cb
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return list(out.items())
+
+
+def substitute_variable_items(jet, var, replacement, var_map):
+    """Items of jet.substitute_variable(var, replacement, var_map), from a scan over every pair."""
+    nv_t, td = replacement.num_vars, replacement.trunc_degree
+    powers = {1: replacement}
+
+    def power(k):
+        got = powers.get(k)
+        if got is None:
+            got = power(k - 1) * replacement
+            powers[k] = got
+        return got
+
+    out = {}
+    for e, c in jet._coeffs.items():
+        k = e[var]
+        rest_deg = sum(e) - k
+        if rest_deg + k > td:
+            continue
+        te = [0] * nv_t
+        for i, ei in enumerate(e):
+            if i != var and ei:
+                te[var_map[i]] += ei
+        if k == 0:
+            key = tuple(te)
+            s = out.get(key, 0) + c
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+            continue
+        for pe, pc in power(k)._coeffs.items():
+            if sum(pe) + rest_deg > td:
+                continue
+            key = tuple(a + b for a, b in zip(pe, te))
+            s = out.get(key, 0) + c * pc
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return list(out.items())

@@ -229,17 +229,32 @@ def test_chart_build_recenters_p_and_q_once(monkeypatch):
     assert calls == [S249]
 
 
-_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "su3-window.json"
+_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+#: s -> (stored report, chart degree): sparse and dense eigenbasis C0 at
+#: degree 3, and a degree-5 row whose normal form reads only its 3-jet
+_REFERENCE_ROWS = {"0.2411": ("su3-window", 3), "0.2439": ("su3-window", 3), "0.2397": ("su3-deep", 5)}
 
 
-@pytest.mark.parametrize("s_text", ["0.2411", "0.2439"])  # sparse and dense eigenbasis C0
+@pytest.mark.parametrize("s_text", list(_REFERENCE_ROWS))
 def test_su3_rows_equal_stored_reference(s_text):
-    rows = json.loads(_REFERENCE.read_text())["report"]["rows"]
+    workload, degree = _REFERENCE_ROWS[s_text]
+    rows = json.loads((_REFERENCE / f"{workload}.json").read_text())["report"]["rows"]
     want = next(r for r in rows if r["s"] == float(s_text))
-    got = su3_main_point(Fraction(s_text))
+    got = su3_main_point(Fraction(s_text), trunc_degree=degree)
     assert sorted(got) == sorted(want)
     for key, value in want.items():
         assert got[key] == value, key
+
+
+@pytest.mark.parametrize("s_text", ["0.239", "0.2411"])
+def test_chart_linear_part_does_not_depend_on_degree(s_text):
+    """The cat map's cubic terms reach the linear part through recentering,
+    so a degree-2 chart builds the cat map at its full degree too."""
+    s = Fraction(s_text)
+    m2, m3, m4 = (chart_linear_matrix(chart_map_jet(s, td)) for td in (2, 3, 4))
+    assert (m2 == m3).all() and (m3 == m4).all()
+    assert classify_spectrum(m2).classification == ("elliptic",) * 3
 
 
 # ------------------------------------------------------------------ SU(2) chart

@@ -1,11 +1,14 @@
 import json
+import os
 import resource
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import charvar_kam
 from charvar_kam import cli
 from charvar_kam.cli import (
     RunConfig,
@@ -16,17 +19,22 @@ from charvar_kam.cli import (
 )
 
 
-def run_cli(args, env=None):
-    import os
-
+def child_env(env=None):
+    """The environment with the tested package first on the child's import path."""
     full_env = dict(os.environ)
+    src = str(Path(charvar_kam.__file__).resolve().parents[1])
+    full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, full_env.get("PYTHONPATH")]))
     if env:
         full_env.update(env)
+    return full_env
+
+
+def run_cli(args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "charvar_kam.cli", *args],
         capture_output=True,
         text=True,
-        env=full_env,
+        env=child_env(env),
     )
 
 
@@ -67,6 +75,7 @@ def test_cli_rejects_huge_grid_before_building_it():
         [sys.executable, "-m", "charvar_kam.cli", "--pipeline", "su2-brown", "--s", "0:0.249:1e-9"],
         capture_output=True,
         text=True,
+        env=child_env(),
         preexec_fn=cap_memory,
     )
     assert res.returncode == 2
@@ -87,6 +96,12 @@ def test_cli_exit_2_on_pole():
     res = run_cli(["--pipeline", "su2-brown", "--s", "0.5"])
     assert res.returncode == 2
     assert "config error" in res.stderr
+
+
+def test_cli_rejects_degree_below_three():
+    res = run_cli(["--pipeline", "su3-main", "--s", "0.24", "--degree", "2"])
+    assert res.returncode == 2
+    assert "config error: truncation degree must be at least 3" in res.stderr
 
 
 # ------------------------------------------------------------------ reports

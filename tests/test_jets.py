@@ -127,6 +127,75 @@ def test_mul_matches_truncated_convolution():
         assert got.coeffs == expected
 
 
+_COEFF_KINDS = {
+    "float": lambda rng: rng.choice((-1.5, -1.0, 0.5, 1.0, 2.0)) * rng.uniform(0.5, 2),
+    "complex": lambda rng: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+    "Fraction": lambda rng: Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
+    "QQi": lambda rng: QQi(Fraction(rng.randint(-1, 1), 2), rng.randint(-1, 1)),
+}
+
+
+def random_typed_jet(rng, kind, num_vars, trunc_degree, density, zero_constant=False):
+    draw = _COEFF_KINDS[kind]
+    coeffs = {}
+    for exps in _all_exponents(num_vars, trunc_degree):
+        if (zero_constant and not any(exps)) or rng.random() >= density:
+            continue
+        coeffs[exps] = draw(rng)
+    return Jet(num_vars, trunc_degree, coeffs)
+
+
+_SHAPES = [(2, 3, 0.9), (6, 3, 0.5), (6, 5, 0.15), (7, 5, 0.1)]
+
+
+@pytest.mark.parametrize("kind", sorted(_COEFF_KINDS))
+@pytest.mark.parametrize("num_vars,trunc_degree,density", _SHAPES)
+def test_mul_items_and_order_match_full_pair_scan(kind, num_vars, trunc_degree, density):
+    """Values and insertion order equal those of the loop over every pair."""
+    from oracles import mul_items
+
+    rng = random.Random(f"mul {kind} {num_vars}x{trunc_degree}")
+    for _ in range(3):
+        a = random_typed_jet(rng, kind, num_vars, trunc_degree, density)
+        b = random_typed_jet(rng, kind, num_vars, trunc_degree, density)
+        assert list((a * b)._coeffs.items()) == mul_items(a, b)
+
+
+@pytest.mark.parametrize("kind", sorted(_COEFF_KINDS))
+@pytest.mark.parametrize("num_vars,trunc_degree,density", _SHAPES)
+def test_substitute_variable_items_and_order_match_full_pair_scan(kind, num_vars, trunc_degree, density):
+    from oracles import substitute_variable_items
+
+    rng = random.Random(f"substitute {kind} {num_vars}x{trunc_degree}")
+    var = num_vars // 2
+    var_map = {i: i - (i > var) for i in range(num_vars) if i != var}
+    for _ in range(3):
+        jet = random_typed_jet(rng, kind, num_vars, trunc_degree, density)
+        repl = random_typed_jet(rng, kind, num_vars - 1, trunc_degree, 2 * density, zero_constant=True)
+        got = jet.substitute_variable(var, repl, var_map)
+        assert list(got._coeffs.items()) == substitute_variable_items(jet, var, repl, var_map)
+
+
+def test_mul_and_substitute_keep_order_when_partial_sums_cancel():
+    """A key whose running sum hits zero is dropped and re-enters at the end."""
+    from oracles import mul_items, substitute_variable_items
+
+    a = Jet(2, 3, {(1, 0): 1, (0, 1): 1, (1, 1): 1, (2, 0): 1})
+    b = Jet(2, 3, {(1, 0): 1, (0, 1): 1, (1, 1): 1, (2, 0): -1})
+    # x^2 y gets 1 (x * xy), then -1 (y * x^2): zero, dropped; then 1 and 1
+    got = list((a * b)._coeffs.items())
+    assert got == mul_items(a, b)
+    keys = [e for e, _ in got]
+    assert keys.index((2, 1)) > keys.index((1, 2))
+    assert dict(got)[(2, 1)] == 2
+    # x y + y z + x z with y -> x - z: x z gets -1, then 1 (dropped), then 1
+    outer = Jet(3, 3, {(1, 1, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
+    repl = Jet(2, 3, {(1, 0): 1, (0, 1): -1})
+    sub = list(outer.substitute_variable(1, repl, {0: 0, 2: 1})._coeffs.items())
+    assert sub == substitute_variable_items(outer, 1, repl, {0: 0, 2: 1})
+    assert sub == [((2, 0), 1), ((0, 2), -1), ((1, 1), 1)]
+
+
 # ---------------------------------------------------------------- compose
 
 

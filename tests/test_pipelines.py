@@ -137,6 +137,16 @@ def test_alpha_det_stable_under_higher_truncation():
     assert abs(d3 - d4) < 1e-9
 
 
+@pytest.mark.parametrize("degree,nf_degree", [(5, 3), (2, 2)])
+def test_diagonalized_jets_work_on_the_three_jet(degree, nf_degree):
+    """A deeper chart is truncated to its 3-jet; a shallower one is never raised."""
+    chart = chart_map_jet(S249, degree)
+    assert chart.map_jet.trunc_degree == degree
+    L = chart_linear_matrix(chart)
+    nf = diagonalized_jets(chart.map_jet, build_C0(L, classify_spectrum(L)))
+    assert {j.trunc_degree for j in (*nf.p_jets, *nf.q_jets)} == {nf_degree}
+
+
 def test_eigenvalue_continuity_along_scan():
     """Adjacent s values (step 1e-3) move eigenvalues by < 0.1 in modulus."""
     prev = None
