@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+from .charts import chart_map_jet
 from .pipelines import su2_brown_point, su3_kam_report, su3_main_point
 
 __all__ = ["RunConfig", "run", "dump_goldens", "main"]
@@ -274,8 +275,6 @@ def compare_golden(path: Path, rel_tol: float = 1e-3) -> dict:
     alpha matrix entries are a diagnostic because they depend on the
     eigenvector normalization.
     """
-    from .charts import chart_map_jet  # deferred: heavy import path
-
     golden = json.loads(Path(path).read_text())
     s = Fraction(str(golden["s"]))
     chart = chart_map_jet(s)

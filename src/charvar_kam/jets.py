@@ -40,7 +40,7 @@ class QQi:
 
     Used to expand the unitary-coordinate substitution exactly; the final
     polynomials must come out with identically zero imaginary parts and
-    that cancellation is asserted, so floats are not acceptable there.
+    that cancellation is checked exactly, so floats are not acceptable there.
     """
 
     __slots__ = ("re", "im")

@@ -74,12 +74,15 @@ class SpectrumReport:
     lambda_jbar ~ conj(lambda_j); classification tags each pair elliptic,
     hyperbolic, parabolic or resonant; omega holds arg(lambda)/2pi in
     (0, 1/2) for each elliptic pair (NaN placeholder otherwise).
+    eigenvectors (columns, read by ``build_C0``) stays out of equality,
+    hashing and the JSON form.
     """
 
     eigenvalues: tuple
     pairing: tuple
     classification: tuple
     omega: tuple
+    eigenvectors: np.ndarray = field(compare=False, repr=False)
 
     def is_elliptic(self) -> bool:
         return bool(self.classification) and all(t == "elliptic" for t in self.classification)
@@ -108,7 +111,7 @@ def classify_spectrum(m, pair_tol: float = 1e-9) -> SpectrumReport:
     m = np.asarray(m)
     if np.iscomplexobj(m) and np.max(np.abs(m.imag)) > 0:
         raise SpectrumStructureError("classify_spectrum expects a real matrix")
-    vals, _ = eigen_small(np.asarray(m, dtype=float))
+    vals, vecs = eigen_small(np.asarray(m, dtype=float))
     n = len(vals)
     used = [False] * n
     pairing = []
@@ -189,6 +192,7 @@ def classify_spectrum(m, pair_tol: float = 1e-9) -> SpectrumReport:
         pairing=tuple(pairing),
         classification=tuple(tags),
         omega=tuple(omegas),
+        eigenvectors=vecs,
     )
 
 
@@ -215,9 +219,10 @@ class DiagonalizingBasis:
 def build_C0(m, report: SpectrumReport | None = None, tol: float = 1e-9) -> DiagonalizingBasis:
     """Diagonalizing basis for a real matrix with fully elliptic spectrum.
 
-    Requires every pair elliptic and the elliptic eigenvalues pairwise
-    distinct (repeats within 1e-8 are resonant and rejected).  Verifies the
-    off-diagonal residual of C0^-1 m C0 against ``tol``.
+    The columns of C0 are the eigenvectors of ``report`` (by default
+    ``classify_spectrum(m)``, which tags repeated elliptic eigenvalues
+    resonant).  Verifies the off-diagonal residual of C0^-1 m C0 against
+    ``tol``, which also rejects a report of another matrix.
     """
     m = np.asarray(m, dtype=float)
     if report is None:
@@ -226,25 +231,16 @@ def build_C0(m, report: SpectrumReport | None = None, tol: float = 1e-9) -> Diag
         raise ResonanceError(
             f"build_C0 needs an all-elliptic spectrum, got tags {report.classification}"
         )
-    lams = [report.eigenvalues[p[0]] for p in report.pairing]
-    for a in range(len(lams)):
-        for b in range(a + 1, len(lams)):
-            if abs(lams[a] - lams[b]) < 1e-8:
-                raise ResonanceError(f"repeated elliptic eigenvalue near {lams[a]}")
-    vals, vecs = eigen_small(m)
     n = m.shape[0]
     cols = []
-    lam_order = []
-    for lam in lams:
-        k = int(np.argmin(np.abs(vals - lam)))
-        v = vecs[:, k].astype(complex)
+    for j, _ in report.pairing:
+        v = report.eigenvectors[:, j].astype(complex)
         v = v / np.linalg.norm(v)
         # deterministic phase: first entry above threshold made real positive
         lead = next(i for i in range(n) if abs(v[i]) > 1e-9)
         v = v * (abs(v[lead]) / v[lead])
         cols.append(v)
         cols.append(np.conj(v))
-        lam_order.append(vals[k])
     C0 = np.column_stack(cols)
     try:
         inv = np.linalg.inv(C0)
@@ -263,6 +259,6 @@ def build_C0(m, report: SpectrumReport | None = None, tol: float = 1e-9) -> Diag
             "columns": "interleaved (xi_1, eta_1, ...)",
             "scaling": "unit Euclidean norm",
             "phase": "first entry with |.| > 1e-9 rotated real positive",
-            "eigenvalues": [complex(l) for l in lam_order],
+            "eigenvalues": [complex(report.eigenvalues[j]) for j, _ in report.pairing],
         },
     )

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from .errors import OffVarietyError, ShapeMismatchError
+from .errors import ConsistencyError, OffVarietyError, ShapeMismatchError
 from .jets import Jet, QQi, jet_variables
 
 __all__ = [
@@ -164,9 +164,7 @@ def _to_real_fraction_jet(jet: Jet) -> Jet:
     for e, c in jet.coeffs.items():
         if isinstance(c, QQi):
             if c.im:
-                raise AssertionError(
-                    f"imaginary part failed to cancel at {e}: {c!r}"
-                )
+                raise ConsistencyError(f"imaginary part failed to cancel at {e}: {c!r}")
             out[e] = c.re
         else:
             out[e] = Fraction(c)

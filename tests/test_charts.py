@@ -22,7 +22,7 @@ from charvar_kam.charts import (
 from charvar_kam.errors import ConsistencyError, SingularChartError
 from charvar_kam.jets import Jet, jet_variables
 from charvar_kam.mcg import cat_map_su3, cat_map_su3_poly, fixed_family_su3
-from charvar_kam.pipelines import SCAN_ERRORS, su3_main_point
+from charvar_kam.pipelines import SCAN_ERRORS, su2_brown_point, su3_main_point
 from charvar_kam.spectral import classify_spectrum
 from charvar_kam.varieties import kappa_su2, p_poly, q_poly
 
@@ -44,7 +44,6 @@ def chart249():
 def test_chart_spec_branch_and_level():
     spec = chart_spec(S249)
     assert spec.sqrt_branch == -1
-    assert spec.eliminated == ("t", "z")
     assert float(spec.level) == pytest.approx(-0.9250133569004855, abs=1e-13)
 
 
@@ -243,6 +242,17 @@ def test_su3_rows_equal_stored_reference(s_text):
     want = next(r for r in rows if r["s"] == float(s_text))
     got = su3_main_point(Fraction(s_text), trunc_degree=degree)
     assert sorted(got) == sorted(want)
+    for key, value in want.items():
+        assert got[key] == value, key
+
+
+@pytest.mark.parametrize("s_text", ["0.00503", "0.12471", "0.24889"])
+def test_su2_rows_equal_stored_reference(s_text):
+    """Near both ends and the middle of the stored SU(2) sweep, key order included."""
+    rows = json.loads((_REFERENCE / "su2-sweep.json").read_text())["report"]["rows"]
+    want = next(r for r in rows if r["s"] == float(s_text))
+    got = su2_brown_point(Fraction(s_text))
+    assert list(got) == list(want)
     for key, value in want.items():
         assert got[key] == value, key
 

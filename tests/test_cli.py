@@ -150,6 +150,27 @@ def test_su3_row_errors_do_not_abort_scan():
     assert report["rows"][1]["verdict"] is True
 
 
+_TINY = Fraction(1, 10**170)
+
+
+@pytest.mark.parametrize(
+    "pipeline, s_values",
+    [
+        ("su2-brown", [Fraction(1, 10), _TINY, Fraction(2, 10)]),
+        ("su3-main", [Fraction("0.2411"), Fraction(1, 4) + _TINY, Fraction("0.2413")]),
+    ],
+)
+def test_radicand_underflow_is_a_recorded_row_error(pipeline, s_values):
+    """The exact radicand at the center is positive but rounds to 0.0 as a float."""
+    report, code = run(RunConfig(pipeline=pipeline, s_values=s_values))
+    assert code == 0
+    first, middle, last = report["rows"]
+    assert middle["error"].startswith("SingularChartError: ")
+    neighbours, _ = run(RunConfig(pipeline=pipeline, s_values=[s_values[0], s_values[2]]))
+    assert neighbours["rows"] == [first, last]
+    assert first["twist_ok"] is True and last["twist_ok"] is True
+
+
 def test_json_determinism_byte_identical(tmp_path):
     args = ["--pipeline", "su2-brown", "--s", "0.1,0.2", "--format", "json"]
     a = run_cli([*args, "--out", str(tmp_path / "a.json")])

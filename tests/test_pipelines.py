@@ -8,6 +8,7 @@ import pytest
 from charvar_kam.birkhoff import KamReport, birkhoff_coefficients, diagonalized_jets
 from charvar_kam.charts import ChartJet, chart_linear_matrix, chart_map_jet
 from charvar_kam.errors import ResonanceError
+from charvar_kam import spectral
 from charvar_kam.pipelines import su2_brown_point, su3_kam_report, su3_main_point
 from charvar_kam.spectral import build_C0, classify_spectrum
 
@@ -161,3 +162,19 @@ def test_eigenvalue_continuity_along_scan():
                 assert abs(abs(a) - abs(b)) < 0.1
                 assert abs(a - b) < 0.1
         prev = lams
+
+
+@pytest.mark.parametrize("point, s", [(su2_brown_point, "0.1"), (su3_main_point, "0.2411")])
+def test_one_eigendecomposition_per_elliptic_row(monkeypatch, point, s):
+    """build_C0 takes its eigenvectors from the spectrum report, not a second eig."""
+    eig = spectral.np.linalg.eig
+    calls = []
+
+    def counting_eig(m):
+        calls.append(m.shape)
+        return eig(m)
+
+    monkeypatch.setattr(spectral.np.linalg, "eig", counting_eig)
+    row = point(Fraction(s))
+    assert row["twist_ok"] is True  # elliptic: the row went through build_C0
+    assert len(calls) == 1

@@ -124,6 +124,10 @@ def test_spectrum_report_json():
     rep = classify_spectrum(rotation(0.3))
     data = rep.to_json()
     assert len(data["eigs"]) == 2 and data["tags"] == ["elliptic"]
+    # the eigenvectors kept for build_C0 are left out of equality, hash and repr
+    again = classify_spectrum(rotation(0.3))
+    assert rep == again and hash(rep) == hash(again)
+    assert rep.eigenvectors.shape == (2, 2) and "eigenvectors" not in repr(rep)
 
 
 # ------------------------------------------------------------------ build_C0

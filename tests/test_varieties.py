@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from charvar_kam.errors import OffVarietyError
-from charvar_kam.jets import jet_variables
+from charvar_kam.errors import ConsistencyError, OffVarietyError
+from charvar_kam.jets import Jet, QQi, jet_variables
 from charvar_kam.mcg import fixed_family_su3, level_of_s
 from charvar_kam.varieties import (
     LevelValue,
+    _to_real_fraction_jet,
     Su2Point,
     Su3Point,
     boundary_map_su3,
@@ -131,6 +132,12 @@ def test_q_swap_symmetry():
     # variable order (x, y, z, t, X, Y, Z, T) -> swap halves
     swapped = {e[4:] + e[:4]: c for e, c in q.coeffs.items()}
     assert swapped == q.coeffs
+
+
+def test_imaginary_part_left_after_substitution_is_a_consistency_error():
+    jet = Jet(2, 3, {(1, 0): QQi(1), (0, 1): QQi(0, Fraction(1, 3))})
+    with pytest.raises(ConsistencyError, match="imaginary part failed to cancel"):
+        _to_real_fraction_jet(jet)
 
 
 def test_polys_accept_jets():
