@@ -122,7 +122,7 @@ def diagonalized_jets(map_jet: JetVector, basis: DiagonalizingBasis, tol: float 
             if c != 0:
                 row = row + zeta[k] * c
         inner.append(row)
-    composed = [comp.compose(inner) for comp in map_jet]
+    composed = map_jet.compose(inner)
     out = []
     for r in range(n):
         acc = Jet.zero(n, td)
@@ -237,8 +237,7 @@ def alpha_matrix(nf: NormalFormInput, phi2: JetVector | None = None, psi2: JetVe
     n = 2 * d
     corrected = _corrected_identity(nf, phi2, psi2)
     alpha = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        comp = nf.p_jets[j].compose(corrected)
+    for j, comp in enumerate(nf.p_jets.compose(corrected)):
         for k in range(d):
             e = [0] * n
             e[j] += 1
@@ -359,19 +358,23 @@ def brjuno_partial_sum(theta, K: int = 20, huge_quotient: float = 1e12) -> Brjun
     expansion stops once denominators exceed 2^53 (beyond double precision
     the quotients of a float input are noise).  A terminating expansion or a
     partial quotient above ``huge_quotient`` flags the input as rational and
-    the sum so far is returned.  Fraction input is accepted for exact use.
+    the sum so far is returned.
+
+    The expansion is Euclid's algorithm on the numerator and denominator of
+    the fractional part of theta, taken exactly (a float is converted without
+    rounding), so Fraction input gives exact quotients.
     """
     x = Fraction(theta)
-    x -= math.floor(x)
+    num, den = x.numerator % x.denominator, x.denominator
     qs = [1]
     q_prev = 0
     quotients = []
     rational = False
     while len(qs) < K + 2:
-        if x == 0:
+        if num == 0:
             rational = True
             break
-        a = math.floor(1 / x)
+        a, r = divmod(den, num)
         if a > huge_quotient:
             rational = True
             break
@@ -381,7 +384,7 @@ def brjuno_partial_sum(theta, K: int = 20, huge_quotient: float = 1e12) -> Brjun
         qs.append(q_new)
         if q_new > 2**53:
             break
-        x = 1 / x - a
+        num, den = r, num
     total = 0.0
     terms = 0
     for k in range(1, min(K, len(qs) - 2) + 1):

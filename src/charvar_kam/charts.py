@@ -17,9 +17,11 @@ diagnostics read that one result.
 SU(2): the level set kappa = ell is a surface in (x, y, z); x is eliminated
 from the quadratic kappa = ell (branch from the center) and (y, z) survive.
 
-Everything stays in exact rationals until the square roots; chart jets have
-float coefficients.  All eliminations and substitutions are degree-truncated
-at the chart's truncation degree (default 3).
+Everything stays exact until the square roots; chart jets have float
+coefficients.  The SU(3) exact part is rational; the SU(2) exact part runs in
+integers, each jet scaled by one positive denominator, and converts by
+correctly rounded ``int / int`` division.  All eliminations and substitutions
+are degree-truncated at the chart's truncation degree (default 3).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from .errors import ConsistencyError, DegenerateChartError, SingularChartError
 from .jets import Jet, JetVector, jet_sqrt, jet_variables
 from .mcg import cat_map_su3_poly, fixed_family_su2, fixed_family_su3
-from .varieties import Su3Point, kappa_su2, p_poly, q_poly
+from .varieties import Su3Point, p_poly, q_poly
 
 __all__ = [
     "ChartSpec",
@@ -368,27 +370,36 @@ def su2_chart_map_jet(s, trunc_degree: int = 3) -> Su2ChartJet:
     s = _as_fraction(s)
     p0 = fixed_family_su2(s)
     x0, y0, z0 = p0.coords()
-    level = kappa_su2(p0)
-    gap = 2 * x0 - y0 * z0
-    if gap == 0:
+    # The exact part runs in integers.  With b the common denominator of the
+    # fixed point, b x0, b y0, b z0 and b^4 level are integers, and yv, zv, yz,
+    # disc are integer jets over b, b, b^2, b^4.  They go through the jet
+    # operations of the rational computation with each term scaled by a
+    # positive integer, so keys cancel and reappear at the same steps, and
+    # int / int rounds to the same float as float(Fraction).
+    b = math.lcm(x0.denominator, y0.denominator, z0.denominator)
+    xn, yn, zn = (c.numerator * (b // c.denominator) for c in (x0, y0, z0))
+    b2, b4 = b * b, b**4
+    level_n = b2 * (xn * xn + yn * yn + zn * zn) - b * xn * yn * zn - 2 * b4
+    gap_n = 2 * xn * b - yn * zn  # b^2 * (2 x0 - y0 z0)
+    if gap_n == 0:
         raise SingularChartError(
             f"s = {s}: 2x - yz = 0 at the fixed point (origin blow-up), chart is singular"
         )
-    branch = 1 if gap > 0 else -1
-    w = jet_variables(2, trunc_degree, coeff_one=Fraction(1))
-    yv = w[0] + y0
-    zv = w[1] + z0
+    branch = 1 if gap_n > 0 else -1
+    w = jet_variables(2, trunc_degree, coeff_one=b)
+    yv = w[0] + yn
+    zv = w[1] + zn
     yz = yv * zv
-    disc = yz * yv * zv - 4 * (yv * yv + zv * zv - 2 - level)
-    if disc.constant_term() != gap * gap:
+    disc = yz * yv * zv - 4 * ((yv * yv + zv * zv - 2 * b2) * b2 - level_n)
+    if disc.constant_term() != gap_n * gap_n:
         raise ConsistencyError(f"s = {s}: discriminant at the center must be (2x - yz)^2")
-    disc = disc.map_coefficients(float)
+    disc = disc.map_coefficients(lambda c: c / b4)
     if not disc.constant_term():
         raise SingularChartError(f"s = {s}: discriminant at the center underflows to 0.0")
-    x_jet = yz.map_coefficients(float) + jet_sqrt(disc) * float(branch)
+    x_jet = yz.map_coefficients(lambda c: c / b2) + jet_sqrt(disc) * float(branch)
     x_jet = x_jet * 0.5
-    yf = yv.map_coefficients(float)
-    zf = zv.map_coefficients(float)
+    yf = yv.map_coefficients(lambda c: c / b)
+    zf = zv.map_coefficients(lambda c: c / b)
     y_image = zf * yf - x_jet
     out_y = y_image - float(y0)
     out_z = zf * y_image - yf - float(z0)
@@ -401,7 +412,7 @@ def su2_chart_map_jet(s, trunc_degree: int = 3) -> Su2ChartJet:
     return Su2ChartJet(
         s=s,
         center=(float(x0), float(y0), float(z0)),
-        level=Fraction(level),
+        level=Fraction(level_n, b4),
         x_jet=x_jet,
         map_jet=JetVector(comps),
     )

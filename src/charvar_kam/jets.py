@@ -13,6 +13,11 @@ Design notes
 * Truncation degree is fixed per jet; products and substitutions never form
   terms above it (each term only meets the terms of the other factor that
   fit), which is the semantics of jet arithmetic (not data loss).
+* Composition has one routine, ``JetVector.compose``: the powers of the inner
+  components and the monomial products are built once and shared by all outer
+  components, and ``Jet.compose`` is its one-component case.  Each component
+  adds its terms in its own order, so it gets the same float sums as when
+  composed alone.
 * Jets are immutable values and safe to share between workers.
 """
 
@@ -340,6 +345,8 @@ class Jet:
     def compose(self, inner: Sequence["Jet"], allow_constant: bool = False) -> "Jet":
         """Truncated composition ``self(inner_1, ..., inner_n)``.
 
+        The one-component case of :meth:`JetVector.compose`.
+
         Parameters
         ----------
         inner : sequence of Jet
@@ -350,42 +357,7 @@ class Jet:
             vanish.  Recentering substitutions (inner constants nonzero) must
             opt in explicitly.
         """
-        inner = list(inner)
-        if len(inner) != self.num_vars:
-            raise ShapeMismatchError(
-                f"outer jet has {self.num_vars} variables but {len(inner)} inner jets given"
-            )
-        for j in inner:
-            inner[0]._check_shape(j)
-        if not allow_constant:
-            for i, j in enumerate(inner):
-                if j.constant_term():
-                    raise ConstantTermError(
-                        f"inner component {i} has a nonzero constant term; "
-                        "pass allow_constant=True to recenter"
-                    )
-        nv, td = inner[0].num_vars, inner[0].trunc_degree
-        powers: list[dict[int, Jet]] = [dict() for _ in range(self.num_vars)]
-
-        def power(v: int, k: int) -> Jet:
-            cache = powers[v]
-            got = cache.get(k)
-            if got is None:
-                got = inner[v] if k == 1 else power(v, k - 1) * inner[v]
-                cache[k] = got
-            return got
-
-        acc = Jet.zero(nv, td)
-        for exps, c in self._coeffs.items():
-            if not allow_constant and sum(exps) > td:
-                continue  # zero-constant inner: each factor raises degree
-            term: Jet | None = None
-            for v, e in enumerate(exps):
-                if e:
-                    p = power(v, e)
-                    term = p if term is None else term * p
-            acc = acc + (c if term is None else term * c)
-        return acc
+        return _compose((self,), inner, allow_constant)[0]
 
     def substitute_variable(self, var: int, replacement: "Jet", var_map: Mapping[int, int]) -> "Jet":
         """Replace one variable by a zero-constant jet, renumbering the rest.
@@ -536,14 +508,89 @@ class JetVector:
         return [c.eval(point) for c in self.components]
 
     def compose(self, inner: Sequence[Jet], allow_constant: bool = False) -> "JetVector":
-        inner = list(inner)
-        return JetVector([c.compose(inner, allow_constant=allow_constant) for c in self.components])
+        """Every component composed with ``inner``; see :meth:`Jet.compose`.
+
+        The powers of the inner components and the monomial products are
+        built once and shared by all components.
+        """
+        return JetVector(_compose(self.components, inner, allow_constant))
 
     def map_coefficients(self, fn) -> "JetVector":
         return JetVector([c.map_coefficients(fn) for c in self.components])
 
     def __repr__(self):
         return f"JetVector({len(self.components)} components, num_vars={self.num_vars}, trunc_degree={self.trunc_degree})"
+
+
+def _compose(outers: Sequence[Jet], inner: Sequence[Jet], allow_constant: bool) -> list[Jet]:
+    """``[outer(inner_1, ..., inner_n) for outer in outers]``, truncated.
+
+    ``outers`` share one variable count (the components of a ``JetVector``).
+
+    Each monomial product ``prod_v inner_v^e_v`` is built once, as the product
+    of its prefix (the monomial with its last variable dropped) and one power,
+    which is the left-to-right order of a per-term product.  Each outer term
+    ``c * x^e`` adds ``c * product`` into its component's dict, key by key in
+    the product's order and dropping a key whose sum cancels: every key gets
+    the same partial sums, in the same order, as ``acc = acc + product * c``.
+    """
+    inner = list(inner)
+    if len(inner) != outers[0].num_vars:
+        raise ShapeMismatchError(
+            f"outer jet has {outers[0].num_vars} variables but {len(inner)} inner jets given"
+        )
+    for j in inner:
+        inner[0]._check_shape(j)
+    if not allow_constant:
+        for i, j in enumerate(inner):
+            if j.constant_term():
+                raise ConstantTermError(
+                    f"inner component {i} has a nonzero constant term; "
+                    "pass allow_constant=True to recenter"
+                )
+    nv, td = inner[0].num_vars, inner[0].trunc_degree
+    powers: list[dict[int, Jet]] = [{1: j} for j in inner]
+
+    def power(v: int, k: int) -> Jet:
+        cache = powers[v]
+        got = cache.get(k)
+        if got is None:
+            got = power(v, k - 1) * inner[v]
+            cache[k] = got
+        return got
+
+    products: dict[tuple, Jet] = {}
+
+    def product(exps: tuple) -> Jet:
+        got = products.get(exps)
+        if got is None:
+            last = max(v for v, e in enumerate(exps) if e)
+            got = power(last, exps[last])
+            if any(exps[:last]):
+                got = product(exps[:last] + (0,) * (len(exps) - last)) * got
+            products[exps] = got
+        return got
+
+    one = (0,) * nv
+    out = []
+    for outer in outers:
+        acc: dict[tuple, object] = {}
+        get, pop = acc.get, acc.pop
+        for exps, c in outer._coeffs.items():
+            if not c or (not allow_constant and sum(exps) > td):
+                continue  # adds nothing (zero-constant inner: each factor raises degree)
+            if any(exps):
+                terms = [(key, pc * c) for key, pc in product(exps)._coeffs.items()]
+            else:
+                terms = ((one, c),)
+            for key, v in terms:
+                s = get(key, 0) + v
+                if s:
+                    acc[key] = s
+                else:
+                    pop(key, None)
+        out.append(Jet._raw(nv, td, acc))
+    return out
 
 
 def jet_variables(num_vars: int, trunc_degree: int, coeff_one=1) -> tuple[Jet, ...]:

@@ -72,8 +72,8 @@ class PolyAutomorphism:
         """Composite map x -> other(self(x)), with enough truncation headroom."""
         deg = self.components.trunc_degree * other.components.trunc_degree
         inner = [c.truncated(deg) for c in self.components]
-        outer = [c.truncated(deg) for c in other.components]
-        return PolyAutomorphism([o.compose(inner, allow_constant=True) for o in outer])
+        outer = JetVector(c.truncated(deg) for c in other.components)
+        return PolyAutomorphism(outer.compose(inner, allow_constant=True))
 
     def __eq__(self, other):
         if not isinstance(other, PolyAutomorphism):

@@ -163,9 +163,9 @@ def classify_spectrum(m, pair_tol: float = 1e-9) -> SpectrumReport:
                 tags.append("parabolic")
                 omegas.append(math.nan)
                 continue
-            # reciprocal partner
+            # reciprocal partner (0 has none)
             best, best_err = None, math.inf
-            for k in range(n):
+            for k in range(n if lam_r else 0):
                 if used[k] or k == j:
                     continue
                 if abs(vals[k].imag) > pair_tol:

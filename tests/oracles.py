@@ -9,12 +9,25 @@ the alpha/beta coefficients independently of how they were extracted.
 Reference loops for truncated jet products and one-variable substitutions:
 they visit every coefficient pair and skip those above the truncation degree,
 so they fix which contributions each result key receives and in what order.
+The composition loop builds every power and monomial product afresh for each
+outer component and adds term by term with jet arithmetic, which fixes the
+partial sums of each key and its insertion order.
+
+Exact reference forms of two per-row computations done in integers: the
+Brjuno continued fraction run on ``Fraction``, and the SU(2) chart whose
+exact part is built from ``Fraction`` jets.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
-from charvar_kam.birkhoff import alpha_matrix, phi2_psi2
-from charvar_kam.jets import Jet, jet_variables
+from charvar_kam.birkhoff import BrjunoResult, alpha_matrix, phi2_psi2
+from charvar_kam.errors import ConsistencyError, SingularChartError
+from charvar_kam.jets import Jet, jet_sqrt, jet_variables
+from charvar_kam.mcg import fixed_family_su2
+from charvar_kam.varieties import kappa_su2
 
 
 def _eig_product(lam, mu, e):
@@ -170,3 +183,97 @@ def substitute_variable_items(jet, var, replacement, var_map):
             else:
                 out.pop(key, None)
     return list(out.items())
+
+
+def compose_items(outer, inner, allow_constant=False):
+    """Items of outer.compose(inner, allow_constant), from a per-term loop with jet arithmetic."""
+    td = inner[0].trunc_degree
+    powers = [{} for _ in inner]
+
+    def power(v, k):
+        got = powers[v].get(k)
+        if got is None:
+            got = inner[v] if k == 1 else power(v, k - 1) * inner[v]
+            powers[v][k] = got
+        return got
+
+    acc = Jet.zero(inner[0].num_vars, td)
+    for exps, c in outer._coeffs.items():
+        if not allow_constant and sum(exps) > td:
+            continue
+        term = None
+        for v, e in enumerate(exps):
+            if e:
+                p = power(v, e)
+                term = p if term is None else term * p
+        acc = acc + (c if term is None else term * c)
+    return list(acc._coeffs.items())
+
+
+def brjuno_items(theta, K=20, huge_quotient=1e12):
+    """brjuno_partial_sum(theta, K, huge_quotient), with the continued fraction run on Fraction."""
+    x = Fraction(theta)
+    x -= math.floor(x)
+    qs = [1]
+    q_prev = 0
+    quotients = []
+    rational = False
+    while len(qs) < K + 2:
+        if x == 0:
+            rational = True
+            break
+        a = math.floor(1 / x)
+        if a > huge_quotient:
+            rational = True
+            break
+        quotients.append(a)
+        q_new = a * qs[-1] + q_prev
+        q_prev = qs[-1]
+        qs.append(q_new)
+        if q_new > 2**53:
+            break
+        x = 1 / x - a
+    total = 0.0
+    terms = 0
+    for k in range(1, min(K, len(qs) - 2) + 1):
+        total += math.log(qs[k + 1]) / qs[k]
+        terms += 1
+    return BrjunoResult(partial_sum=total, terms_used=terms, rational=rational, quotients=tuple(quotients))
+
+
+def su2_chart_items(s, trunc_degree=3):
+    """(x_jet items, [map_jet component items]) of the SU(2) chart, with the exact part in Fraction jets."""
+    s = Fraction(s)
+    p0 = fixed_family_su2(s)
+    x0, y0, z0 = p0.coords()
+    level = kappa_su2(p0)
+    gap = 2 * x0 - y0 * z0
+    if gap == 0:
+        raise SingularChartError(
+            f"s = {s}: 2x - yz = 0 at the fixed point (origin blow-up), chart is singular"
+        )
+    branch = 1 if gap > 0 else -1
+    w = jet_variables(2, trunc_degree, coeff_one=Fraction(1))
+    yv = w[0] + y0
+    zv = w[1] + z0
+    yz = yv * zv
+    disc = yz * yv * zv - 4 * (yv * yv + zv * zv - 2 - level)
+    if disc.constant_term() != gap * gap:
+        raise ConsistencyError(f"s = {s}: discriminant at the center must be (2x - yz)^2")
+    disc = disc.map_coefficients(float)
+    if not disc.constant_term():
+        raise SingularChartError(f"s = {s}: discriminant at the center underflows to 0.0")
+    x_jet = yz.map_coefficients(float) + jet_sqrt(disc) * float(branch)
+    x_jet = x_jet * 0.5
+    yf = yv.map_coefficients(float)
+    zf = zv.map_coefficients(float)
+    y_image = zf * yf - x_jet
+    out_y = y_image - float(y0)
+    out_z = zf * y_image - yf - float(z0)
+    comps = []
+    for comp in (out_y, out_z):
+        const = comp.constant_term()
+        if not abs(float(const)) < 1e-10:
+            raise ConsistencyError(f"s = {s}: chart map constant term {const} should vanish")
+        comps.append(list((comp - const)._coeffs.items()))
+    return list(x_jet._coeffs.items()), comps

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import functional_equation_residual
+from oracles import brjuno_items, functional_equation_residual
 
 from charvar_kam.errors import ResonanceError
 from charvar_kam.jets import Jet, JetVector, jet_variables
@@ -301,6 +301,21 @@ def test_brjuno_rational_flag():
     assert res.rational
     exact = brjuno_partial_sum(Fraction(1, 3), 20)
     assert exact.rational
+
+
+def test_brjuno_integer_euclid_matches_fraction_loop():
+    """The integer continued fraction gives the Fraction loop's result, field for field."""
+    rng = random.Random(29)
+    thetas = [rng.uniform(0.0, 0.5) for _ in range(20)]
+    thetas += [-0.3173, -2.75, 3, 0, -1, Fraction(1, 3), Fraction(-7, 12), 1e-13, 0.5 + 1e-14]
+    thetas += [math.sqrt(5) - 2, math.pi, 2.0**-60]
+    for theta in thetas:
+        for K in range(1, 26):
+            assert brjuno_partial_sum(theta, K) == brjuno_items(theta, K), (theta, K)
+    # a quotient above the threshold stops the expansion as rational
+    assert brjuno_items(0.5 + 1e-14, 20).rational
+    for theta in thetas[:5]:
+        assert brjuno_partial_sum(theta, 20, huge_quotient=3) == brjuno_items(theta, 20, huge_quotient=3)
 
 
 def test_brjuno_bounded_quotients_monotone():

@@ -284,6 +284,40 @@ def test_su2_chart_zero_constant_and_unit_determinant():
         assert np.linalg.det(L) == pytest.approx(1.0, abs=1e-12)
 
 
+def _chart_or_error(build, s):
+    try:
+        return build(s), None
+    except SCAN_ERRORS as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def test_su2_chart_equals_fraction_built_chart():
+    """The integer-built exact part gives the Fraction-built chart item for item, in order."""
+    from oracles import su2_chart_items
+
+    def items(s):
+        ch = su2_chart_map_jet(s)
+        return list(ch.x_jet._coeffs.items()), [list(c._coeffs.items()) for c in ch.map_jet]
+
+    values = [Fraction(-1) + Fraction(149, 100) * Fraction(k, 19) for k in range(20)]
+    values += [Fraction("0.00503"), Fraction(1, 3), Fraction(-1, 7)]
+    values += [Fraction(0), Fraction(1, 10**170), Fraction(-1, 10**170), Fraction(3, 2), Fraction(-11, 10)]
+    errors = {}
+    for s in values:
+        got, err = _chart_or_error(items, s)
+        want, want_err = _chart_or_error(su2_chart_items, s)
+        assert got == want, s
+        assert err == want_err, s
+        if err is None:
+            assert su2_chart_map_jet(s).level == kappa_su2((2 * s, 2 * s / (2 * s - 1), 2 * s))
+        else:
+            errors[s] = err
+    assert len(values) - len(errors) >= 12
+    assert "origin blow-up" in errors[Fraction(0)]
+    assert "underflows to 0.0" in errors[Fraction(1, 10**170)]
+    assert errors[Fraction(3, 2)].startswith("UnrealizableError")
+
+
 def test_su2_x_jet_solves_level_equation():
     s = Fraction(1, 10)
     ch = su2_chart_map_jet(s)

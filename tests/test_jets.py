@@ -244,6 +244,55 @@ def test_compose_component_count():
         x.compose([y])
 
 
+_COMPOSE_CASES = [
+    # (kind, num_vars, trunc_degree, outer density, inner density, allow_constant)
+    ("float", 2, 3, 0.9, 0.9, False),
+    ("complex", 2, 3, 0.9, 0.9, False),
+    ("float", 6, 3, 0.5, 0.5, False),
+    ("complex", 6, 3, 0.5, 0.5, False),
+    ("float", 6, 5, 0.15, 0.2, False),
+    ("complex", 6, 5, 0.15, 0.2, False),
+    ("Fraction", 8, 3, 0.1, 0.2, True),
+    ("QQi", 8, 3, 0.1, 0.2, True),
+]
+
+
+@pytest.mark.parametrize("kind,num_vars,trunc_degree,density,inner_density,allow_constant", _COMPOSE_CASES)
+def test_compose_items_and_order_match_per_component_loop(
+    kind, num_vars, trunc_degree, density, inner_density, allow_constant
+):
+    """Shared products give each component the items, in order, of its own per-term loop."""
+    from oracles import compose_items
+
+    rng = random.Random(f"compose {kind} {num_vars}x{trunc_degree}")
+    for _ in range(2):
+        outer = JetVector(
+            random_typed_jet(rng, kind, num_vars, trunc_degree, density) for _ in range(num_vars)
+        )
+        inner = [
+            random_typed_jet(rng, kind, num_vars, trunc_degree, inner_density, zero_constant=not allow_constant)
+            for _ in range(num_vars)
+        ]
+        want = [compose_items(c, inner, allow_constant) for c in outer]
+        got = outer.compose(inner, allow_constant=allow_constant)
+        assert [list(c._coeffs.items()) for c in got] == want
+        for comp, items in zip(outer, want):
+            assert list(comp.compose(inner, allow_constant=allow_constant)._coeffs.items()) == items
+
+
+def test_compose_keeps_order_when_partial_sums_cancel():
+    """A key whose running sum hits zero is dropped and re-enters where it comes back."""
+    from oracles import compose_items
+
+    x, y = jet_variables(2, 3)
+    # x y + x^2 + y^2 with x -> x + y, y -> -x: x^2 gets -1, then 1 (dropped), then 1
+    outer = JetVector([Jet(2, 3, {(1, 1): 1, (2, 0): 1, (0, 2): 1}), Jet(2, 3, {(2, 0): 1, (1, 1): 1})])
+    inner = [x + y, -x]
+    got = [list(c._coeffs.items()) for c in outer.compose(inner)]
+    assert got == [compose_items(c, inner) for c in outer]
+    assert got[0] == [((1, 1), 1), ((0, 2), 1), ((2, 0), 1)]
+
+
 def test_compose_associativity():
     rng = random.Random(13)
     for _ in range(10):

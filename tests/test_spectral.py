@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -118,6 +120,24 @@ def test_classify_mixed_spectrum():
     m = block_diag(rotation(0.4), np.array([[2.0, 1.0], [1.0, 1.0]]))
     rep = classify_spectrum(m)
     assert sorted(rep.classification) == ["elliptic", "hyperbolic"]
+
+
+def test_classify_zero_eigenvalue_raises_without_warning():
+    """A zero real eigenvalue has no reciprocal partner; no 1 / 0 is formed to find that out."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpectrumStructureError, match=r"^real eigenvalue 0\.0 has no reciprocal partner$"):
+            classify_spectrum(np.diag([0.0, -2.0]))
+
+
+def test_su3_row_with_zero_eigenvalue_records_error_without_warning():
+    """At s = 1/4 + 10^-20 the chart's linear part has eigenvalue 0.0; the row records it quietly."""
+    from charvar_kam.pipelines import su3_main_point
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = su3_main_point(Fraction(1, 4) + Fraction(1, 10**20))
+    assert row["error"] == "SpectrumStructureError: real eigenvalue 0.0 has no reciprocal partner"
 
 
 def test_spectrum_report_json():
