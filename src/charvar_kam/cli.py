@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -366,6 +367,22 @@ def _to_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+def _join_negative_s(argv) -> list[str]:
+    """``argv`` with ``--s`` joined to a next token like ``-1:0.49:0.01`` as ``--s=-1:0.49:0.01``.
+
+    argparse takes a token that starts with '-' for an option unless it is a
+    plain negative number, so a list or range with a negative start would
+    leave ``--s`` without a value.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--s" and re.match(r"-[0-9.]", tok):
+            out[-1] = f"--s={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="charvar-kam",
@@ -381,7 +398,7 @@ def main(argv=None) -> int:
     parser.add_argument("--require-verdict", action="store_true", help="exit 3 unless some s passes the KAM criteria")
     parser.add_argument("--dump-jets", action="store_true", help="embed chart jets in each su3 row")
     parser.add_argument("--dump-goldens", default=None, metavar="DIR", help="write golden files to DIR and exit")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_s(sys.argv[1:] if argv is None else argv))
 
     if args.dump_goldens:
         for path in dump_goldens(args.dump_goldens):

@@ -18,6 +18,17 @@ Design notes
   components, and ``Jet.compose`` is its one-component case.  Each component
   adds its terms in its own order, so it gets the same float sums as when
   composed alone.
+* The three kernels (``*``, ``substitute_variable`` and composition) sum into
+  dicts keyed by an integer code per monomial, not by exponent tuples.  In a
+  shape (nv, td) the code of ``e`` is ``sum(e_i * (td + 1)**i)``: every entry
+  of a kept term is at most td, so the digits never carry, the code of a
+  product monomial is the sum of the codes of its factors, and codes and
+  tuples match one to one.  Each key therefore gets the same products, added
+  in the same order, with the same drops on cancellation and the same
+  insertion order as with tuple keys; only the key type of the scratch dict
+  changes.  One table per shape (:class:`_Monomials`) maps tuples to codes and
+  back by dict lookup and fills as monomials are first met; results carry the
+  table's tuples, so ``_coeffs`` keys stay plain tuples of ints.
 * Jets are immutable values and safe to share between workers.
 """
 
@@ -257,28 +268,32 @@ class Jet:
         if not isinstance(other, Jet):
             if not other:
                 return Jet.zero(self.num_vars, self.trunc_degree)
-            return Jet._raw(
-                self.num_vars, self.trunc_degree, {e: c * other for e, c in self._coeffs.items()}
-            )
+            return self.map_coefficients(lambda c: c * other)
         self._check_shape(other)
         td = self.trunc_degree
-        # within[r]: the terms of other of degree <= r, in other's dict order, so
-        # each key gets the same contributions in the same order as a full scan
+        table = _monomials(self.num_vars, td)
+        code_of, encode = table.codes.get, table.encode
+        # within[r]: the coded terms of other of degree <= r, in other's dict
+        # order, so each key gets the same contributions in the same order as
+        # a full scan
         within: list[list] = [[] for _ in range(td + 1)]
         for eb, cb in other._coeffs.items():
-            for r in range(sum(eb), td + 1):
-                within[r].append((eb, cb))
-        out: dict[tuple, object] = {}
-        get, pop, add = out.get, out.pop, operator.add
+            kb, db = code_of(eb) or encode(eb)
+            for r in range(db, td + 1):
+                within[r].append((kb, cb))
+        # keyed by code: a pair's key is ka + kb, the code of the summed exponents
+        out: dict[int, object] = {}
+        get, pop = out.get, out.pop
         for ea, ca in self._coeffs.items():
-            for eb, cb in within[td - sum(ea)]:
-                key = tuple(map(add, ea, eb))
+            ka, da = code_of(ea) or encode(ea)
+            for kb, cb in within[td - da]:
+                key = ka + kb
                 s = get(key, 0) + ca * cb
                 if s:
                     out[key] = s
                 else:
                     pop(key, None)
-        return Jet._raw(self.num_vars, self.trunc_degree, out)
+        return Jet._raw(self.num_vars, td, table.decoded(out))
 
     __rmul__ = __mul__
 
@@ -375,6 +390,11 @@ class Jet:
         for i in range(self.num_vars):
             if i != var and i not in var_map:
                 raise ShapeMismatchError(f"var_map misses source variable {i}")
+        table = _monomials(nv_t, td)
+        code_of, encode = table.codes.get, table.encode
+        # target code weight of each source variable; var itself comes in
+        # through the powers of the replacement
+        weights = [0 if i == var else table.weights[var_map[i]] for i in range(self.num_vars)]
         powers: dict[int, Jet] = {1: replacement}
 
         def power(k: int) -> "Jet":
@@ -384,43 +404,44 @@ class Jet:
                 powers[k] = got
             return got
 
+        coded: dict[int, list] = {}
         fitting: dict[tuple, list] = {}
 
         def power_within(k: int, room: int) -> list:
-            """Terms of power(k) of degree <= room, in dict order."""
+            """Coded terms of power(k) of degree <= room, in dict order."""
             got = fitting.get((k, room))
             if got is None:
-                got = [(pe, pc) for pe, pc in power(k)._coeffs.items() if sum(pe) <= room]
-                fitting[(k, room)] = got
+                terms = coded.get(k)
+                if terms is None:
+                    terms = coded[k] = [(code_of(pe) or encode(pe), pc) for pe, pc in power(k)._coeffs.items()]
+                got = fitting[k, room] = [(pk, pc) for (pk, pd), pc in terms if pd <= room]
             return got
 
-        out: dict[tuple, object] = {}
-        get, pop, add = out.get, out.pop, operator.add
+        # keyed by target code: a term's other variables give one code, and
+        # each power term adds its own, the code of the summed exponents
+        out: dict[int, object] = {}
+        get, pop = out.get, out.pop
         for e, c in self._coeffs.items():
             k = e[var]
             rest_deg = sum(e) - k
             if rest_deg + k > td:
                 continue  # replacement has zero constant: each power adds >= k to the degree
-            te = [0] * nv_t
-            for i, ei in enumerate(e):
-                if i != var and ei:
-                    te[var_map[i]] += ei
+            rest = sum(map(operator.mul, e, weights))
             if k == 0:
-                key = tuple(te)
-                s = get(key, 0) + c
+                s = get(rest, 0) + c
                 if s:
-                    out[key] = s
+                    out[rest] = s
                 else:
-                    pop(key, None)
+                    pop(rest, None)
                 continue
-            for pe, pc in power_within(k, td - rest_deg):
-                key = tuple(map(add, pe, te))
+            for pk, pc in power_within(k, td - rest_deg):
+                key = pk + rest
                 s = get(key, 0) + c * pc
                 if s:
                     out[key] = s
                 else:
                     pop(key, None)
-        return Jet._raw(nv_t, td, out)
+        return Jet._raw(nv_t, td, table.decoded(out))
 
     # -- serialization ------------------------------------------------------
     def to_json(self) -> dict:
@@ -529,7 +550,8 @@ def _compose(outers: Sequence[Jet], inner: Sequence[Jet], allow_constant: bool) 
 
     Each monomial product ``prod_v inner_v^e_v`` is built once, as the product
     of its prefix (the monomial with its last variable dropped) and one power,
-    which is the left-to-right order of a per-term product.  Each outer term
+    which is the left-to-right order of a per-term product, and its items are
+    coded once (see :class:`_Monomials`) for all components.  Each outer term
     ``c * x^e`` adds ``c * product`` into its component's dict, key by key in
     the product's order and dropping a key whose sum cancels: every key gets
     the same partial sums, in the same order, as ``acc = acc + product * c``.
@@ -571,26 +593,101 @@ def _compose(outers: Sequence[Jet], inner: Sequence[Jet], allow_constant: bool) 
             products[exps] = got
         return got
 
-    one = (0,) * nv
+    table = _monomials(nv, td)
+    code_of, encode = table.codes.get, table.encode
+    coded: dict[tuple, list] = {}
+
+    def coded_product(exps: tuple) -> list:
+        """(code, coefficient) items of product(exps), in its dict order."""
+        got = coded.get(exps)
+        if got is None:
+            got = [((code_of(e) or encode(e))[0], pc) for e, pc in product(exps)._coeffs.items()]
+            coded[exps] = got
+        return got
+
     out = []
     for outer in outers:
-        acc: dict[tuple, object] = {}
+        acc: dict[int, object] = {}  # keyed by code, the constant monomial's is 0
         get, pop = acc.get, acc.pop
         for exps, c in outer._coeffs.items():
             if not c or (not allow_constant and sum(exps) > td):
                 continue  # adds nothing (zero-constant inner: each factor raises degree)
             if any(exps):
-                terms = [(key, pc * c) for key, pc in product(exps)._coeffs.items()]
+                terms = [(key, pc * c) for key, pc in coded_product(exps)]
             else:
-                terms = ((one, c),)
+                terms = ((0, c),)
             for key, v in terms:
                 s = get(key, 0) + v
                 if s:
                     acc[key] = s
                 else:
                     pop(key, None)
-        out.append(Jet._raw(nv, td, acc))
+        out.append(Jet._raw(nv, td, table.decoded(acc)))
     return out
+
+
+class _Monomials:
+    """Integer codes of the monomials of one jet shape (num_vars, trunc_degree).
+
+    ``code(e) = sum(e_i * (trunc_degree + 1)**i)``, so ``weights[i]`` is the
+    code of variable i.  A monomial of the shape has every entry at most
+    trunc_degree, so its code's base-(trunc_degree + 1) digits are its
+    exponents: codes add where exponents add, and decoding is exact.
+
+    ``codes`` maps an exponent tuple to ``(code, degree)`` and ``exps`` maps a
+    code back to its tuple.  Both fill as monomials are first met (the
+    kernels look up ``codes.get`` / ``exps.get`` and call :meth:`encode` /
+    :meth:`decode` on a miss), so a table holds only monomials that some jet
+    of the shape has used: at most C(num_vars + trunc_degree, trunc_degree).
+    """
+
+    __slots__ = ("base", "weights", "codes", "exps")
+
+    def __init__(self, num_vars: int, trunc_degree: int):
+        self.base = trunc_degree + 1
+        self.weights = [self.base**i for i in range(num_vars)]
+        self.codes: dict[tuple, tuple[int, int]] = {}
+        self.exps: dict[int, tuple] = {}
+
+    def encode(self, exps: tuple) -> tuple[int, int]:
+        """``(code, degree)`` of a monomial met for the first time."""
+        code = sum(map(operator.mul, map(int, exps), self.weights))
+        if self._digits(code) != exps or sum(exps) > self.base - 1:
+            raise ShapeMismatchError(
+                f"multi-index {exps} is not a monomial of {len(self.weights)} variables "
+                f"truncated at degree {self.base - 1}"
+            )
+        return self.codes[self.decode(code)]
+
+    def decode(self, code: int) -> tuple:
+        """Exponent tuple of a code met for the first time."""
+        exps = self.exps[code] = self._digits(code)
+        self.codes[exps] = (code, sum(exps))
+        return exps
+
+    def _digits(self, code: int) -> tuple:
+        digits = []
+        for _ in self.weights:
+            code, e = divmod(code, self.base)
+            digits.append(e)
+        return tuple(digits)
+
+    def decoded(self, coded: dict) -> dict:
+        """``coded`` with each code replaced by its tuple, in the same order."""
+        exps_of, decode = self.exps.get, self.decode
+        return {exps_of(k) or decode(k): c for k, c in coded.items()}
+
+
+#: One code table per jet shape, shared by every jet of that shape.  The
+#: tables only cache a fixed bijection, so sharing them changes no result.
+_MONOMIAL_TABLES: dict[tuple[int, int], _Monomials] = {}
+
+
+def _monomials(num_vars: int, trunc_degree: int) -> _Monomials:
+    got = _MONOMIAL_TABLES.get((num_vars, trunc_degree))
+    if got is None:
+        got = _MONOMIAL_TABLES[num_vars, trunc_degree] = _Monomials(num_vars, trunc_degree)
+    return got
 
 
 def jet_variables(num_vars: int, trunc_degree: int, coeff_one=1) -> tuple[Jet, ...]:

@@ -98,6 +98,19 @@ def test_cli_exit_2_on_pole():
     assert "config error" in res.stderr
 
 
+def test_cli_s_takes_a_negative_start_as_its_own_argument():
+    """``--s -1:...`` reads the range, as ``--s=-1:...`` does; ``--s --format`` is still an error."""
+    spaced = run_cli(["--pipeline", "su2-brown", "--s", "-1:-0.9:0.05", "--format", "csv"])
+    joined = run_cli(["--pipeline", "su2-brown", "--s=-1:-0.9:0.05", "--format", "csv"])
+    assert spaced.returncode == joined.returncode == 0
+    assert spaced.stdout == joined.stdout
+    assert len(spaced.stdout.splitlines()) == 4
+    assert cli._join_negative_s(["--s", "-.5,0.1", "--s", "-0.5"]) == ["--s=-.5,0.1", "--s=-0.5"]
+    missing = run_cli(["--pipeline", "su2-brown", "--s", "--format", "csv"])
+    assert missing.returncode == 2
+    assert "argument --s: expected one argument" in missing.stderr
+
+
 def test_cli_rejects_degree_below_three():
     res = run_cli(["--pipeline", "su3-main", "--s", "0.24", "--degree", "2"])
     assert res.returncode == 2

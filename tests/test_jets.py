@@ -196,6 +196,112 @@ def test_mul_and_substitute_keep_order_when_partial_sums_cancel():
     assert sub == [((2, 0), 1), ((0, 2), -1), ((1, 1), 1)]
 
 
+def sparse_typed_jet(rng, kind, num_vars, trunc_degree, terms, zero_constant=False):
+    """A jet with about ``terms`` random monomials, drawn without listing the shape."""
+    draw = _COEFF_KINDS[kind]
+    coeffs = {}
+    while len(coeffs) < terms:
+        exps = [0] * num_vars
+        for _ in range(rng.randint(1 if zero_constant else 0, trunc_degree)):
+            exps[rng.randrange(num_vars)] += 1
+        coeffs[tuple(exps)] = draw(rng)
+    return Jet(num_vars, trunc_degree, coeffs)
+
+
+def _plain_keys(jet):
+    return all(type(k) is tuple and all(type(e) is int for e in k) for k in jet._coeffs)
+
+
+@pytest.mark.parametrize("kind", ["float", "Fraction"])
+def test_kernels_match_oracles_where_codes_pass_30_bits(kind):
+    """9 variables at degree 12: codes reach 12 * 13**8 > 2**30; every key is a plain int tuple."""
+    from oracles import compose_items, mul_items, substitute_variable_items
+
+    assert 12 * 13**8 > 2**30
+    rng = random.Random(f"wide codes {kind}")
+    for _ in range(2):
+        a = sparse_typed_jet(rng, kind, 9, 12, 40)
+        b = sparse_typed_jet(rng, kind, 9, 12, 40)
+        prod = a * b
+        assert list(prod._coeffs.items()) == mul_items(a, b)
+        assert max(map(sum, prod._coeffs)) == 12 and _plain_keys(prod)
+        outer = sparse_typed_jet(rng, kind, 10, 12, 30)
+        repl = sparse_typed_jet(rng, kind, 9, 12, 6, zero_constant=True)
+        var_map = {i: 8 - i + (i > 4) for i in range(10) if i != 4}  # permuted
+        sub = outer.substitute_variable(4, repl, var_map)
+        assert list(sub._coeffs.items()) == substitute_variable_items(outer, 4, repl, var_map)
+        assert _plain_keys(sub)
+        outer9 = JetVector(sparse_typed_jet(rng, kind, 9, 12, 4) for _ in range(3))
+        inner = [sparse_typed_jet(rng, kind, 9, 12, 2, zero_constant=True) for _ in range(9)]
+        got = outer9.compose(inner)
+        assert [list(c._coeffs.items()) for c in got] == [compose_items(c, inner) for c in outer9]
+        assert all(_plain_keys(c) for c in got)
+
+
+@pytest.mark.parametrize("kind", sorted(_COEFF_KINDS))
+def test_kernels_match_oracles_in_one_variable(kind):
+    from oracles import compose_items, mul_items, substitute_variable_items
+
+    rng = random.Random(f"one variable {kind}")
+    for _ in range(3):
+        a = random_typed_jet(rng, kind, 1, 8, 0.8)
+        b = random_typed_jet(rng, kind, 1, 8, 0.8)
+        assert list((a * b)._coeffs.items()) == mul_items(a, b)
+        inner = [random_typed_jet(rng, kind, 1, 8, 0.8, zero_constant=True)]
+        assert list(a.compose(inner)._coeffs.items()) == compose_items(a, inner)
+        # both source variables land on the one target variable
+        outer = random_typed_jet(rng, kind, 2, 8, 0.5)
+        sub = outer.substitute_variable(0, inner[0], {1: 0})
+        assert list(sub._coeffs.items()) == substitute_variable_items(outer, 0, inner[0], {1: 0})
+        assert all(_plain_keys(j) for j in (a * b, a.compose(inner), sub))
+
+
+@pytest.mark.parametrize("kind", ["float", "complex", "Fraction"])
+def test_substitute_variable_lower_degree_and_permuted_var_map(kind):
+    """A replacement truncated below the outer jet sets the result's degree; var_map may permute."""
+    from oracles import substitute_variable_items
+
+    rng = random.Random(f"substitute lower {kind}")
+    for _ in range(3):
+        outer = random_typed_jet(rng, kind, 7, 5, 0.2)
+        repl = random_typed_jet(rng, kind, 6, 3, 0.4, zero_constant=True)
+        var_map = {0: 5, 1: 3, 2: 0, 4: 1, 5: 4, 6: 2}
+        got = outer.substitute_variable(3, repl, var_map)
+        assert (got.num_vars, got.trunc_degree) == (6, 3)
+        assert list(got._coeffs.items()) == substitute_variable_items(outer, 3, repl, var_map)
+        assert _plain_keys(got)
+        linear = random_typed_jet(rng, kind, 6, 5, 0.9).homogeneous_part(1)
+        got = outer.substitute_variable(3, linear, var_map)
+        assert list(got._coeffs.items()) == substitute_variable_items(outer, 3, linear, var_map)
+
+
+def test_code_tables_hold_only_monomials_of_their_shape():
+    """After one degree-5 SU(3) row each shape's table is within C(nv + td, td) entries."""
+    import math
+
+    from charvar_kam import charts, cli, jets
+
+    charts._chart_cache.cache_clear()
+    cli.run(cli.RunConfig(pipeline="su3-main", s_values=[Fraction("0.2411")], trunc_degree=5))
+    tables = jets._MONOMIAL_TABLES
+    assert {(7, 5), (6, 5), (6, 3)} <= set(tables)
+    for (nv, td), table in tables.items():
+        assert len(table.codes) == len(table.exps) <= math.comb(nv + td, td)
+        for exps, (code, degree) in table.codes.items():
+            assert table.exps[code] == exps and degree == sum(exps) <= td
+
+
+def test_kernels_reject_a_key_outside_the_shape():
+    """A key that would carry into the next digit raises and is not recorded."""
+    from charvar_kam import jets
+
+    bad = Jet._raw(2, 2, {(3, 0): 1.0})
+    with pytest.raises(ShapeMismatchError):
+        bad * Jet.variable(1, 2, 2, 1.0)
+    table = jets._monomials(2, 2)
+    assert (3, 0) not in table.codes and (3, 0) not in table.exps.values()
+
+
 # ---------------------------------------------------------------- compose
 
 
@@ -544,6 +650,17 @@ def test_scalar_division():
     assert half.coefficient((1, 0)) == Fraction(1, 2)
     with pytest.raises(TypeError):
         x / y
+
+
+def test_scalar_product_drops_underflowed_coefficients():
+    """A coefficient that underflows to 0.0 is dropped, so the result stays canonical."""
+    tiny = Jet.variable(0, 2, 3, 1e-200) * 1e-200
+    assert tiny._coeffs == {}
+    assert tiny.is_zero() and tiny.degree() == -1
+    assert tiny == Jet.zero(2, 3)
+    assert Jet.variable(0, 2, 3, 1e-200) / 1e200 == Jet.zero(2, 3)
+    mixed = Jet(2, 3, {(1, 0): 1e-200, (0, 1): 2.0}) * 1e-200
+    assert mixed._coeffs == {(0, 1): 2e-200}
 
 
 def test_jetvector_eval_and_compose():
