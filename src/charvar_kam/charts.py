@@ -10,9 +10,14 @@ projected by forgetting the eliminated slots.
 
 Recentering an exact polynomial at the fixed point is a Taylor shift: each
 monomial c * x^e expands binomially in the displacements w = x - center and
-is truncated at the chart's degree, with no jet products.  P and Q are
-recentered and t-substituted once per chart; the z-solve and both residual
-diagnostics read that one result.
+is truncated at the chart's degree, with no jet products.  The expansion's
+keys, binomials and truncation do not depend on s, so each polynomial's
+expansion is recorded once per degree (and pattern of zero center
+coordinates) as a plan of integer steps, and each row replays it with its
+own center powers.  P and Q are recentered and t-substituted once per chart,
+in one substitution call that shares the powers of the t-jet; the z-solve
+and both residual diagnostics read that one result.  The six kept cat-map
+components likewise take one t-call and one z-call.
 
 SU(2): the level set kappa = ell is a surface in (x, y, z); x is eliminated
 from the quadratic kappa = ell (branch from the center) and (y, z) survive.
@@ -27,7 +32,6 @@ are degree-truncated at the chart's truncation degree (default 3).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateChartError, SingularChartError
-from .jets import Jet, JetVector, jet_sqrt, jet_variables
+from .jets import Jet, JetVector, _monomials, jet_sqrt, jet_variables
 from .mcg import cat_map_su3_poly, fixed_family_su2, fixed_family_su3
 from .varieties import Su3Point, p_poly, q_poly
 
@@ -132,47 +136,97 @@ def _translate(poly: Jet, centers, trunc_degree: int) -> Jet:
     order fixes the float summation order of the substitutions downstream, so
     it keeps reports byte-identical; ascending j gives equal jets but moves
     report floats in their last digits.
+
+    The expansion's bookkeeping does not depend on the center, only on which
+    center coordinates are zero, so it is recorded once as a :class:`_ShiftPlan`
+    and replayed: with c_i = a_i / b_i, step (key, W, k) adds the integer
+    ``W * prod_i a_i^k_i b_i^(top_i - k_i)``, the same integer the expansion
+    sums at that step.
     """
     nums = [c.numerator for c in centers]
     dens = [c.denominator for c in centers]
-    top = [max((e[i] for e in poly._coeffs), default=0) for i in range(poly.num_vars)]
-    coeff_den = math.lcm(*(c.denominator for c in poly._coeffs.values()))
-    den = coeff_den * math.prod(map(pow, dens, top))
-
-    @lru_cache(maxsize=None)
-    def shift(i: int, e: int) -> list:
-        """(j, C(e, j) a^(e - j) b^j) for j = e..0 with c_i = a/b, zero factors left out."""
-        a, b = nums[i], dens[i]
-        factors = [(j, math.comb(e, j) * a ** (e - j) * b**j) for j in range(e, -1, -1)]
-        return [(j, f) for j, f in factors if f]
-
-    sums: dict[tuple, int] = {}
-    for exps, c in poly._coeffs.items():
-        # den * c / prod_i b_i^e_i: each shift factor multiplies its b_i^e_i back in
-        scale = c.numerator * (coeff_den // c.denominator)
-        scale *= math.prod(map(pow, dens, map(operator.sub, top, exps)))
-        terms = [((), 0, scale)]
-        pad = ()  # exponents of the variables since the last shifted one, all zero
-        for i, e in enumerate(exps):
-            if not e:
-                pad += (0,)
-                continue
-            terms = [
-                (key + pad + (j,), deg + j, v * f)
-                for key, deg, v in terms
-                for j, f in shift(i, e)
-                if deg + j <= trunc_degree
-            ]
-            pad = ()
-        for key, _, v in terms:
-            key += pad
-            total = sums.get(key, 0) + v
-            if total:
-                sums[key] = total
-            else:
-                sums.pop(key, None)
+    plan = _shift_plan(_Same(poly), trunc_degree, tuple(not a for a in nums))
+    # factors[n][m] = a_i^m b_i^(top_i - m) for the n-th nonzero coordinate i;
+    # a zero coordinate (a_i = 0, b_i = 1) always has k_i = 0 and factor 1
+    factors = [[nums[i] ** m * dens[i] ** (plan.top[i] - m) for m in range(plan.top[i] + 1)] for i in plan.live]
+    shifted = [math.prod(map(list.__getitem__, factors, k)) for k in plan.center_powers]
+    sums: dict[int, int] = {}
+    get, pop = sums.get, sums.pop
+    for key, weight, m in plan.steps:
+        total = get(key, 0) + weight * shifted[m]
+        if total:
+            sums[key] = total
+        else:
+            pop(key, None)
+    den = plan.coeff_den * math.prod(map(pow, dens, plan.top))
     out = {key: Fraction(total, den) for key, total in sums.items()}
     return Jet._raw(poly.num_vars, trunc_degree, out)
+
+
+class _Same:
+    """A polynomial compared by identity, so a cache keyed by it holds it and hashes in O(1)."""
+
+    __slots__ = ("poly",)
+
+    def __init__(self, poly: Jet):
+        self.poly = poly
+
+    def __hash__(self):
+        return id(self.poly)
+
+    def __eq__(self, other):
+        return self.poly is other.poly
+
+
+@dataclass(frozen=True)
+class _ShiftPlan:
+    """The recorded Taylor shift of one polynomial at one degree and zero pattern.
+
+    ``top[i]`` is the highest exponent of variable i, ``coeff_den`` the lcm
+    of the coefficient denominators and ``live`` the nonzero center
+    coordinates.  Each step ``(key, W, m)`` is one term of the expansion, in
+    expansion order: ``key`` is its code in the result's shape,
+    ``W = c_num * (coeff_den / c_den) * prod_i C(e_i, j_i)`` and
+    ``center_powers[m]`` is ``k = e - j``, its power of the center, on the
+    live coordinates.
+    """
+
+    top: tuple
+    coeff_den: int
+    live: tuple
+    center_powers: list
+    steps: list
+
+
+@lru_cache(maxsize=64)
+def _shift_plan(same: _Same, trunc_degree: int, zero: tuple) -> _ShiftPlan:
+    """Record the expansion of ``_translate`` for centers whose zero coordinates are ``zero``.
+
+    A zero coordinate contributes only its j = e_i term (every other factor
+    has a power of 0), so steps with k_i > 0 there are left out.
+    """
+    coeffs = same.poly.coeffs
+    nv = same.poly.num_vars
+    top = tuple(max((e[i] for e in coeffs), default=0) for i in range(nv))
+    coeff_den = math.lcm(*(c.denominator for c in coeffs.values()))
+    encode = _monomials(nv, trunc_degree).encode
+    live = tuple(i for i in range(nv) if not zero[i])
+    index: dict[tuple, int] = {}
+    steps = []
+    for exps, c in coeffs.items():
+        terms = [((), 0, c.numerator * (coeff_den // c.denominator), ())]
+        for i, e in enumerate(exps):
+            shifts = [(e, 1)] if zero[i] else [(j, math.comb(e, j)) for j in range(e, -1, -1)]
+            terms = [
+                (key + (j,), deg + j, w * f, k + (e - j,))
+                for key, deg, w, k in terms
+                for j, f in shifts
+                if deg + j <= trunc_degree
+            ]
+        for key, _, w, k in terms:
+            k = tuple(k[i] for i in live)
+            steps.append((encode(key), w, index.setdefault(k, len(index))))
+    return _ShiftPlan(top=top, coeff_den=coeff_den, live=live, center_powers=list(index), steps=steps)
 
 
 @lru_cache(maxsize=32)
@@ -220,8 +274,7 @@ def _substituted_pq(spec: ChartSpec, t_jet: Jet) -> tuple[Jet, Jet]:
     t_disp = t_jet - t_jet.constant_term()
     p_c = _translate(p_poly(), centers8, td).map_coefficients(float)
     q_c = _translate(q_poly(), centers8, td).map_coefficients(float)
-    p7 = p_c.substitute_variable(_T8, t_disp, _MAP_8_TO_7)
-    q7 = q_c.substitute_variable(_T8, t_disp, _MAP_8_TO_7)
+    p7, q7 = JetVector([p_c, q_c]).substitute_variable(_T8, t_disp, _MAP_8_TO_7)
     return p7, q7
 
 
@@ -288,6 +341,28 @@ class ChartJet:
 _KEEP_COMPONENTS = (0, 1, 2, 3, 5, 7)  # x', X', y', Y', Z', T'
 
 
+@lru_cache(maxsize=8)
+def _cat_map_8(trunc_degree: int) -> tuple[Jet, ...]:
+    """The kept cat-map components as polynomials in the 8 unitary coordinates.
+
+    The cat map is cubic: built at its full degree, like P and Q, so
+    recentering a chart below degree 3 still sees its cubic terms.  Cached,
+    so each row recenters the same objects and reuses their shift plans.
+    """
+    cat_map = cat_map_su3_poly(max(trunc_degree, 3))
+    out = []
+    for i in _KEEP_COMPONENTS:
+        poly9 = cat_map.components[i]
+        # the first eight components never involve U: drop that variable
+        coeffs = {}
+        for e, v in poly9.coeffs.items():
+            if e[8] != 0:
+                raise ConsistencyError(f"cat-map component {i} involves U")
+            coeffs[e[:8]] = v
+        out.append(Jet(8, poly9.trunc_degree, coeffs))
+    return tuple(out)
+
+
 def _chart_map_jet_cached(spec: ChartSpec) -> ChartJet:
     td = spec.trunc_degree
     t_jet = solve_t(spec)
@@ -297,26 +372,18 @@ def _chart_map_jet_cached(spec: ChartSpec) -> ChartJet:
     zeta = z_jet - z_jet.constant_term()
     centers8 = _center8(spec)
     t7 = t_jet - t_jet.constant_term()
+    centered = JetVector(
+        (_translate(poly8, centers8, td) - centers8[i]).map_coefficients(float)
+        for i, poly8 in zip(_KEEP_COMPONENTS, _cat_map_8(td))
+    )
+    # substitute t (8 -> 7 variables), then z (7 -> 6): elimination order
+    g6 = centered.substitute_variable(_T8, t7, _MAP_8_TO_7).substitute_variable(_Z7, zeta, _MAP_7_TO_6)
     out = []
-    for i in _KEEP_COMPONENTS:
-        # the cat map is cubic: built at its full degree, like P and Q, so
-        # recentering a chart below degree 3 still sees its cubic terms
-        poly9 = cat_map_su3_poly(max(td, 3)).components[i]
-        # the first eight components never involve U: drop that variable
-        coeffs = {}
-        for e, v in poly9.coeffs.items():
-            if e[8] != 0:
-                raise ConsistencyError(f"cat-map component {i} involves U")
-            coeffs[e[:8]] = v
-        poly8 = Jet(8, poly9.trunc_degree, coeffs)
-        centered = _translate(poly8, centers8, td) - centers8[i]
-        # substitute t (8 -> 7 variables), then z (7 -> 6): elimination order
-        g7 = centered.map_coefficients(float).substitute_variable(_T8, t7, _MAP_8_TO_7)
-        g6 = g7.substitute_variable(_Z7, zeta, _MAP_7_TO_6)
-        const = g6.constant_term()
+    for comp in g6:
+        const = comp.constant_term()
         if not abs(complex(const)) < 1e-10:
             raise ConsistencyError(f"s = {spec.s}: chart map constant term {const} should vanish")
-        out.append(g6 - const)
+        out.append(comp - const)
     return ChartJet(spec=spec, t_jet=t_jet, z_jet=z_jet, map_jet=JetVector(out), p7=p7, h7=h7)
 
 

@@ -128,6 +128,8 @@ class RunConfig:
         for s in self.s_values:
             if s == Fraction(1, 2):
                 raise ValueError("s = 1/2 is a pole of the fixed family")
+        if self.golden and self.pipeline == "su3-main":
+            _read_golden(self.golden)  # a bad file fails here, before any row runs
 
 
 def parse_s_values(text: str) -> list:
@@ -269,6 +271,66 @@ def dump_goldens(outdir) -> list:
     return paths
 
 
+#: Values compare_golden reads: numbers by key path, and the term lists of
+#: each jet with its number of variables.
+_GOLDEN_NUMBERS = (
+    ("s",),
+    ("fixed_point_shifts", "x"),
+    ("t_jet", "constant"),
+    ("z_jet", "value_at_center"),
+    ("z_jet", "constant_printed"),
+    ("alpha", "det", "re"),
+    ("alpha", "det", "im"),
+)
+_GOLDEN_TERMS = (("t_jet", 7), ("z_jet", 6))
+
+
+def _read_golden(path) -> dict:
+    """The golden file at ``path``, checked to hold every value :func:`compare_golden` reads.
+
+    Raises ValueError naming the first missing or malformed value.
+    """
+    try:
+        golden = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValueError(f"golden file {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"golden file {path} is not JSON: {exc}") from None
+
+    def value_at(keys):
+        value = golden
+        for depth, key in enumerate(keys):
+            if not isinstance(value, dict) or key not in value:
+                raise ValueError(f"golden file {path}: {'.'.join(keys[: depth + 1])} is missing")
+            value = value[key]
+        return value
+
+    def is_number(value):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    for keys in _GOLDEN_NUMBERS:
+        if not is_number(value_at(keys)):
+            raise ValueError(f"golden file {path}: {'.'.join(keys)} is not a number")
+    for name, num_vars in _GOLDEN_TERMS:
+        terms = value_at((name, "terms"))
+        if not isinstance(terms, list):
+            raise ValueError(f"golden file {path}: {name}.terms is not a list")
+        for i, term in enumerate(terms):
+            exps = term.get("exps") if isinstance(term, dict) else None
+            if not (
+                isinstance(exps, list)
+                and len(exps) == num_vars
+                and all(type(e) is int and e >= 0 for e in exps)
+            ):
+                raise ValueError(
+                    f"golden file {path}: {name}.terms[{i}].exps is not a list of "
+                    f"{num_vars} non-negative integers"
+                )
+            if not is_number(term.get("printed")):
+                raise ValueError(f"golden file {path}: {name}.terms[{i}].printed is not a number")
+    return golden
+
+
 def compare_golden(path: Path, rel_tol: float = 1e-3) -> dict:
     """Compare the computed s = .249 chart against a stored golden file.
 
@@ -276,7 +338,7 @@ def compare_golden(path: Path, rel_tol: float = 1e-3) -> dict:
     alpha matrix entries are a diagnostic because they depend on the
     eigenvector normalization.
     """
-    golden = json.loads(Path(path).read_text())
+    golden = _read_golden(path)
     s = Fraction(str(golden["s"]))
     chart = chart_map_jet(s)
     checks = []

@@ -13,22 +13,31 @@ Design notes
 * Truncation degree is fixed per jet; products and substitutions never form
   terms above it (each term only meets the terms of the other factor that
   fit), which is the semantics of jet arithmetic (not data loss).
+* Storage is one dict per jet keyed by an integer code per monomial.  In a
+  shape (n, td), with ``B = td + 1``, the code of ``e`` is
+  ``sum(e_i * B**i) + |e| * B**n``: the low digits are the exponents and the
+  top digit is the degree (see :class:`_Monomials`).  Every digit of a kept
+  term is at most td, so digits never carry: the code of a product monomial
+  is the sum of its factors' codes, a monomial's degree is ``code // B**n``,
+  the terms of one degree form one range of codes and the constant's code is
+  0.  Each key therefore gets the same products, added in the same order,
+  with the same drops on cancellation and the same insertion order as with
+  exponent-tuple keys.
+* The kernels (``*``, composition and substitution) read and write codes
+  only.  Exponent tuples appear at the edges: the constructor and
+  ``coefficient`` encode them, and ``_coeffs`` is a read-only view that
+  decodes the stored dict's keys in its order as they are read (``coeffs``
+  copies it into a dict).  One table per shape caches the bijection.
 * Composition has one routine, ``JetVector.compose``: the powers of the inner
   components and the monomial products are built once and shared by all outer
   components, and ``Jet.compose`` is its one-component case.  Each component
   adds its terms in its own order, so it gets the same float sums as when
   composed alone.
-* The three kernels (``*``, ``substitute_variable`` and composition) sum into
-  dicts keyed by an integer code per monomial, not by exponent tuples.  In a
-  shape (nv, td) the code of ``e`` is ``sum(e_i * (td + 1)**i)``: every entry
-  of a kept term is at most td, so the digits never carry, the code of a
-  product monomial is the sum of the codes of its factors, and codes and
-  tuples match one to one.  Each key therefore gets the same products, added
-  in the same order, with the same drops on cancellation and the same
-  insertion order as with tuple keys; only the key type of the scratch dict
-  changes.  One table per shape (:class:`_Monomials`) maps tuples to codes and
-  back by dict lookup and fills as monomials are first met; results carry the
-  table's tuples, so ``_coeffs`` keys stay plain tuples of ints.
+* Substitution of one variable has one routine too,
+  ``JetVector.substitute_variable``: the replacement's powers are built once
+  for all components, and ``Jet.substitute_variable`` is its one-component
+  case.  A source term's split into the substituted exponent and the code of
+  the rest comes from a table kept per substitution signature.
 * Jets are immutable values and safe to share between workers.
 """
 
@@ -36,8 +45,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .errors import ConstantTermError, ShapeMismatchError
 
@@ -137,41 +146,37 @@ class Jet:
 
     ``coeffs`` maps exponent tuples to nonzero coefficients.  The constructor
     validates the degree invariant and canonicalizes (drops zeros); arithmetic
-    goes through internal constructors that already maintain both.
+    goes through internal constructors that already maintain both.  Storage is
+    one dict keyed by monomial code (see :class:`_Monomials`).
     """
 
-    __slots__ = ("num_vars", "trunc_degree", "_coeffs")
+    __slots__ = ("num_vars", "trunc_degree", "_coded")
 
     def __init__(self, num_vars: int, trunc_degree: int, coeffs: Mapping[tuple, object] | None = None):
         if num_vars < 1:
             raise ShapeMismatchError(f"num_vars must be positive, got {num_vars}")
         if trunc_degree < 1:
             raise ShapeMismatchError(f"trunc_degree must be positive, got {trunc_degree}")
-        clean: dict[tuple, object] = {}
+        encode = _monomials(num_vars, trunc_degree).encode
+        clean: dict[int, object] = {}
         for exps, c in (coeffs or {}).items():
-            exps = tuple(exps)
-            if len(exps) != num_vars or any(e < 0 for e in exps):
-                raise ShapeMismatchError(f"bad multi-index {exps} for {num_vars} variables")
-            if sum(exps) > trunc_degree:
-                raise ShapeMismatchError(
-                    f"multi-index {exps} exceeds truncation degree {trunc_degree}"
-                )
+            code = encode(tuple(exps))
             if c:
-                clean[exps] = c
+                clean[code] = c
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "trunc_degree", trunc_degree)
-        object.__setattr__(self, "_coeffs", clean)
+        object.__setattr__(self, "_coded", clean)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Jet is immutable")
 
-    # -- internal fast constructor (dict already canonical & within degree) --
+    # -- internal fast constructor (coded dict already canonical & within degree) --
     @classmethod
-    def _raw(cls, num_vars, trunc_degree, coeffs):
+    def _raw(cls, num_vars, trunc_degree, coded):
         self = object.__new__(cls)
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "trunc_degree", trunc_degree)
-        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_coded", coded)
         return self
 
     # -- constructors -------------------------------------------------------
@@ -183,53 +188,69 @@ class Jet:
     def constant(cls, num_vars: int, trunc_degree: int, value) -> "Jet":
         if not value:
             return cls.zero(num_vars, trunc_degree)
-        return cls._raw(num_vars, trunc_degree, {(0,) * num_vars: value})
+        return cls._raw(num_vars, trunc_degree, {0: value})
 
     @classmethod
     def variable(cls, index: int, num_vars: int, trunc_degree: int, coeff=1) -> "Jet":
         if not 0 <= index < num_vars:
             raise ShapeMismatchError(f"variable index {index} out of range for {num_vars} variables")
-        exps = tuple(1 if i == index else 0 for i in range(num_vars))
-        return cls._raw(num_vars, trunc_degree, {exps: coeff})
+        return cls._raw(num_vars, trunc_degree, {_monomials(num_vars, trunc_degree).weights[index]: coeff})
 
     # -- basic accessors ----------------------------------------------------
     @property
+    def _coeffs(self) -> "_Decoded":
+        """The coefficients keyed by exponent tuple, in storage order (a read-only view)."""
+        return _Decoded(self._coded, _monomials(self.num_vars, self.trunc_degree))
+
+    @property
     def coeffs(self) -> Mapping[tuple, object]:
-        return dict(self._coeffs)
+        return dict(self._coeffs.items())
 
     def coefficient(self, exps: Sequence[int]):
-        """Stored coefficient of the given exponent tuple (0 when absent)."""
-        return self._coeffs.get(tuple(exps), 0)
+        """Stored coefficient of the given exponent tuple (0 when absent or not a monomial of the shape)."""
+        try:
+            code = _monomials(self.num_vars, self.trunc_degree).encode(tuple(exps))
+        except ShapeMismatchError:
+            return 0
+        return self._coded.get(code, 0)
 
     def constant_term(self):
-        return self._coeffs.get((0,) * self.num_vars, 0)
+        return self._coded.get(0, 0)
 
     def degree(self) -> int:
         """Total degree of the stored support (-1 for the zero jet)."""
-        return max((sum(e) for e in self._coeffs), default=-1)
+        if not self._coded:
+            return -1
+        return max(self._coded) // _monomials(self.num_vars, self.trunc_degree).top
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._coded
 
     def sorted_terms(self):
         """Terms in graded-lex order: ascending total degree, then lex on exponents."""
         return sorted(self._coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def homogeneous_part(self, degree: int) -> "Jet":
-        part = {e: c for e, c in self._coeffs.items() if sum(e) == degree}
+        top = _monomials(self.num_vars, self.trunc_degree).top
+        low, high = degree * top, (degree + 1) * top
+        part = {k: c for k, c in self._coded.items() if low <= k < high}
         return Jet._raw(self.num_vars, self.trunc_degree, part)
 
     def truncated(self, trunc_degree: int) -> "Jet":
         """Copy truncated at a (possibly lower or higher) total degree."""
-        kept = {e: c for e, c in self._coeffs.items() if sum(e) <= trunc_degree}
+        if trunc_degree == self.trunc_degree:
+            return self
+        # codes depend on the truncation degree: re-encode in the new shape
+        encode = _monomials(self.num_vars, trunc_degree).encode
+        kept = {encode(e): c for e, c in self._coeffs.items() if sum(e) <= trunc_degree}
         return Jet._raw(self.num_vars, trunc_degree, kept)
 
     def map_coefficients(self, fn) -> "Jet":
         out = {}
-        for e, c in self._coeffs.items():
+        for k, c in self._coded.items():
             v = fn(c)
             if v:
-                out[e] = v
+                out[k] = v
         return Jet._raw(self.num_vars, self.trunc_degree, out)
 
     # -- ring operations ----------------------------------------------------
@@ -244,19 +265,19 @@ class Jet:
         if not isinstance(other, Jet):
             return self + Jet.constant(self.num_vars, self.trunc_degree, other)
         self._check_shape(other)
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            s = out.get(e, 0) + c
+        out = dict(self._coded)
+        for k, c in other._coded.items():
+            s = out.get(k, 0) + c
             if s:
-                out[e] = s
+                out[k] = s
             else:
-                out.pop(e, None)
+                out.pop(k, None)
         return Jet._raw(self.num_vars, self.trunc_degree, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet._raw(self.num_vars, self.trunc_degree, {e: -c for e, c in self._coeffs.items()})
+        return Jet._raw(self.num_vars, self.trunc_degree, {k: -c for k, c in self._coded.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else Jet.constant(self.num_vars, self.trunc_degree, -other))
@@ -271,29 +292,26 @@ class Jet:
             return self.map_coefficients(lambda c: c * other)
         self._check_shape(other)
         td = self.trunc_degree
-        table = _monomials(self.num_vars, td)
-        code_of, encode = table.codes.get, table.encode
-        # within[r]: the coded terms of other of degree <= r, in other's dict
-        # order, so each key gets the same contributions in the same order as
-        # a full scan
+        top = _monomials(self.num_vars, td).top
+        # within[r]: the terms of other of degree <= r, in other's dict order,
+        # so each key gets the same contributions in the same order as a full
+        # scan
         within: list[list] = [[] for _ in range(td + 1)]
-        for eb, cb in other._coeffs.items():
-            kb, db = code_of(eb) or encode(eb)
-            for r in range(db, td + 1):
+        for kb, cb in other._coded.items():
+            for r in range(kb // top, td + 1):
                 within[r].append((kb, cb))
-        # keyed by code: a pair's key is ka + kb, the code of the summed exponents
+        # a pair's key is ka + kb, the code of the summed exponents
         out: dict[int, object] = {}
         get, pop = out.get, out.pop
-        for ea, ca in self._coeffs.items():
-            ka, da = code_of(ea) or encode(ea)
-            for kb, cb in within[td - da]:
+        for ka, ca in self._coded.items():
+            for kb, cb in within[td - ka // top]:
                 key = ka + kb
                 s = get(key, 0) + ca * cb
                 if s:
                     out[key] = s
                 else:
                     pop(key, None)
-        return Jet._raw(self.num_vars, td, table.decoded(out))
+        return Jet._raw(self.num_vars, td, out)
 
     __rmul__ = __mul__
 
@@ -321,14 +339,14 @@ class Jet:
         return (
             self.num_vars == other.num_vars
             and self.trunc_degree == other.trunc_degree
-            and self._coeffs == other._coeffs
+            and self._coded == other._coded
         )
 
     def __hash__(self):
-        return hash((self.num_vars, self.trunc_degree, frozenset(self._coeffs.items())))
+        return hash((self.num_vars, self.trunc_degree, frozenset(self._coded.items())))
 
     def __repr__(self):
-        n = len(self._coeffs)
+        n = len(self._coded)
         return f"Jet(num_vars={self.num_vars}, trunc_degree={self.trunc_degree}, terms={n})"
 
     # -- calculus -----------------------------------------------------------
@@ -336,15 +354,17 @@ class Jet:
         """Formal partial derivative with respect to variable ``var``."""
         if not 0 <= var < self.num_vars:
             raise ShapeMismatchError(f"variable index {var} out of range")
+        table = _monomials(self.num_vars, self.trunc_degree)
+        place, step = table.base**var, table.weights[var]
         out = {}
-        for e, c in self._coeffs.items():
-            k = e[var]
+        for code, c in self._coded.items():
+            k = code // place % table.base  # the exponent of var
             if k:
-                ne = e[:var] + (k - 1,) + e[var + 1 :]
                 v = c * k
                 if v:
-                    out[ne] = out.get(ne, 0) + v
-        return Jet._raw(self.num_vars, self.trunc_degree, {e: c for e, c in out.items() if c})
+                    lowered = code - step
+                    out[lowered] = out.get(lowered, 0) + v
+        return Jet._raw(self.num_vars, self.trunc_degree, {k: c for k, c in out.items() if c})
 
     def eval(self, point: Sequence[object]):
         """Evaluate at a point, with a variable-by-variable Horner recursion."""
@@ -352,9 +372,9 @@ class Jet:
             raise ShapeMismatchError(
                 f"point has {len(point)} coordinates, jet has {self.num_vars} variables"
             )
-        if not self._coeffs:
+        if not self._coded:
             return 0
-        return _horner(self._coeffs, tuple(point), 0, self.num_vars)
+        return _horner(self.coeffs, tuple(point), 0, self.num_vars)
 
     # -- composition --------------------------------------------------------
     def compose(self, inner: Sequence["Jet"], allow_constant: bool = False) -> "Jet":
@@ -378,70 +398,13 @@ class Jet:
         """Replace one variable by a zero-constant jet, renumbering the rest.
 
         ``replacement`` lives in the target variable space; ``var_map`` sends
-        every other source index to its target index.  This is composition
-        with a vector that is the identity except in one slot, but costs only
-        an exponent shift per term instead of a full power-cache composition.
+        every other source index to its target index (two sources may share
+        a target).  This is composition with a vector that is the identity
+        except in one slot, but costs only a key shift per term instead of a
+        full power-cache composition.  The one-component case of
+        :meth:`JetVector.substitute_variable`.
         """
-        if not 0 <= var < self.num_vars:
-            raise ShapeMismatchError(f"variable index {var} out of range")
-        if replacement.constant_term():
-            raise ConstantTermError("substitute_variable needs a zero-constant replacement")
-        nv_t, td = replacement.num_vars, replacement.trunc_degree
-        for i in range(self.num_vars):
-            if i != var and i not in var_map:
-                raise ShapeMismatchError(f"var_map misses source variable {i}")
-        table = _monomials(nv_t, td)
-        code_of, encode = table.codes.get, table.encode
-        # target code weight of each source variable; var itself comes in
-        # through the powers of the replacement
-        weights = [0 if i == var else table.weights[var_map[i]] for i in range(self.num_vars)]
-        powers: dict[int, Jet] = {1: replacement}
-
-        def power(k: int) -> "Jet":
-            got = powers.get(k)
-            if got is None:
-                got = power(k - 1) * replacement
-                powers[k] = got
-            return got
-
-        coded: dict[int, list] = {}
-        fitting: dict[tuple, list] = {}
-
-        def power_within(k: int, room: int) -> list:
-            """Coded terms of power(k) of degree <= room, in dict order."""
-            got = fitting.get((k, room))
-            if got is None:
-                terms = coded.get(k)
-                if terms is None:
-                    terms = coded[k] = [(code_of(pe) or encode(pe), pc) for pe, pc in power(k)._coeffs.items()]
-                got = fitting[k, room] = [(pk, pc) for (pk, pd), pc in terms if pd <= room]
-            return got
-
-        # keyed by target code: a term's other variables give one code, and
-        # each power term adds its own, the code of the summed exponents
-        out: dict[int, object] = {}
-        get, pop = out.get, out.pop
-        for e, c in self._coeffs.items():
-            k = e[var]
-            rest_deg = sum(e) - k
-            if rest_deg + k > td:
-                continue  # replacement has zero constant: each power adds >= k to the degree
-            rest = sum(map(operator.mul, e, weights))
-            if k == 0:
-                s = get(rest, 0) + c
-                if s:
-                    out[rest] = s
-                else:
-                    pop(rest, None)
-                continue
-            for pk, pc in power_within(k, td - rest_deg):
-                key = pk + rest
-                s = get(key, 0) + c * pc
-                if s:
-                    out[key] = s
-                else:
-                    pop(key, None)
-        return Jet._raw(nv_t, td, table.decoded(out))
+        return _substitute((self,), var, replacement, var_map)[0]
 
     # -- serialization ------------------------------------------------------
     def to_json(self) -> dict:
@@ -485,6 +448,39 @@ def _horner(coeffs: Mapping[tuple, object], point: tuple, var: int, num_vars: in
     for _ in range(prev):
         acc = acc * x
     return acc
+
+
+class _Decoded(Mapping):
+    """A jet's coded dict read by exponent tuple: keys decode as they are read.
+
+    Iteration follows the stored order; ``values()`` and ``len()`` read the
+    coded dict directly.  Nothing is copied or kept.
+    """
+
+    __slots__ = ("_coded", "_table")
+
+    def __init__(self, coded: dict, table: "_Monomials"):
+        self._coded, self._table = coded, table
+
+    def __len__(self):
+        return len(self._coded)
+
+    def __iter__(self):
+        exps_of, decode = self._table.exps.get, self._table.decode
+        return (exps_of(k) or decode(k) for k in self._coded)
+
+    def __getitem__(self, exps):
+        try:
+            return self._coded[self._table.encode(tuple(exps))]
+        except ShapeMismatchError:
+            raise KeyError(exps) from None
+
+    def values(self):
+        return self._coded.values()
+
+    def items(self):
+        """(exponent tuple, coefficient) pairs in stored order (an iterator)."""
+        return zip(self, self._coded.values())
 
 
 class JetVector:
@@ -536,6 +532,14 @@ class JetVector:
         """
         return JetVector(_compose(self.components, inner, allow_constant))
 
+    def substitute_variable(self, var: int, replacement: Jet, var_map: Mapping[int, int]) -> "JetVector":
+        """Every component with one variable replaced; see :meth:`Jet.substitute_variable`.
+
+        The powers of the replacement are built once and shared by all
+        components.
+        """
+        return JetVector(_substitute(self.components, var, replacement, var_map))
+
     def map_coefficients(self, fn) -> "JetVector":
         return JetVector([c.map_coefficients(fn) for c in self.components])
 
@@ -546,15 +550,15 @@ class JetVector:
 def _compose(outers: Sequence[Jet], inner: Sequence[Jet], allow_constant: bool) -> list[Jet]:
     """``[outer(inner_1, ..., inner_n) for outer in outers]``, truncated.
 
-    ``outers`` share one variable count (the components of a ``JetVector``).
+    ``outers`` share one shape (the components of a ``JetVector``).
 
     Each monomial product ``prod_v inner_v^e_v`` is built once, as the product
     of its prefix (the monomial with its last variable dropped) and one power,
-    which is the left-to-right order of a per-term product, and its items are
-    coded once (see :class:`_Monomials`) for all components.  Each outer term
-    ``c * x^e`` adds ``c * product`` into its component's dict, key by key in
-    the product's order and dropping a key whose sum cancels: every key gets
-    the same partial sums, in the same order, as ``acc = acc + product * c``.
+    which is the left-to-right order of a per-term product, and is shared by
+    all components.  Each outer term ``c * x^e`` adds ``c * product`` into its
+    component's dict, key by key in the product's order and dropping a key
+    whose sum cancels: every key gets the same partial sums, in the same
+    order, as ``acc = acc + product * c``.
     """
     inner = list(inner)
     if len(inner) != outers[0].num_vars:
@@ -581,39 +585,31 @@ def _compose(outers: Sequence[Jet], inner: Sequence[Jet], allow_constant: bool) 
             cache[k] = got
         return got
 
-    products: dict[tuple, Jet] = {}
+    # keyed by the outer monomial's code
+    outer_table = _monomials(outers[0].num_vars, outers[0].trunc_degree)
+    products: dict[int, Jet] = {}
 
-    def product(exps: tuple) -> Jet:
-        got = products.get(exps)
+    def product(code: int) -> Jet:
+        got = products.get(code)
         if got is None:
+            exps = outer_table.decode(code)
             last = max(v for v, e in enumerate(exps) if e)
             got = power(last, exps[last])
-            if any(exps[:last]):
-                got = product(exps[:last] + (0,) * (len(exps) - last)) * got
-            products[exps] = got
-        return got
-
-    table = _monomials(nv, td)
-    code_of, encode = table.codes.get, table.encode
-    coded: dict[tuple, list] = {}
-
-    def coded_product(exps: tuple) -> list:
-        """(code, coefficient) items of product(exps), in its dict order."""
-        got = coded.get(exps)
-        if got is None:
-            got = [((code_of(e) or encode(e))[0], pc) for e, pc in product(exps)._coeffs.items()]
-            coded[exps] = got
+            prefix = code - exps[last] * outer_table.weights[last]
+            if prefix:
+                got = product(prefix) * got
+            products[code] = got
         return got
 
     out = []
     for outer in outers:
-        acc: dict[int, object] = {}  # keyed by code, the constant monomial's is 0
+        acc: dict[int, object] = {}  # the constant monomial's code is 0
         get, pop = acc.get, acc.pop
-        for exps, c in outer._coeffs.items():
-            if not c or (not allow_constant and sum(exps) > td):
+        for code, c in outer._coded.items():
+            if not c or (not allow_constant and code // outer_table.top > td):
                 continue  # adds nothing (zero-constant inner: each factor raises degree)
-            if any(exps):
-                terms = [(key, pc * c) for key, pc in coded_product(exps)]
+            if code:
+                terms = [(key, pc * c) for key, pc in product(code)._coded.items()]
             else:
                 terms = ((0, c),)
             for key, v in terms:
@@ -622,60 +618,181 @@ def _compose(outers: Sequence[Jet], inner: Sequence[Jet], allow_constant: bool) 
                     acc[key] = s
                 else:
                     pop(key, None)
-        out.append(Jet._raw(nv, td, table.decoded(acc)))
+        out.append(Jet._raw(nv, td, acc))
     return out
+
+
+def _substitute(outers: Sequence[Jet], var: int, replacement: Jet, var_map: Mapping[int, int]) -> list[Jet]:
+    """``[outer.substitute_variable(var, replacement, var_map) for outer in outers]``.
+
+    ``outers`` share one shape (the components of a ``JetVector``).  The
+    powers of the replacement, and their terms that fit each degree budget,
+    are built once and shared by all components; each component adds its
+    terms in its own order, so it gets the same sums as when substituted
+    alone.  A source term's split into the exponent of ``var`` and the code
+    of its other variables in the target shape comes from a table kept per
+    substitution signature (see :class:`_Splits`).
+    """
+    source = outers[0]
+    if not 0 <= var < source.num_vars:
+        raise ShapeMismatchError(f"variable index {var} out of range")
+    if replacement.constant_term():
+        raise ConstantTermError("substitute_variable needs a zero-constant replacement")
+    nv_t, td = replacement.num_vars, replacement.trunc_degree
+    for i in range(source.num_vars):
+        if i == var:
+            continue
+        if i not in var_map:
+            raise ShapeMismatchError(f"var_map misses source variable {i}")
+        if not (isinstance(var_map[i], int) and 0 <= var_map[i] < nv_t):
+            raise ShapeMismatchError(
+                f"var_map sends source variable {i} to {var_map[i]!r}, not one of the {nv_t} target variables"
+            )
+    targets = tuple(0 if i == var else var_map[i] for i in range(source.num_vars))
+    splits = _splits(source.num_vars, source.trunc_degree, var, targets, nv_t, td)
+    top = _monomials(nv_t, td).top
+    powers: dict[int, Jet] = {1: replacement}
+
+    def power(k: int) -> Jet:
+        got = powers.get(k)
+        if got is None:
+            got = power(k - 1) * replacement
+            powers[k] = got
+        return got
+
+    fitting: dict[tuple, list] = {}
+
+    def power_within(k: int, room: int) -> list:
+        """Terms of power(k) of degree <= room, in dict order."""
+        got = fitting.get((k, room))
+        if got is None:
+            bound = (room + 1) * top  # codes below it have degree <= room
+            got = fitting[k, room] = [(pk, pc) for pk, pc in power(k)._coded.items() if pk < bound]
+        return got
+
+    out = []
+    for outer in outers:
+        # a term's other variables give one target code, and each power term
+        # adds its own, the code of the summed exponents
+        acc: dict[int, object] = {}
+        get, pop = acc.get, acc.pop
+        for code, c in outer._coded.items():
+            k, rest_deg, rest = splits[code]
+            if rest_deg + k > td:
+                continue  # replacement has zero constant: each power adds >= k to the degree
+            if k == 0:
+                s = get(rest, 0) + c
+                if s:
+                    acc[rest] = s
+                else:
+                    pop(rest, None)
+                continue
+            for pk, pc in power_within(k, td - rest_deg):
+                key = pk + rest
+                s = get(key, 0) + c * pc
+                if s:
+                    acc[key] = s
+                else:
+                    pop(key, None)
+        out.append(Jet._raw(nv_t, td, acc))
+    return out
+
+
+class _Splits(dict):
+    """Source code -> ``(k, rest_deg, rest)`` for one substitution signature.
+
+    ``k`` is the exponent of the substituted variable, ``rest_deg`` the degree
+    of the other variables and ``rest`` their code in the target shape.
+    Entries fill as source monomials are first met.  ``rest`` is only read
+    when ``rest_deg + k`` fits the target degree, so its digits never carry.
+    """
+
+    __slots__ = ("source", "var", "weights")
+
+    def __init__(self, source: "_Monomials", var: int, weights: list):
+        super().__init__()
+        self.source, self.var, self.weights = source, var, weights
+
+    def __missing__(self, code: int) -> tuple:
+        exps = self.source.decode(code)
+        k = exps[self.var]
+        got = self[code] = (k, sum(exps) - k, sum(map(operator.mul, exps, self.weights)))
+        return got
+
+
+#: One split table per substitution signature: source shape, substituted
+#: variable, target of every other variable, target shape.
+_SPLIT_TABLES: dict[tuple, _Splits] = {}
+
+
+def _splits(nv_s: int, td_s: int, var: int, targets: tuple, nv_t: int, td: int) -> _Splits:
+    key = (nv_s, td_s, var, targets, nv_t, td)
+    got = _SPLIT_TABLES.get(key)
+    if got is None:
+        weights = _monomials(nv_t, td).weights
+        # var's own weight is 0: it comes in through the powers of the replacement
+        got = _SPLIT_TABLES[key] = _Splits(
+            _monomials(nv_s, td_s), var, [0 if i == var else weights[t] for i, t in enumerate(targets)]
+        )
+    return got
 
 
 class _Monomials:
     """Integer codes of the monomials of one jet shape (num_vars, trunc_degree).
 
-    ``code(e) = sum(e_i * (trunc_degree + 1)**i)``, so ``weights[i]`` is the
-    code of variable i.  A monomial of the shape has every entry at most
-    trunc_degree, so its code's base-(trunc_degree + 1) digits are its
-    exponents: codes add where exponents add, and decoding is exact.
+    With ``B = trunc_degree + 1`` and ``n = num_vars``,
+    ``code(e) = sum(e_i * B**i) + |e| * B**n``: the low digits are the
+    exponents and the top digit is the total degree, so ``weights[i] =
+    B**i + B**n`` is the code of variable i, the constant's code is 0 and a
+    monomial's degree is ``code // top`` with ``top = B**n``.  A monomial of
+    the shape has every entry, and its degree, at most trunc_degree, so its
+    digits never carry: codes add where exponents add, codes of one degree
+    are one contiguous range, and decoding is exact.
 
-    ``codes`` maps an exponent tuple to ``(code, degree)`` and ``exps`` maps a
-    code back to its tuple.  Both fill as monomials are first met (the
-    kernels look up ``codes.get`` / ``exps.get`` and call :meth:`encode` /
-    :meth:`decode` on a miss), so a table holds only monomials that some jet
-    of the shape has used: at most C(num_vars + trunc_degree, trunc_degree).
+    ``codes`` maps an exponent tuple to its code and ``exps`` maps a code
+    back to its tuple.  Both fill as monomials are first met (:meth:`encode`
+    for tuples, :meth:`decode` for codes), so a table holds only monomials
+    that some jet of the shape has used: at most C(num_vars + trunc_degree,
+    trunc_degree).
     """
 
-    __slots__ = ("base", "weights", "codes", "exps")
+    __slots__ = ("num_vars", "trunc_degree", "base", "top", "weights", "codes", "exps")
 
     def __init__(self, num_vars: int, trunc_degree: int):
+        self.num_vars, self.trunc_degree = num_vars, trunc_degree
         self.base = trunc_degree + 1
-        self.weights = [self.base**i for i in range(num_vars)]
-        self.codes: dict[tuple, tuple[int, int]] = {}
+        self.top = self.base**num_vars
+        self.weights = [self.base**i + self.top for i in range(num_vars)]
+        self.codes: dict[tuple, int] = {}
         self.exps: dict[int, tuple] = {}
 
-    def encode(self, exps: tuple) -> tuple[int, int]:
-        """``(code, degree)`` of a monomial met for the first time."""
-        code = sum(map(operator.mul, map(int, exps), self.weights))
-        if self._digits(code) != exps or sum(exps) > self.base - 1:
-            raise ShapeMismatchError(
-                f"multi-index {exps} is not a monomial of {len(self.weights)} variables "
-                f"truncated at degree {self.base - 1}"
-            )
-        return self.codes[self.decode(code)]
+    def encode(self, exps: tuple) -> int:
+        """Code of an exponent tuple; ShapeMismatchError unless it is a monomial of the shape."""
+        got = self.codes.get(exps)
+        if got is None:
+            try:
+                ints = tuple(map(operator.index, exps))
+            except TypeError:
+                ints = ()
+            if len(ints) != self.num_vars or min(ints) < 0:
+                raise ShapeMismatchError(f"bad multi-index {exps} for {self.num_vars} variables")
+            if sum(ints) > self.trunc_degree:
+                raise ShapeMismatchError(f"multi-index {exps} exceeds truncation degree {self.trunc_degree}")
+            got = self.codes[ints] = sum(map(operator.mul, ints, self.weights))
+            self.exps[got] = ints
+        return got
 
     def decode(self, code: int) -> tuple:
-        """Exponent tuple of a code met for the first time."""
-        exps = self.exps[code] = self._digits(code)
-        self.codes[exps] = (code, sum(exps))
-        return exps
-
-    def _digits(self, code: int) -> tuple:
-        digits = []
-        for _ in self.weights:
-            code, e = divmod(code, self.base)
-            digits.append(e)
-        return tuple(digits)
-
-    def decoded(self, coded: dict) -> dict:
-        """``coded`` with each code replaced by its tuple, in the same order."""
-        exps_of, decode = self.exps.get, self.decode
-        return {exps_of(k) or decode(k): c for k, c in coded.items()}
+        """Exponent tuple of a code of the shape."""
+        got = self.exps.get(code)
+        if got is None:
+            digits, rest = [], code
+            for _ in range(self.num_vars):
+                rest, e = divmod(rest, self.base)
+                digits.append(e)
+            got = self.exps[code] = tuple(digits)
+            self.codes[got] = code
+        return got
 
 
 #: One code table per jet shape, shared by every jet of that shape.  The

@@ -15,7 +15,9 @@ partial sums of each key and its insertion order.
 
 Exact reference forms of two per-row computations done in integers: the
 Brjuno continued fraction run on ``Fraction``, and the SU(2) chart whose
-exact part is built from ``Fraction`` jets.
+exact part is built from ``Fraction`` jets.  The recentering loop expands
+every monomial afresh at each call, which fixes the items and order a
+replayed recentering plan must reproduce.
 """
 
 import math
@@ -208,6 +210,43 @@ def compose_items(outer, inner, allow_constant=False):
                 term = p if term is None else term * p
         acc = acc + (c if term is None else term * c)
     return list(acc._coeffs.items())
+
+
+def translate_items(poly, centers, trunc_degree):
+    """Items of charts._translate(poly, centers, trunc_degree), expanding each monomial in place."""
+    nums = [c.numerator for c in centers]
+    dens = [c.denominator for c in centers]
+    coeffs = poly.coeffs
+    top = [max((e[i] for e in coeffs), default=0) for i in range(poly.num_vars)]
+    coeff_den = math.lcm(*(c.denominator for c in coeffs.values()))
+    den = coeff_den * math.prod(map(pow, dens, top))
+
+    def shift(i, e):
+        """(j, C(e, j) a^(e - j) b^j) for j = e..0 with c_i = a/b, zero factors left out."""
+        a, b = nums[i], dens[i]
+        factors = [(j, math.comb(e, j) * a ** (e - j) * b**j) for j in range(e, -1, -1)]
+        return [(j, f) for j, f in factors if f]
+
+    sums = {}
+    for exps, c in coeffs.items():
+        # den * c / prod_i b_i^e_i: each shift factor multiplies its b_i^e_i back in
+        scale = c.numerator * (coeff_den // c.denominator)
+        scale *= math.prod(b ** (t - e) for b, t, e in zip(dens, top, exps))
+        terms = [((), 0, scale)]
+        for i, e in enumerate(exps):
+            terms = [
+                (key + (j,), deg + j, v * f)
+                for key, deg, v in terms
+                for j, f in shift(i, e)
+                if deg + j <= trunc_degree
+            ]
+        for key, _, v in terms:
+            total = sums.get(key, 0) + v
+            if total:
+                sums[key] = total
+            else:
+                sums.pop(key, None)
+    return [(key, Fraction(total, den)) for key, total in sums.items()]
 
 
 def brjuno_items(theta, K=20, huge_quotient=1e12):

@@ -188,6 +188,10 @@ def _compose_recentered(poly, centers, trunc_degree):
     return poly.compose([w[i] + centers[i] for i in range(poly.num_vars)], allow_constant=True)
 
 
+#: a center with zero and repeated coordinates, denominators shared and not
+_ODD_CENTER = (Fraction(0), Fraction(1, 3), Fraction(1, 3), 0, Fraction(-2, 7), Fraction(-2, 7), Fraction(5), 2)
+
+
 @pytest.mark.parametrize("trunc_degree", [3, 4, 5])
 def test_translate_matches_compose_items_and_order(trunc_degree):
     spec = chart_spec(S249, trunc_degree)
@@ -196,14 +200,32 @@ def test_translate_matches_compose_items_and_order(trunc_degree):
     for i in charts._KEEP_COMPONENTS:
         poly9 = cat_map_su3_poly(trunc_degree).components[i]
         cases.append((Jet(8, trunc_degree, {e[:8]: c for e, c in poly9.coeffs.items()}), centers8))
-    # zero and repeated coordinates, denominators shared and not
-    odd = (Fraction(0), Fraction(1, 3), Fraction(1, 3), 0, Fraction(-2, 7), Fraction(-2, 7), Fraction(5), 2)
-    cases += [(p_poly(), odd), (q_poly(), odd)]
+    cases += [(p_poly(), _ODD_CENTER), (q_poly(), _ODD_CENTER)]
     for poly, centers in cases:
         got = charts._translate(poly, centers, trunc_degree)
         want = _compose_recentered(poly, centers, trunc_degree)
         assert got.trunc_degree == want.trunc_degree == trunc_degree
         assert list(got._coeffs.items()) == list(want._coeffs.items())
+        assert all(type(c) is Fraction for c in got._coeffs.values())
+
+
+@pytest.mark.parametrize("trunc_degree", [3, 5])
+@pytest.mark.parametrize("s", ["0", "-1/2", "0.2411", "0.2439", "odd"])
+def test_translate_replays_the_expansion_loop(s, trunc_degree):
+    """Recentering plans give the items, in order, of expanding every monomial afresh."""
+    from oracles import translate_items
+
+    polys8 = [p_poly(), q_poly(), *charts._cat_map_8(trunc_degree)]
+    if s == "odd":
+        cases = [(poly, _ODD_CENTER) for poly in polys8]
+    else:
+        spec = chart_spec(Fraction(s), trunc_degree)
+        cases = [(poly, charts._center8(spec)) for poly in polys8]
+        cases.append((charts._p_no_t_7(), charts._center7(spec)))
+    for poly, centers in cases:
+        got = charts._translate(poly, centers, trunc_degree)
+        assert got.trunc_degree == trunc_degree
+        assert list(got._coeffs.items()) == translate_items(poly, centers, trunc_degree)
         assert all(type(c) is Fraction for c in got._coeffs.values())
 
 

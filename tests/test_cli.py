@@ -153,6 +153,34 @@ def test_su2_scan_ignores_golden():
     assert "golden" not in report
 
 
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (None, "No such file"),
+        ("not json", "is not JSON"),
+        ("{}", "s is missing"),
+        ('{"s": 0.249}', "fixed_point_shifts is missing"),
+        ("golden with a bad term", "t_jet.terms[0].exps is not a list of 7 non-negative integers"),
+    ],
+)
+def test_bad_golden_file_is_a_config_error_before_any_row(tmp_path, monkeypatch, capsys, content, message):
+    path = tmp_path / "golden.json"
+    if content == "golden with a bad term":
+        dump_goldens(tmp_path)
+        data = json.loads((tmp_path / "su3_chart_s249.json").read_text())
+        data["t_jet"]["terms"][0]["exps"] = [0, 0, 0, 0, 0, -1, 3]
+        content = json.dumps(data)
+    if content is not None:
+        path.write_text(content)
+    rows = []
+    monkeypatch.setattr(cli, "su3_main_point", lambda *args: rows.append(args) or {})
+    code = cli.main(["--pipeline", "su3-main", "--s", "0.249", "--golden", str(path)])
+    out = capsys.readouterr()
+    assert (code, rows, out.out) == (2, [], "")
+    assert out.err.startswith(f"config error: golden file {path}") and message in out.err
+    assert out.err.count("\n") == 1
+
+
 def test_su3_row_errors_do_not_abort_scan():
     cfg = RunConfig(
         pipeline="su3-main", s_values=[Fraction(0), Fraction(241, 1000)]

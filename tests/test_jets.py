@@ -275,6 +275,65 @@ def test_substitute_variable_lower_degree_and_permuted_var_map(kind):
         assert list(got._coeffs.items()) == substitute_variable_items(outer, 3, linear, var_map)
 
 
+def test_substitute_variable_rejects_var_map_targets_outside_the_target_space():
+    jet = Jet(2, 3, {(1, 1): 1.0, (0, 2): 2.0})
+    repl = Jet(2, 3, {(1, 0): 1.0})
+    for bad in ({1: -1}, {1: 2}, {1: 1.0}):
+        with pytest.raises(ShapeMismatchError, match="var_map sends source variable 1"):
+            jet.substitute_variable(0, repl, bad)
+        with pytest.raises(ShapeMismatchError, match="var_map sends source variable 1"):
+            JetVector([jet, jet]).substitute_variable(0, repl, bad)
+    # two sources may share a target: x y + 2 y^2 with x -> x, y -> x
+    assert jet.substitute_variable(0, repl, {1: 0}) == Jet(2, 3, {(2, 0): 3.0})
+
+
+def _monomial(num_vars, *variables):
+    """Exponent tuple of the product of ``variables`` in ``num_vars`` variables."""
+    return tuple(sum(v == i for v in variables) for i in range(num_vars))
+
+
+def _cancelling_component(num_vars, trunc_degree, var, var_map, one):
+    """x_a x_var + x_var x_b + x_a x_b and a replacement x_var -> x_A - x_B.
+
+    The key x_A x_B gets -1, then +1 (its sum cancels and it is dropped),
+    then +1 again, so it re-enters last.
+    """
+    n, m = num_vars, num_vars - 1
+    a, b = (i for i in (0, n - 1) if i != var)
+    ta, tb = var_map[a], var_map[b]
+    comp = Jet(n, trunc_degree, {_monomial(n, a, var): one, _monomial(n, var, b): one, _monomial(n, a, b): one})
+    repl = Jet(m, trunc_degree, {_monomial(m, ta): one, _monomial(m, tb): -one})
+    return comp, repl, [(_monomial(m, ta, ta), one), (_monomial(m, tb, tb), -one), (_monomial(m, ta, tb), one)]
+
+
+_MAP_8_TO_7 = {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 7: 6}
+_MAP_7_TO_6 = {0: 0, 1: 1, 2: 2, 3: 3, 5: 4, 6: 5}
+
+
+@pytest.mark.parametrize("kind", ["float", "complex", "Fraction"])
+@pytest.mark.parametrize(
+    "num_vars,trunc_degree,var,var_map,density",
+    [(8, 3, 6, _MAP_8_TO_7, 0.3), (8, 5, 6, _MAP_8_TO_7, 0.05), (7, 5, 4, _MAP_7_TO_6, 0.08)],
+    ids=["8x3-7x3", "8x5-7x5", "7x5-6x5"],
+)
+def test_jetvector_substitute_matches_per_component_oracle(kind, num_vars, trunc_degree, var, var_map, density):
+    """Shared powers give each component the items, in order, of its own substitution."""
+    from oracles import substitute_variable_items
+
+    rng = random.Random(f"vector substitute {kind} {num_vars}x{trunc_degree}")
+    one = {"float": 1.0, "complex": 1.0 + 0.0j, "Fraction": Fraction(1)}[kind]
+    cancel, linear, cancel_items = _cancelling_component(num_vars, trunc_degree, var, var_map, one)
+    random_repl = random_typed_jet(rng, kind, num_vars - 1, trunc_degree, 2 * density, zero_constant=True)
+    for repl in (random_repl, linear):
+        comps = [random_typed_jet(rng, kind, num_vars, trunc_degree, density) for _ in range(3)]
+        comps.insert(1, cancel)
+        got = JetVector(comps).substitute_variable(var, repl, var_map)
+        assert [list(c._coeffs.items()) for c in got] == [
+            substitute_variable_items(c, var, repl, var_map) for c in comps
+        ]
+    assert list(got[1]._coeffs.items()) == cancel_items
+
+
 def test_code_tables_hold_only_monomials_of_their_shape():
     """After one degree-5 SU(3) row each shape's table is within C(nv + td, td) entries."""
     import math
@@ -287,19 +346,27 @@ def test_code_tables_hold_only_monomials_of_their_shape():
     assert {(7, 5), (6, 5), (6, 3)} <= set(tables)
     for (nv, td), table in tables.items():
         assert len(table.codes) == len(table.exps) <= math.comb(nv + td, td)
-        for exps, (code, degree) in table.codes.items():
-            assert table.exps[code] == exps and degree == sum(exps) <= td
+        for exps, code in table.codes.items():
+            assert table.exps[code] == exps and code // table.top == sum(exps) <= td
 
 
 def test_kernels_reject_a_key_outside_the_shape():
-    """A key that would carry into the next digit raises and is not recorded."""
+    """A key that would carry into the next digit raises and is not recorded.
+
+    Jets store codes, so such a key can only come in through the constructor
+    or a coefficient query: the constructor raises, the query reads 0.
+    """
     from charvar_kam import jets
 
-    bad = Jet._raw(2, 2, {(3, 0): 1.0})
     with pytest.raises(ShapeMismatchError):
-        bad * Jet.variable(1, 2, 2, 1.0)
+        Jet(2, 2, {(3, 0): 1.0}) * Jet.variable(1, 2, 2, 1.0)
+    with pytest.raises(ShapeMismatchError):
+        Jet(2, 2, {(3, -1): 1.0})
+    x = Jet.variable(0, 2, 2, 1.0)
+    assert x.coefficient((3, 0)) == x.coefficient((3, -1)) == 0 and x.coefficient((1, 0)) == 1.0
     table = jets._monomials(2, 2)
     assert (3, 0) not in table.codes and (3, 0) not in table.exps.values()
+    assert (3, -1) not in table.codes and (3, -1) not in table.exps.values()
 
 
 # ---------------------------------------------------------------- compose
