@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResonanceError, ShapeMismatchError
-from .jets import Jet, JetVector, jet_variables
+from .jets import Jet, JetVector, _monomials, _Products, jet_variables
 from .spectral import DiagonalizingBasis
 
 __all__ = [
@@ -227,23 +227,56 @@ def alpha_matrix(nf: NormalFormInput, phi2: JetVector | None = None, psi2: JetVe
 
     alpha_jk is the coefficient of xi_j xi_k eta_k in p_j composed with the
     quadratically corrected identity (id + phi_2, id + psi_2), truncated at
-    degree 3: at that structurally resonant monomial the unknown cubic
-    correction drops out of the functional equation and alpha_jk is what
-    remains.
+    the jets' degree: at that structurally resonant monomial the unknown
+    cubic correction drops out of the functional equation and alpha_jk is
+    what remains.  Below degree 3 there is no such monomial and alpha is 0.
+
+    Only that coefficient is built.  Each inner component is a variable plus
+    a homogeneous quadratic, so a product of inner components reaches degree
+    3 only from a quadratic monomial of p_j, or from the cubic monomial
+    xi_j xi_k eta_k itself.  Those products are built as ``JetVector.compose``
+    builds them (``jets._Products``), and their contributions add in p_j's
+    term order with the same drop on cancellation, so each alpha_jk is the
+    float the full composition gives.  ``phi2`` and ``psi2`` must therefore be
+    homogeneous quadratic jets of the normal form's shape, as ``phi2_psi2``
+    returns them; anything else raises ``ShapeMismatchError``.
     """
     if phi2 is None or psi2 is None:
         phi2, psi2 = phi2_psi2(nf)
     d = nf.d
     n = 2 * d
-    corrected = _corrected_identity(nf, phi2, psi2)
+    td = nf.p_jets.trunc_degree
+    table = _monomials(n, td)
+    quadratic = range(2 * table.top, 3 * table.top)  # the codes of degree 2
+    if len(phi2) != d or len(psi2) != d or any(
+        (part.num_vars, part.trunc_degree) != (n, td) or not all(code in quadratic for code in part._coded)
+        for part in (*phi2, *psi2)
+    ):
+        raise ShapeMismatchError(f"phi2 and psi2 must be {d} homogeneous quadratic jets in {n} variables of degree {td}")
     alpha = np.zeros((d, d), dtype=complex)
-    for j, comp in enumerate(nf.p_jets.compose(corrected)):
-        for k in range(d):
-            e = [0] * n
-            e[j] += 1
-            e[k] += 1
-            e[d + k] += 1
-            alpha[j, k] = complex(comp.coefficient(tuple(e)))
+    if td < 3:
+        return alpha
+    product = _Products(_corrected_identity(nf, phi2, psi2), table).product
+    w = table.weights
+    for j, comp in enumerate(nf.p_jets):
+        targets = [w[j] + w[k] + w[d + k] for k in range(d)]  # xi_j xi_k eta_k
+        acc: dict[int, complex] = {}
+        get, pop = acc.get, acc.pop
+        for code, c in comp._coded.items():
+            if not c or not (code in quadratic or code in targets):
+                continue
+            coded = product(code)._coded
+            for target in targets:
+                pc = coded.get(target)
+                if pc is None:
+                    continue
+                s = get(target, 0) + pc * c
+                if s:
+                    acc[target] = s
+                else:
+                    pop(target, None)
+        for k, target in enumerate(targets):
+            alpha[j, k] = complex(acc.get(target, 0))
     return alpha
 
 

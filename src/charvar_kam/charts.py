@@ -23,9 +23,12 @@ SU(2): the level set kappa = ell is a surface in (x, y, z); x is eliminated
 from the quadratic kappa = ell (branch from the center) and (y, z) survive.
 
 Everything stays exact until the square roots; chart jets have float
-coefficients.  The SU(3) exact part is rational; the SU(2) exact part runs in
-integers, each jet scaled by one positive denominator, and converts by
-correctly rounded ``int / int`` division.  All eliminations and substitutions
+coefficients.  The exact parts run in integers, each jet scaled by one
+positive denominator: a recentered polynomial is its plan's integer sums
+over one common denominator, and the SU(3) t-radicand and the SU(2)
+discriminant are integer jets.  Each converts by correctly rounded
+``int / int`` division, which gives the float ``float(Fraction)`` gives, so no
+``Fraction`` arithmetic runs per chart.  All eliminations and substitutions
 are degree-truncated at the chart's truncation degree (default 3).
 """
 
@@ -119,7 +122,7 @@ def _center8(spec: ChartSpec) -> tuple:
     return (c.x, c.X, c.y, c.Y, c.z, c.Z, c.t, c.T)
 
 
-def _translate(poly: Jet, centers, trunc_degree: int) -> Jet:
+def _translate(poly: Jet, centers, trunc_degree: int) -> tuple[Jet, int]:
     """Recenter an exact polynomial: poly(center + w) as a truncated jet in w.
 
     A Taylor shift: each monomial c * x^e of the rational polynomial becomes
@@ -127,10 +130,13 @@ def _translate(poly: Jet, centers, trunc_degree: int) -> Jet:
     the truncation degree.  The polynomial keeps its full degree going in
     (high-order terms feed the low-order jet coefficients through the shift);
     only the result truncates.  Sums run in integers over one common
-    denominator, and each result coefficient is one reduced ``Fraction``.
+    denominator, and the result is that pair ``(num, den)``: an integer jet
+    and a positive integer with poly(center + w) = num / den.  No coefficient
+    is reduced; the float consumers divide ``int / int`` (see ``_float_jet``).
 
-    The result equals ``poly.compose([w_i + c_i], allow_constant=True)`` item
-    for item, insertion order included: variables nest in index order with the
+    With each integer read as ``Fraction(n, den)``, the result equals
+    ``poly.compose([w_i + c_i], allow_constant=True)`` item for item,
+    insertion order included: variables nest in index order with the
     first outermost, j runs downwards (the order of the powers of w_i + c_i),
     and terms add into one dict that drops a key when its sum cancels.  The
     order fixes the float summation order of the substitutions downstream, so
@@ -159,8 +165,29 @@ def _translate(poly: Jet, centers, trunc_degree: int) -> Jet:
         else:
             pop(key, None)
     den = plan.coeff_den * math.prod(map(pow, dens, plan.top))
-    out = {key: Fraction(total, den) for key, total in sums.items()}
-    return Jet._raw(poly.num_vars, trunc_degree, out)
+    return Jet._raw(poly.num_vars, trunc_degree, sums), den
+
+
+def _float_jet(num: Jet, den: int, minus=0) -> Jet:
+    """The float jet of num / den - minus, one correctly rounded ``int / int`` per coefficient.
+
+    Equal item for item to ``(exact - minus).map_coefficients(float)`` with
+    ``exact`` the rational jet num / den: ``int / int`` rounds as
+    ``float(Fraction)`` does, whether or not the quotient is reduced.  The
+    constant is computed in integers over lcm(den, minus's denominator), and
+    as with ``Jet - minus`` it changes in place, is appended when absent, or
+    drops when it cancels; a coefficient that underflows to 0.0 drops.
+    """
+    lcm = math.lcm(den, minus.denominator)
+    const = (num.constant_term() * (lcm // den) - minus.numerator * (lcm // minus.denominator)) / lcm
+    out = {}
+    for key, n in num._coded.items():
+        v = n / den if key else const
+        if v:
+            out[key] = v
+    if const and 0 not in out:
+        out[0] = const
+    return Jet._raw(num.num_vars, num.trunc_degree, out)
 
 
 class _Same:
@@ -246,25 +273,40 @@ def solve_t(spec: ChartSpec) -> Jet:
     P/2 = ell solves to t = (xy + XY) + branch * sqrt(R) with
     R = (xy + XY)^2 + 2*ell - C.  The branch makes the constant term equal
     the center's t-coordinate; at the center R = (t0 - x0 y0)^2 exactly.
+
+    The exact part runs in integers, as in ``su2_chart_map_jet``: with b the
+    common denominator of x0 and y0, the centered xy + XY is an integer jet
+    over b^2, and the radicand one over den, a multiple of b^4, of 2*ell's
+    denominator and of the recentered C's.  They go through the jet
+    operations of the rational computation with each term scaled by a
+    positive integer, so keys cancel and reappear at the same steps, and
+    int / int rounds to the same float as float(Fraction).
     """
     td = spec.trunc_degree
     centers = _center7(spec)
     x0, _, y0, _, _, _, _ = centers
-    w = jet_variables(7, td, coeff_one=Fraction(1))
-    a_jet = (w[0] + x0) * (w[2] + y0) + w[1] * w[3]  # xy + XY, centered
-    c_jet = _translate(_p_no_t_7(), centers, td)
-    radicand = a_jet * a_jet + 2 * spec.level - c_jet
+    b = math.lcm(x0.denominator, y0.denominator)
+    xn, yn = x0.numerator * (b // x0.denominator), y0.numerator * (b // y0.denominator)
+    b2, b4 = b * b, b**4
+    w = jet_variables(7, td, coeff_one=b)
+    a_jet = (w[0] + xn) * (w[2] + yn) + w[1] * w[3]  # b^2 (xy + XY), centered
+    c_jet, c_den = _translate(_p_no_t_7(), centers, td)
+    level2 = 2 * spec.level
+    den = math.lcm(b4, level2.denominator, c_den)
+    radicand = a_jet * a_jet * (den // b4) + level2.numerator * (den // level2.denominator) - c_jet * (den // c_den)
     r0 = radicand.constant_term()
     if r0 <= 0:
-        raise SingularChartError(f"s = {spec.s}: radicand {r0} <= 0 at the center")
-    gap = spec.center.t - x0 * y0
-    if gap * gap != r0:
+        raise SingularChartError(f"s = {spec.s}: radicand {Fraction(r0, den)} <= 0 at the center")
+    t0 = spec.center.t
+    g = math.lcm(t0.denominator, b2)
+    gap_n = t0.numerator * (g // t0.denominator) - xn * yn * (g // b2)  # g (t0 - x0 y0)
+    if gap_n * gap_n * den != r0 * g * g:
         raise ConsistencyError(f"s = {spec.s}: center must satisfy P/2 = ell exactly")
-    radicand = radicand.map_coefficients(float)
+    radicand = radicand.map_coefficients(lambda n: n / den)
     if not radicand.constant_term():
         raise SingularChartError(f"s = {spec.s}: radicand at the center underflows to 0.0")
     root = jet_sqrt(radicand)
-    return a_jet.map_coefficients(float) + root * float(spec.sqrt_branch)
+    return a_jet.map_coefficients(lambda n: n / b2) + root * float(spec.sqrt_branch)
 
 
 def _substituted_pq(spec: ChartSpec, t_jet: Jet) -> tuple[Jet, Jet]:
@@ -272,8 +314,8 @@ def _substituted_pq(spec: ChartSpec, t_jet: Jet) -> tuple[Jet, Jet]:
     td = spec.trunc_degree
     centers8 = _center8(spec)
     t_disp = t_jet - t_jet.constant_term()
-    p_c = _translate(p_poly(), centers8, td).map_coefficients(float)
-    q_c = _translate(q_poly(), centers8, td).map_coefficients(float)
+    p_c = _float_jet(*_translate(p_poly(), centers8, td))
+    q_c = _float_jet(*_translate(q_poly(), centers8, td))
     p7, q7 = JetVector([p_c, q_c]).substitute_variable(_T8, t_disp, _MAP_8_TO_7)
     return p7, q7
 
@@ -373,7 +415,7 @@ def _chart_map_jet_cached(spec: ChartSpec) -> ChartJet:
     centers8 = _center8(spec)
     t7 = t_jet - t_jet.constant_term()
     centered = JetVector(
-        (_translate(poly8, centers8, td) - centers8[i]).map_coefficients(float)
+        _float_jet(*_translate(poly8, centers8, td), centers8[i])
         for i, poly8 in zip(_KEEP_COMPONENTS, _cat_map_8(td))
     )
     # substitute t (8 -> 7 variables), then z (7 -> 6): elimination order

@@ -32,12 +32,18 @@ Design notes
   components and the monomial products are built once and shared by all outer
   components, and ``Jet.compose`` is its one-component case.  Each component
   adds its terms in its own order, so it gets the same float sums as when
-  composed alone.
+  composed alone.  The products come from :class:`_Products`, which
+  ``birkhoff.alpha_matrix`` also uses to build only the products it reads.
 * Substitution of one variable has one routine too,
   ``JetVector.substitute_variable``: the replacement's powers are built once
   for all components, and ``Jet.substitute_variable`` is its one-component
   case.  A source term's split into the substituted exponent and the code of
   the rest comes from a table kept per substitution signature.
+* Kernel caches (powers, monomial products, power terms that fit a degree
+  budget) live for one call and are freed by reference counting when it
+  returns: no cache is held by a function that refers to itself, a cycle
+  that would keep it until the cyclic garbage collector runs.  The code and
+  split tables are the only caches kept across calls.
 * Jets are immutable values and safe to share between workers.
 """
 
@@ -61,18 +67,21 @@ __all__ = [
 
 
 class QQi:
-    """Gaussian rational a + b*i with exact Fraction parts.
+    """Gaussian rational a + b*i with exact parts.
 
     Used to expand the unitary-coordinate substitution exactly; the final
     polynomials must come out with identically zero imaginary parts and
     that cancellation is checked exactly, so floats are not acceptable there.
+    A part given as an ``int`` stays an ``int`` (Gaussian integers then
+    multiply without ``Fraction``'s gcd per operation); any other part is
+    converted to ``Fraction``.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is int else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is int else Fraction(im))
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("QQi is immutable")
@@ -575,32 +584,8 @@ def _compose(outers: Sequence[Jet], inner: Sequence[Jet], allow_constant: bool) 
                     "pass allow_constant=True to recenter"
                 )
     nv, td = inner[0].num_vars, inner[0].trunc_degree
-    powers: list[dict[int, Jet]] = [{1: j} for j in inner]
-
-    def power(v: int, k: int) -> Jet:
-        cache = powers[v]
-        got = cache.get(k)
-        if got is None:
-            got = power(v, k - 1) * inner[v]
-            cache[k] = got
-        return got
-
-    # keyed by the outer monomial's code
     outer_table = _monomials(outers[0].num_vars, outers[0].trunc_degree)
-    products: dict[int, Jet] = {}
-
-    def product(code: int) -> Jet:
-        got = products.get(code)
-        if got is None:
-            exps = outer_table.decode(code)
-            last = max(v for v, e in enumerate(exps) if e)
-            got = power(last, exps[last])
-            prefix = code - exps[last] * outer_table.weights[last]
-            if prefix:
-                got = product(prefix) * got
-            products[code] = got
-        return got
-
+    product = _Products(inner, outer_table).product  # keyed by the outer monomial's code
     out = []
     for outer in outers:
         acc: dict[int, object] = {}  # the constant monomial's code is 0
@@ -620,6 +605,44 @@ def _compose(outers: Sequence[Jet], inner: Sequence[Jet], allow_constant: bool) 
                     pop(key, None)
         out.append(Jet._raw(nv, td, acc))
     return out
+
+
+class _Products:
+    """Powers of inner jets and the monomial products built from them, each built once.
+
+    ``product(code)`` is the product of the inner components an outer
+    monomial (given by its code in ``table``, the outer shape) names: the
+    product of its prefix (the monomial with its last variable dropped) and
+    one power, which is the left-to-right order of a per-term product.
+    Methods rather than recursive closures: a closure that calls itself
+    refers to itself through its cell, and that cycle keeps the caches of
+    every call alive until the cyclic garbage collector runs.
+    """
+
+    __slots__ = ("inner", "table", "powers", "products")
+
+    def __init__(self, inner: Sequence[Jet], table: "_Monomials"):
+        self.inner, self.table = inner, table
+        self.powers = [[j] for j in inner]  # powers[v][k - 1] is inner[v]**k
+        self.products: dict[int, Jet] = {}
+
+    def power(self, v: int, k: int) -> Jet:
+        built = self.powers[v]
+        while len(built) < k:
+            built.append(built[-1] * self.inner[v])
+        return built[k - 1]
+
+    def product(self, code: int) -> Jet:
+        got = self.products.get(code)
+        if got is None:
+            exps = self.table.decode(code)
+            last = max(v for v, e in enumerate(exps) if e)
+            got = self.power(last, exps[last])
+            prefix = code - exps[last] * self.table.weights[last]
+            if prefix:
+                got = self.product(prefix) * got
+            self.products[code] = got
+        return got
 
 
 def _substitute(outers: Sequence[Jet], var: int, replacement: Jet, var_map: Mapping[int, int]) -> list[Jet]:
@@ -651,23 +674,17 @@ def _substitute(outers: Sequence[Jet], var: int, replacement: Jet, var_map: Mapp
     targets = tuple(0 if i == var else var_map[i] for i in range(source.num_vars))
     splits = _splits(source.num_vars, source.trunc_degree, var, targets, nv_t, td)
     top = _monomials(nv_t, td).top
-    powers: dict[int, Jet] = {1: replacement}
-
-    def power(k: int) -> Jet:
-        got = powers.get(k)
-        if got is None:
-            got = power(k - 1) * replacement
-            powers[k] = got
-        return got
-
+    powers = [replacement]  # powers[k - 1] is replacement**k
     fitting: dict[tuple, list] = {}
 
     def power_within(k: int, room: int) -> list:
-        """Terms of power(k) of degree <= room, in dict order."""
+        """Terms of replacement**k of degree <= room, in dict order."""
         got = fitting.get((k, room))
         if got is None:
+            while len(powers) < k:
+                powers.append(powers[-1] * replacement)
             bound = (room + 1) * top  # codes below it have degree <= room
-            got = fitting[k, room] = [(pk, pc) for pk, pc in power(k)._coded.items() if pk < bound]
+            got = fitting[k, room] = [(pk, pc) for pk, pc in powers[k - 1]._coded.items() if pk < bound]
         return got
 
     out = []

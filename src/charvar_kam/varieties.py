@@ -165,7 +165,7 @@ def _to_real_fraction_jet(jet: Jet) -> Jet:
         if isinstance(c, QQi):
             if c.im:
                 raise ConsistencyError(f"imaginary part failed to cancel at {e}: {c!r}")
-            out[e] = c.re
+            out[e] = Fraction(c.re)
         else:
             out[e] = Fraction(c)
     return Jet(jet.num_vars, jet.trunc_degree, out)

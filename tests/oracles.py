@@ -13,11 +13,16 @@ The composition loop builds every power and monomial product afresh for each
 outer component and adds term by term with jet arithmetic, which fixes the
 partial sums of each key and its insertion order.
 
-Exact reference forms of two per-row computations done in integers: the
-Brjuno continued fraction run on ``Fraction``, and the SU(2) chart whose
-exact part is built from ``Fraction`` jets.  The recentering loop expands
-every monomial afresh at each call, which fixes the items and order a
-replayed recentering plan must reproduce.
+Exact reference forms of computations done in integers: the Brjuno
+continued fraction run on ``Fraction``, the SU(2) chart and the SU(3) t-jet
+whose exact parts are built from ``Fraction`` jets, and P and Q expanded over
+Gaussian rationals with ``Fraction`` parts throughout.  The recentering loop
+expands every monomial afresh at each call, which fixes the items and order
+a replayed recentering plan must reproduce.
+
+The alpha read-off composes every p_j in full with the corrected identity
+and reads the xi_j xi_k eta_k coefficients, which fixes the floats the
+restricted ``alpha_matrix`` must reproduce bit for bit.
 """
 
 import math
@@ -25,9 +30,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from charvar_kam import charts
 from charvar_kam.birkhoff import BrjunoResult, alpha_matrix, phi2_psi2
 from charvar_kam.errors import ConsistencyError, SingularChartError
-from charvar_kam.jets import Jet, jet_sqrt, jet_variables
+from charvar_kam.jets import QQi, Jet, jet_sqrt, jet_variables
 from charvar_kam.mcg import fixed_family_su2
 from charvar_kam.varieties import kappa_su2
 
@@ -316,3 +322,55 @@ def su2_chart_items(s, trunc_degree=3):
             raise ConsistencyError(f"s = {s}: chart map constant term {const} should vanish")
         comps.append(list((comp - const)._coeffs.items()))
     return list(x_jet._coeffs.items()), comps
+
+
+def solve_t_items(spec):
+    """Items of charts.solve_t(spec), with the exact part built from Fraction jets."""
+    td = spec.trunc_degree
+    centers = charts._center7(spec)
+    x0, _, y0, _, _, _, _ = centers
+    w = jet_variables(7, td, coeff_one=Fraction(1))
+    a_jet = (w[0] + x0) * (w[2] + y0) + w[1] * w[3]  # xy + XY, centered
+    c_jet = Jet(7, td, dict(translate_items(charts._p_no_t_7(), centers, td)))
+    radicand = a_jet * a_jet + 2 * spec.level - c_jet
+    r0 = radicand.constant_term()
+    if r0 <= 0:
+        raise SingularChartError(f"s = {spec.s}: radicand {r0} <= 0 at the center")
+    gap = spec.center.t - x0 * y0
+    if gap * gap != r0:
+        raise ConsistencyError(f"s = {spec.s}: center must satisfy P/2 = ell exactly")
+    radicand = radicand.map_coefficients(float)
+    if not radicand.constant_term():
+        raise SingularChartError(f"s = {spec.s}: radicand at the center underflows to 0.0")
+    root = jet_sqrt(radicand)
+    return list((a_jet.map_coefficients(float) + root * float(spec.sqrt_branch))._coeffs.items())
+
+
+def unitary_expansion_items(trace_poly, trunc_degree):
+    """Items of varieties.p_poly / q_poly, expanded over QQi with Fraction parts throughout."""
+    one, i = QQi(Fraction(1)), QQi(Fraction(0), Fraction(1))
+    x, X, y, Y, z, Z, t, T = (Jet.variable(k, 8, trunc_degree, one) for k in range(8))
+    sub = [x + X * i, y + Y * i, z + Z * i, t + T * i, x - X * i, y - Y * i, z - Z * i, t - T * i]
+    raw = trace_poly.map_coefficients(lambda c: QQi(Fraction(c)))
+    out = []
+    for e, c in raw.compose(sub, allow_constant=True)._coeffs.items():
+        if c.im:
+            raise ConsistencyError(f"imaginary part failed to cancel at {e}: {c!r}")
+        out.append((e, c.re))
+    return out
+
+
+def alpha_matrix_compose(nf, phi2, psi2):
+    """alpha_matrix(nf, phi2, psi2), read off the full composition of every p_j."""
+    d, n = nf.d, 2 * nf.d
+    zeta = jet_variables(n, nf.p_jets.trunc_degree, coeff_one=1.0 + 0.0j)
+    corrected = [zeta[i] + phi2[i] for i in range(d)] + [zeta[d + i] + psi2[i] for i in range(d)]
+    alpha = np.zeros((d, d), dtype=complex)
+    for j, comp in enumerate(nf.p_jets.compose(corrected)):
+        for k in range(d):
+            e = [0] * n
+            e[j] += 1
+            e[k] += 1
+            e[d + k] += 1
+            alpha[j, k] = complex(comp.coefficient(tuple(e)))
+    return alpha

@@ -6,21 +6,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import brjuno_items, functional_equation_residual
+from oracles import alpha_matrix_compose, brjuno_items, functional_equation_residual
 
-from charvar_kam.errors import ResonanceError
+from charvar_kam import charts, pipelines
+from charvar_kam.errors import ResonanceError, ShapeMismatchError
 from charvar_kam.jets import Jet, JetVector, jet_variables
 from charvar_kam.birkhoff import (
     NormalFormInput,
     alpha2_closed_form,
     alpha_matrix,
     birkhoff_coefficients,
+    diagonalized_jets,
     brjuno_partial_sum,
     nonplanarity_check,
     nonresonance_check,
     phi2_psi2,
     twist_determinant,
 )
+from charvar_kam.spectral import build_C0
 
 
 def random_unit(rng, avoid_orders=6, margin=0.05):
@@ -163,6 +166,97 @@ def test_alpha_d1_matches_closed_form_on_50_random_maps():
         p31 = p.coefficient((2, 1))
         a_closed = alpha2_closed_form(p2, q2, p31, nf.lam[0])
         assert abs(a_mech - a_closed) < 1e-10
+
+
+def _random_tail(rng, n, trunc_degree, terms):
+    """A sparse random jet with terms of degree 2 up to trunc_degree."""
+    coeffs = {}
+    for _ in range(terms):
+        e = [0] * n
+        for _ in range(rng.randint(2, trunc_degree)):
+            e[rng.randrange(n)] += 1
+        coeffs[tuple(e)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return Jet(n, trunc_degree, coeffs)
+
+
+def _assert_alpha_bitwise(nf, phi2=None, psi2=None):
+    if phi2 is None:
+        phi2, psi2 = phi2_psi2(nf)
+    got = alpha_matrix(nf, phi2, psi2)
+    want = alpha_matrix_compose(nf, phi2, psi2)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("trunc_degree", [2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_alpha_matches_the_full_composition_bitwise(d, trunc_degree):
+    """alpha read at its resonant monomials equals the full compose's coefficients, bit for bit."""
+    rng = random.Random(100 * d + trunc_degree)
+    n = 2 * d
+    for density in (2, 8, 30):
+        lam = tuple(random_unit(rng) for _ in range(d))
+        mu = tuple(l.conjugate() for l in lam)
+        ps = [Jet.variable(j, n, trunc_degree, lam[j]) + _random_tail(rng, n, trunc_degree, density) for j in range(d)]
+        qs = [Jet.variable(d + j, n, trunc_degree, mu[j]) + _random_tail(rng, n, trunc_degree, density) for j in range(d)]
+        nf = NormalFormInput(d=d, p_jets=JetVector(ps), q_jets=JetVector(qs), lam=lam, mu=mu)
+        alpha = _assert_alpha_bitwise(nf)
+        assert alpha.tobytes() == alpha_matrix(nf).tobytes()
+        if trunc_degree < 3:
+            assert not alpha.any()
+        elif density == 30:
+            assert alpha.any()
+
+
+def test_alpha_matches_the_full_composition_when_partial_sums_cancel():
+    """Contributions to xi^2 eta that cancel, inside a product and across terms, then come back."""
+    zeta = jet_variables(2, 3, coeff_one=1.0 + 0.0j)
+    lam = (cmath.exp(0.7j),)
+    mu = (lam[0].conjugate(),)
+    # u = xi + phi, v = eta + psi: u v has xi^2 eta coefficient psi_11 + phi_20 and u^2 has 2 phi_11
+    phi2 = JetVector([Jet(2, 3, {(2, 0): 0.75 + 0.25j, (1, 1): 0.5 + 0.0j})])
+    psi2 = JetVector([Jet(2, 3, {(1, 1): 0.25 - 0.25j, (0, 2): 1.5j})])
+    p = Jet(2, 3, {(1, 0): lam[0], (1, 1): 1.0 + 0.0j, (2, 1): -1.0 + 0.0j, (2, 0): 1.0 + 0.0j})
+    q = zeta[1] * mu[0]
+    nf = NormalFormInput(1, JetVector([p]), JetVector([q]), lam, mu)
+    # the xi eta term adds 1, the xi^2 eta term -1 (the key drops), the xi^2 term 1 again
+    assert _assert_alpha_bitwise(nf, phi2, psi2)[0, 0] == 1.0
+    # the xi eta product's two contributions cancel inside the product
+    cancelling = JetVector([Jet(2, 3, {(2, 0): -0.25 + 0.25j, (1, 1): 0.5 + 0.0j})])
+    assert _assert_alpha_bitwise(nf, cancelling, psi2)[0, 0] == 0.0
+    # ... and with no cubic term left the key never comes back
+    p2 = Jet(2, 3, {(1, 0): lam[0], (1, 1): 1.0 + 0.0j, (2, 1): -1.0 + 0.0j})
+    nf2 = NormalFormInput(1, JetVector([p2]), JetVector([q]), lam, mu)
+    assert _assert_alpha_bitwise(nf2, phi2, psi2)[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("s", ["0.2411", "0.2439"])
+def test_alpha_matches_the_full_composition_on_a_real_su3_chart(s):
+    chart = charts.chart_map_jet(Fraction(s))
+    L, spectrum = pipelines._su3_spectrum(chart)
+    nf = diagonalized_jets(chart.map_jet, build_C0(L, spectrum))
+    assert nf.d == 3
+    assert _assert_alpha_bitwise(nf).all()
+
+
+def test_alpha_rejects_corrections_that_are_not_homogeneous_quadratic():
+    rng = random.Random(11)
+    nf = random_nf(rng, 2)
+    phi2, psi2 = phi2_psi2(nf)
+    zeta = jet_variables(4, 3, coeff_one=1.0 + 0.0j)
+    bad = [
+        (JetVector([phi2[0] + zeta[1], phi2[1]]), psi2),  # a linear term
+        (phi2, JetVector([psi2[0], psi2[1] + zeta[0] * zeta[1] * zeta[2]])),  # a cubic term
+        (phi2, JetVector([psi2[0], psi2[1] + 0.5])),  # a constant
+        (JetVector([phi2[0]]), psi2),  # too few components
+        (JetVector(p.truncated(2) for p in phi2), psi2),  # another shape
+    ]
+    for phi, psi in bad:
+        with pytest.raises(ShapeMismatchError, match="homogeneous quadratic"):
+            alpha_matrix(nf, phi, psi)
+    zero = JetVector([Jet.zero(4, 3)] * 2)
+    assert alpha_matrix(nf, zero, zero).tobytes() == alpha_matrix_compose(nf, zero, zero).tobytes()
 
 
 def test_alpha2_closed_form_trivial_cases():

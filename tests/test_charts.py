@@ -188,6 +188,12 @@ def _compose_recentered(poly, centers, trunc_degree):
     return poly.compose([w[i] + centers[i] for i in range(poly.num_vars)], allow_constant=True)
 
 
+def _read_scaled(num, den):
+    """The recentered jet's items with each integer read as ``Fraction(n, den)``."""
+    assert den > 0 and all(type(n) is int for n in num._coeffs.values())
+    return [(e, Fraction(n, den)) for e, n in num._coeffs.items()]
+
+
 #: a center with zero and repeated coordinates, denominators shared and not
 _ODD_CENTER = (Fraction(0), Fraction(1, 3), Fraction(1, 3), 0, Fraction(-2, 7), Fraction(-2, 7), Fraction(5), 2)
 
@@ -202,11 +208,10 @@ def test_translate_matches_compose_items_and_order(trunc_degree):
         cases.append((Jet(8, trunc_degree, {e[:8]: c for e, c in poly9.coeffs.items()}), centers8))
     cases += [(p_poly(), _ODD_CENTER), (q_poly(), _ODD_CENTER)]
     for poly, centers in cases:
-        got = charts._translate(poly, centers, trunc_degree)
+        got, den = charts._translate(poly, centers, trunc_degree)
         want = _compose_recentered(poly, centers, trunc_degree)
         assert got.trunc_degree == want.trunc_degree == trunc_degree
-        assert list(got._coeffs.items()) == list(want._coeffs.items())
-        assert all(type(c) is Fraction for c in got._coeffs.values())
+        assert _read_scaled(got, den) == list(want._coeffs.items())
 
 
 @pytest.mark.parametrize("trunc_degree", [3, 5])
@@ -223,10 +228,42 @@ def test_translate_replays_the_expansion_loop(s, trunc_degree):
         cases = [(poly, charts._center8(spec)) for poly in polys8]
         cases.append((charts._p_no_t_7(), charts._center7(spec)))
     for poly, centers in cases:
-        got = charts._translate(poly, centers, trunc_degree)
+        got, den = charts._translate(poly, centers, trunc_degree)
         assert got.trunc_degree == trunc_degree
-        assert list(got._coeffs.items()) == translate_items(poly, centers, trunc_degree)
-        assert all(type(c) is Fraction for c in got._coeffs.values())
+        assert _read_scaled(got, den) == translate_items(poly, centers, trunc_degree)
+
+
+@pytest.mark.parametrize("trunc_degree", [3, 5])
+@pytest.mark.parametrize("s", ["0.2411", "0.2439", "0.2455"])
+def test_solve_t_matches_the_fraction_built_t_jet(s, trunc_degree):
+    """The t-jet built in scaled integers has the items, in order, of the Fraction-built one."""
+    from oracles import solve_t_items
+
+    spec = chart_spec(Fraction(s), trunc_degree)
+    got = list(solve_t(spec)._coeffs.items())
+    assert got == solve_t_items(spec)
+    assert all(type(c) is float for _, c in got)
+
+
+def test_float_jet_matches_subtracting_then_rounding_a_fraction_jet():
+    """``_float_jet`` equals ``(num / den - minus).map_coefficients(float)`` item for item."""
+    x, y = (1, 0), (0, 1)
+    cases = [
+        ({(0, 0): 3, x: 5}, 7, Fraction(3, 7)),  # the constant cancels and drops
+        ({x: 5, (0, 0): 3, y: -2}, 7, Fraction(1, 3)),  # the constant changes in place
+        ({x: 5, y: -2}, 7, Fraction(-1, 3)),  # an absent constant is appended
+        ({x: 5, (0, 0): 2}, 6, 0),  # nothing to subtract
+        ({x: 5, (0, 0): 2}, 6, Fraction(0)),
+        ({x: 1, y: 3 * 10**400, (0, 0): 1}, 10**400, Fraction(1, 10**400)),  # underflow to 0.0 drops
+        ({x: 10**30 + 1, (2, 0): -(3**200)}, 3**199 * 10**25, Fraction(-(5**300), 7**90)),
+    ]
+    for items, den, minus in cases:
+        num = Jet(2, 3, items)
+        exact = Jet(2, 3, {e: Fraction(n, den) for e, n in items.items()})
+        want = (exact - minus).map_coefficients(float)
+        got = charts._float_jet(num, den, minus)
+        assert list(got._coeffs.items()) == list(want._coeffs.items())
+    assert list(charts._float_jet(Jet(2, 3, {x: 2, (0, 0): 1}), 3)._coeffs.items()) == [(x, 2 / 3), ((0, 0), 1 / 3)]
 
 
 def test_chart_build_recenters_p_and_q_once(monkeypatch):

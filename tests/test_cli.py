@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import charvar_kam
-from charvar_kam import cli
+from charvar_kam import charts, cli
 from charvar_kam.cli import (
     RunConfig,
     compare_golden,
@@ -115,6 +115,20 @@ def test_cli_rejects_degree_below_three():
     res = run_cli(["--pipeline", "su3-main", "--s", "0.24", "--degree", "2"])
     assert res.returncode == 2
     assert "config error: truncation degree must be at least 3" in res.stderr
+
+
+@pytest.mark.parametrize("pipeline", ["su3-main", "su2-brown"])
+def test_degree_above_the_cap_is_a_config_error_before_any_chart(monkeypatch, capsys, pipeline):
+    degree = cli.MAX_DEGREE + 1
+    built = []
+    monkeypatch.setattr(charts, "chart_spec", lambda *args: built.append(args))
+    monkeypatch.setattr(cli, "su3_main_point", lambda *args: built.append(args) or {})
+    monkeypatch.setattr(cli, "su2_brown_point", lambda *args: built.append(args) or {})
+    code = cli.main(["--pipeline", pipeline, "--s", "0.2411", "--degree", str(degree)])
+    out = capsys.readouterr()
+    assert (code, built, out.out) == (2, [], "")
+    assert out.err == f"config error: truncation degree {degree} is above the cap of {cli.MAX_DEGREE}\n"
+    assert RunConfig(pipeline=pipeline, trunc_degree=cli.MAX_DEGREE).trunc_degree == cli.MAX_DEGREE
 
 
 # ------------------------------------------------------------------ reports

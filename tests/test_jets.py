@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from fractions import Fraction
@@ -736,3 +737,22 @@ def test_jetvector_eval_and_compose():
     assert v.eval([2, 3]) == [5, 6]
     w = v.compose([y, x])
     assert w[0] == x + y and w[1] == x * y
+
+
+def test_compose_and_substitute_leave_no_reference_cycles():
+    """The kernels' caches are freed by reference counting, not left for the cyclic collector."""
+    x, y, z = jet_variables(3, 3, coeff_one=1.0)
+    outer = x * y + x * z * z + y + z * z
+    inner = [x + y * y, y + z * x, z]
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        JetVector([outer, outer * 2.0]).compose(inner)
+        outer.compose(inner)
+        JetVector([outer, outer * 2.0]).substitute_variable(0, y * z + y, {1: 1, 2: 2})
+        outer.substitute_variable(0, y * z + y, {1: 1, 2: 2})
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -26,6 +26,7 @@ from charvar_kam.varieties import (
     q_poly,
     su2_member,
     su3_on_variety,
+    trace_p_poly,
     trace_q_poly,
 )
 
@@ -138,6 +139,24 @@ def test_imaginary_part_left_after_substitution_is_a_consistency_error():
     jet = Jet(2, 3, {(1, 0): QQi(1), (0, 1): QQi(0, Fraction(1, 3))})
     with pytest.raises(ConsistencyError, match="imaginary part failed to cancel"):
         _to_real_fraction_jet(jet)
+
+
+def test_p_and_q_equal_the_fraction_part_expansion_items_and_order():
+    """Expanding over Gaussian integers gives the Fraction-part expansion's items, in order."""
+    from oracles import unitary_expansion_items
+
+    for poly, trace_poly, degree in ((p_poly(), trace_p_poly(), 4), (q_poly(), trace_q_poly(), 6)):
+        items = list(poly._coeffs.items())
+        assert items == unitary_expansion_items(trace_poly, degree)
+        assert all(type(c) is Fraction for _, c in items)
+
+
+def test_qqi_keeps_int_parts_and_mixes_with_fraction():
+    assert type(QQi(3, -2).re) is int and type(QQi(3, -2).im) is int
+    assert type(QQi(Fraction(3)).re) is Fraction and type(QQi(0.5).re) is Fraction
+    assert QQi(1, 2) * QQi(3, -1) == QQi(Fraction(5), Fraction(5))
+    assert hash(QQi(2, 1)) == hash(QQi(Fraction(2), Fraction(1)))
+    assert QQi(1, 1) * QQi(Fraction(1, 2)) == QQi(Fraction(1, 2), Fraction(1, 2))
 
 
 def test_polys_accept_jets():
