@@ -1,13 +1,17 @@
 """Birkhoff normal-form coefficients and KAM hypothesis checks.
 
-Inputs are degree-3 jets of a diagonalized map: xi_j -> p_j = lambda_j xi_j +
-O2, eta_j -> q_j = mu_j eta_j + O2, with mu = conj(lambda) on the unit
-circle.  The quadratic corrections phi_2, psi_2 solve the homological
-equations monomial by monomial; the first Birkhoff coefficients alpha_jk are
-then read off as the xi_j xi_k eta_k coefficients of p_j composed with the
-corrected identity, which is their defining property.  The d = 1 closed form
-must agree with this machinery to 1e-10, and does (this cross-check is the
-strongest test of both).
+Inputs are jets of a diagonalized map: xi_j -> p_j = lambda_j xi_j + O2,
+eta_j -> q_j = mu_j eta_j + O2, with mu = conj(lambda) on the unit circle.
+The quadratic corrections phi_2, psi_2 solve the homological equations
+monomial by monomial; the first Birkhoff coefficients alpha_jk are then read
+off as the xi_j xi_k eta_k coefficients of p_j composed with the corrected
+identity, which is their defining property.  That is all the normal form
+reads: the 2-jets of p and q, and the cubic coefficients of p_j at its
+structurally resonant monomials xi_j xi_k eta_k.  ``diagonalized_jets``
+therefore builds the 2-jets and only those cubic coefficients (and their
+mirror images eta_j xi_k eta_k in q_j).  The d = 1 closed form must agree
+with this machinery to 1e-10, and does (this cross-check is the strongest
+test of both).
 
 Also here: the twist determinant, the frequency-map non-planarity test, the
 non-resonance report, and the Brjuno partial-sum diagnostic.
@@ -23,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResonanceError, ShapeMismatchError
-from .jets import Jet, JetVector, _monomials, _Products, jet_variables
+from .jets import Jet, JetVector, _compose, _monomials, _Products, jet_variables
 from .spectral import DiagonalizingBasis
 
 __all__ = [
@@ -54,10 +58,15 @@ NORMAL_FORM_DEGREE = 3
 
 @dataclass(frozen=True)
 class NormalFormInput:
-    """Degree-3 jets of a diagonalized map in variables (xi_1..xi_d, eta_1..eta_d).
+    """Jets of a diagonalized map in variables (xi_1..xi_d, eta_1..eta_d), truncated at degree <= 3.
 
-    ``diagonalized_jets`` builds them from the 3-jet of the chart map (lower
-    for a chart truncated below degree 3), whatever the chart's degree.
+    The normal form reads the 2-jets of p and q and, for alpha_jk, the cubic
+    coefficients of p_j at xi_j xi_k eta_k.  ``diagonalized_jets`` builds only
+    those: the 2-jet of each component, plus the d cubic coefficients of p_j
+    at xi_j xi_k eta_k and of q_j at eta_j xi_k eta_k (from the 3-jet of the
+    chart map; a chart truncated below degree 3 gives 2-jets).  Jets built
+    elsewhere may hold any terms; the normal form ignores the other cubic
+    ones.
     """
 
     d: int
@@ -81,10 +90,10 @@ class NormalFormInput:
             for block, jets, diag in (("xi", self.p_jets, self.lam), ("eta", self.q_jets, self.mu)):
                 jet = jets[j]
                 own = j if block == "xi" else self.d + j
+                weights = _monomials(n, jet.trunc_degree).weights  # weights[i] is the code of variable i
                 for i in range(n):
-                    e = tuple(1 if k == i else 0 for k in range(n))
                     want = diag[j] if i == own else 0.0
-                    got = complex(jet.coefficient(e))
+                    got = complex(jet._coded.get(weights[i], 0))
                     if abs(got - want) > tol:
                         raise ShapeMismatchError(
                             f"linear part of {block}_{j + 1} is off by {abs(got - want):.2e} at variable {i}"
@@ -102,6 +111,14 @@ def diagonalized_jets(map_jet: JetVector, basis: DiagonalizingBasis, tol: float 
     truncated at ``NORMAL_FORM_DEGREE`` first (never raised to it).  With zero
     constant terms every coefficient up to degree 3 gets the same float
     contributions in the same order as at the map jet's own degree.
+
+    Only what the normal form reads is built (see :class:`NormalFormInput`):
+    every coefficient of degree <= 2, and at degree 3 only xi_j xi_k eta_k in
+    p_j and eta_j xi_k eta_k in q_j.  The conjugation ``inv . map(C0 zeta)``
+    runs as the full one would, with every other cubic key skipped where it
+    would be formed (``jets._Products`` with a set of codes to keep), so each
+    kept coefficient is the float the full conjugation gives, in the same
+    relative key order: ``alpha_matrix`` adds p_j's terms in that order.
     """
     n = len(map_jet)
     if map_jet.num_vars != n or n % 2:
@@ -113,24 +130,21 @@ def diagonalized_jets(map_jet: JetVector, basis: DiagonalizingBasis, tol: float 
     # block index -> interleaved index
     perm = [2 * j for j in range(d)] + [2 * j + 1 for j in range(d)]
     td = map_jet.trunc_degree
-    zeta = jet_variables(n, td, coeff_one=1.0 + 0.0j)
-    inner = []
-    for i in range(n):
-        row = Jet.zero(n, td)
-        for k in range(n):
-            c = complex(C0[i, perm[k]])
-            if c != 0:
-                row = row + zeta[k] * c
-        inner.append(row)
-    composed = map_jet.compose(inner)
-    out = []
-    for r in range(n):
-        acc = Jet.zero(n, td)
-        for i in range(n):
-            c = complex(inv[perm[r], i])
-            if c != 0:
-                acc = acc + composed[i] * c
-        out.append(acc)
+    table = _monomials(n, td)
+    w = table.weights
+    zeta = [{w[k]: 1.0 + 0.0j} for k in range(n)]
+    cut = NORMAL_FORM_DEGREE * table.top  # the codes from here on are cubic
+    inner = [
+        Jet._raw(n, td, _combination(zeta, [complex(C0[i, perm[k]]) for k in range(n)], cut, ())) for i in range(n)
+    ]
+    # the cubic codes each output keeps: xi_j xi_k eta_k in p_j, eta_j xi_k eta_k in q_j
+    resonant = [{w[r] + w[k] + w[d + k] for k in range(d)} for r in range(n)]
+    keep = set().union(*resonant) if td == NORMAL_FORM_DEGREE else None  # a 2-jet has no cubic keys
+    composed = [c._coded for c in _compose(map_jet.components, inner, False, keep)]
+    out = [
+        Jet._raw(n, td, _combination(composed, [complex(inv[perm[r], i]) for i in range(n)], cut, resonant[r]))
+        for r in range(n)
+    ]
     lam = tuple(complex(basis.normalization["eigenvalues"][j]) for j in range(d))
     mu = tuple(l.conjugate() for l in lam)
     nf = NormalFormInput(
@@ -142,6 +156,32 @@ def diagonalized_jets(map_jet: JetVector, basis: DiagonalizingBasis, tol: float 
     )
     nf.validate_linear_part(tol)
     return nf
+
+
+def _combination(parts: Sequence[dict], coefs: Sequence[complex], cut: int, kept) -> dict:
+    """``sum_i parts[i] * coefs[i]`` of coded dicts, with only the codes in ``kept`` from ``cut`` on.
+
+    The steps of ``acc = acc + jet * c`` over the nonzero ``c``, one dict pass
+    per part: multiply, drop a zero product, then get, add and drop a key
+    whose sum cancels.  Every key below ``cut`` is kept.
+    """
+    acc: dict = {}
+    get, pop = acc.get, acc.pop
+    for part, c in zip(parts, coefs):
+        if c == 0:
+            continue
+        for key, v in part.items():
+            if key >= cut and key not in kept:
+                continue
+            v = v * c
+            if not v:
+                continue
+            s = get(key, 0) + v
+            if s:
+                acc[key] = s
+            else:
+                pop(key, None)
+    return acc
 
 
 def _eig_product(lam, mu, exps) -> complex:
@@ -188,20 +228,25 @@ def nonresonance_check(lam: Sequence[complex], order: int = 4, tol: float = 1e-8
     return out
 
 
-def _solve_homological(jet: Jet, lam, mu, own: complex, degree: int) -> Jet:
-    """phi with phi(lam xi, mu eta) - own * phi = [jet]_degree, coefficientwise."""
-    n = jet.num_vars
+def _solve_homological(jet: Jet, lam, mu, own: complex) -> Jet:
+    """phi with phi(lam xi, mu eta) - own * phi = [jet]_2, coefficientwise."""
+    n, td = jet.num_vars, jet.trunc_degree
+    table = _monomials(n, td)
+    low, high = 2 * table.top, 3 * table.top  # the codes of degree 2
     out = {}
-    for e, c in jet.coeffs.items():
-        if sum(e) != degree:
+    for code, c in jet._coded.items():
+        if not low <= code < high:
             continue
+        e = table.decode(code)
         denom = _eig_product(lam, mu, e) - own
         if abs(denom) < RESONANCE_DENOM_TOL:
             raise ResonanceError(
                 f"homological denominator {abs(denom):.2e} at monomial {e} is resonant"
             )
-        out[e] = complex(c) / denom
-    return Jet(n, jet.trunc_degree, out)
+        v = complex(c) / denom
+        if v:
+            out[code] = v
+    return Jet._raw(n, td, out)
 
 
 def phi2_psi2(nf: NormalFormInput) -> tuple[JetVector, JetVector]:
@@ -211,8 +256,8 @@ def phi2_psi2(nf: NormalFormInput) -> tuple[JetVector, JetVector]:
     the mu_j analogue; each monomial divides by its own eigenvalue-product
     denominator, so near-resonant denominators (< 1e-10) raise.
     """
-    phis = [_solve_homological(p.homogeneous_part(2), nf.lam, nf.mu, nf.lam[j], 2) for j, p in enumerate(nf.p_jets)]
-    psis = [_solve_homological(q.homogeneous_part(2), nf.lam, nf.mu, nf.mu[j], 2) for j, q in enumerate(nf.q_jets)]
+    phis = [_solve_homological(p, nf.lam, nf.mu, nf.lam[j]) for j, p in enumerate(nf.p_jets)]
+    psis = [_solve_homological(q, nf.lam, nf.mu, nf.mu[j]) for j, q in enumerate(nf.q_jets)]
     return JetVector(phis), JetVector(psis)
 
 
@@ -235,9 +280,10 @@ def alpha_matrix(nf: NormalFormInput, phi2: JetVector | None = None, psi2: JetVe
     a homogeneous quadratic, so a product of inner components reaches degree
     3 only from a quadratic monomial of p_j, or from the cubic monomial
     xi_j xi_k eta_k itself.  Those products are built as ``JetVector.compose``
-    builds them (``jets._Products``), and their contributions add in p_j's
-    term order with the same drop on cancellation, so each alpha_jk is the
-    float the full composition gives.  ``phi2`` and ``psi2`` must therefore be
+    builds them (``jets._Products``), keeping at the truncation degree only
+    the d**2 codes xi_j xi_k eta_k, and their contributions add in p_j's term
+    order with the same drop on cancellation, so each alpha_jk is the float
+    the full composition gives.  ``phi2`` and ``psi2`` must therefore be
     homogeneous quadratic jets of the normal form's shape, as ``phi2_psi2``
     returns them; anything else raises ``ShapeMismatchError``.
     """
@@ -256,10 +302,11 @@ def alpha_matrix(nf: NormalFormInput, phi2: JetVector | None = None, psi2: JetVe
     alpha = np.zeros((d, d), dtype=complex)
     if td < 3:
         return alpha
-    product = _Products(_corrected_identity(nf, phi2, psi2), table).product
     w = table.weights
+    resonant = [[w[j] + w[k] + w[d + k] for k in range(d)] for j in range(d)]  # xi_j xi_k eta_k
+    product = _Products(_corrected_identity(nf, phi2, psi2), table, {t for ts in resonant for t in ts}).product
     for j, comp in enumerate(nf.p_jets):
-        targets = [w[j] + w[k] + w[d + k] for k in range(d)]  # xi_j xi_k eta_k
+        targets = resonant[j]
         acc: dict[int, complex] = {}
         get, pop = acc.get, acc.pop
         for code, c in comp._coded.items():

@@ -34,6 +34,10 @@ Design notes
   adds its terms in its own order, so it gets the same float sums as when
   composed alone.  The products come from :class:`_Products`, which
   ``birkhoff.alpha_matrix`` also uses to build only the products it reads.
+  Given a set of codes at the truncation degree, the products keep only
+  those codes there (and every key below it): ``birkhoff.diagonalized_jets``
+  builds the normal-form input so, since the Birkhoff step reads no other
+  coefficient of that degree.
 * Substitution of one variable has one routine too,
   ``JetVector.substitute_variable``: the replacement's powers are built once
   for all components, and ``Jet.substitute_variable`` is its one-component
@@ -302,13 +306,8 @@ class Jet:
         self._check_shape(other)
         td = self.trunc_degree
         top = _monomials(self.num_vars, td).top
-        # within[r]: the terms of other of degree <= r, in other's dict order,
-        # so each key gets the same contributions in the same order as a full
-        # scan
-        within: list[list] = [[] for _ in range(td + 1)]
-        for kb, cb in other._coded.items():
-            for r in range(kb // top, td + 1):
-                within[r].append((kb, cb))
+        # each key gets the same contributions in the same order as a full scan
+        within = _fitting(other)
         # a pair's key is ka + kb, the code of the summed exponents
         out: dict[int, object] = {}
         get, pop = out.get, out.pop
@@ -556,10 +555,14 @@ class JetVector:
         return f"JetVector({len(self.components)} components, num_vars={self.num_vars}, trunc_degree={self.trunc_degree})"
 
 
-def _compose(outers: Sequence[Jet], inner: Sequence[Jet], allow_constant: bool) -> list[Jet]:
+def _compose(outers: Sequence[Jet], inner: Sequence[Jet], allow_constant: bool, keep=None) -> list[Jet]:
     """``[outer(inner_1, ..., inner_n) for outer in outers]``, truncated.
 
-    ``outers`` share one shape (the components of a ``JetVector``).
+    ``outers`` share one shape (the components of a ``JetVector``).  With
+    ``keep`` (a set of codes of the result's shape at its truncation degree)
+    a result keeps every key below the truncation degree and only those codes
+    at it, each with the items and relative order the full composition gives
+    it (see :class:`_Products`); ``None`` keeps every key.
 
     Each monomial product ``prod_v inner_v^e_v`` is built once, as the product
     of its prefix (the monomial with its last variable dropped) and one power,
@@ -585,7 +588,7 @@ def _compose(outers: Sequence[Jet], inner: Sequence[Jet], allow_constant: bool) 
                 )
     nv, td = inner[0].num_vars, inner[0].trunc_degree
     outer_table = _monomials(outers[0].num_vars, outers[0].trunc_degree)
-    product = _Products(inner, outer_table).product  # keyed by the outer monomial's code
+    product = _Products(inner, outer_table, keep).product  # keyed by the outer monomial's code
     out = []
     for outer in outers:
         acc: dict[int, object] = {}  # the constant monomial's code is 0
@@ -593,12 +596,15 @@ def _compose(outers: Sequence[Jet], inner: Sequence[Jet], allow_constant: bool) 
         for code, c in outer._coded.items():
             if not c or (not allow_constant and code // outer_table.top > td):
                 continue  # adds nothing (zero-constant inner: each factor raises degree)
-            if code:
-                terms = [(key, pc * c) for key, pc in product(code)._coded.items()]
-            else:
-                terms = ((0, c),)
-            for key, v in terms:
-                s = get(key, 0) + v
+            if not code:
+                s = get(0, 0) + c
+                if s:
+                    acc[0] = s
+                else:
+                    pop(0, None)
+                continue
+            for key, pc in product(code)._coded.items():
+                s = get(key, 0) + pc * c
                 if s:
                     acc[key] = s
                 else:
@@ -613,36 +619,100 @@ class _Products:
     ``product(code)`` is the product of the inner components an outer
     monomial (given by its code in ``table``, the outer shape) names: the
     product of its prefix (the monomial with its last variable dropped) and
-    one power, which is the left-to-right order of a per-term product.
-    Methods rather than recursive closures: a closure that calls itself
-    refers to itself through its cell, and that cycle keeps the caches of
-    every call alive until the cyclic garbage collector runs.
+    one power, which is the left-to-right order of a per-term product; a
+    power ``x_v**k`` is ``x_v**(k - 1)`` times ``x_v``.  Powers and products
+    share one cache, keyed by the outer code.  Methods rather than recursive
+    closures: a closure that calls itself refers to itself through its cell,
+    and that cycle keeps the caches of every call alive until the cyclic
+    garbage collector runs.
+
+    With ``keep`` (a set of codes of the inner shape at its truncation
+    degree), the inner components, powers and products keep all their keys
+    below the truncation degree and only those codes at it (see
+    :func:`_mul_keeping`); ``None`` keeps every key.  A factor's term at the
+    truncation degree pairs only with the other factor's constant, into its
+    own key, so every pair that reaches a kept key comes from kept terms:
+    each kept key gets the same items, in the same relative order, as in the
+    full product.  The right factor is always a power, whose terms are
+    grouped by degree once (:func:`_fitting`) for every product it ends.
     """
 
-    __slots__ = ("inner", "table", "powers", "products")
+    __slots__ = ("inner", "table", "keep", "products", "fitting")
 
-    def __init__(self, inner: Sequence[Jet], table: "_Monomials"):
-        self.inner, self.table = inner, table
-        self.powers = [[j] for j in inner]  # powers[v][k - 1] is inner[v]**k
+    def __init__(self, inner: Sequence[Jet], table: "_Monomials", keep=None):
+        if keep is not None:
+            nv, td = inner[0].num_vars, inner[0].trunc_degree
+            cut = td * _monomials(nv, td).top  # the codes from here on have the truncation degree
+            inner = [Jet._raw(nv, td, {k: c for k, c in j._coded.items() if k < cut or k in keep}) for j in inner]
+        self.inner, self.table, self.keep = inner, table, keep
         self.products: dict[int, Jet] = {}
-
-    def power(self, v: int, k: int) -> Jet:
-        built = self.powers[v]
-        while len(built) < k:
-            built.append(built[-1] * self.inner[v])
-        return built[k - 1]
+        self.fitting: dict[int, list] = {}  # the code of a power -> _fitting of it
 
     def product(self, code: int) -> Jet:
         got = self.products.get(code)
         if got is None:
             exps = self.table.decode(code)
-            last = max(v for v, e in enumerate(exps) if e)
-            got = self.power(last, exps[last])
-            prefix = code - exps[last] * self.table.weights[last]
-            if prefix:
-                got = self.product(prefix) * got
+            last = len(exps) - 1
+            while not exps[last]:
+                last -= 1
+            step = self.table.weights[last]
+            power = exps[last] * step  # the code of x_last**e
+            if code == step:
+                got = self.inner[last]
+            elif code == power:
+                got = self._times(self.product(code - step), step)
+            else:
+                got = self._times(self.product(code - power), power)
             self.products[code] = got
         return got
+
+    def _times(self, a: Jet, power: int) -> Jet:
+        """``a`` times the power with outer code ``power``."""
+        b = self.product(power)
+        if self.keep is None:
+            return a * b
+        within = self.fitting.get(power)
+        if within is None:
+            within = self.fitting[power] = _fitting(b)
+        return _mul_keeping(a, within, self.keep)
+
+
+def _fitting(b: Jet) -> list[list]:
+    """``[terms of b of degree <= r for r in 0..trunc_degree]``, each list in ``b``'s order."""
+    td = b.trunc_degree
+    top = _monomials(b.num_vars, td).top
+    within: list[list] = [[] for _ in range(td + 1)]
+    for kb, cb in b._coded.items():
+        for r in range(kb // top, td + 1):
+            within[r].append((kb, cb))
+    return within
+
+
+def _mul_keeping(a: Jet, within: list, keep) -> Jet:
+    """``a * b`` with only the codes in ``keep`` at the truncation degree; ``within`` is ``_fitting(b)``.
+
+    The pairs are visited as :meth:`Jet.__mul__` visits them (``a``'s terms in
+    order, each with ``b``'s terms that fit, in order), and a pair whose key
+    is at the truncation degree and not in ``keep`` is skipped: every other
+    key gets the same sums, with the same drops on cancellation, and keeps
+    its place relative to the other kept keys.
+    """
+    td = a.trunc_degree
+    top = _monomials(a.num_vars, td).top
+    cut = td * top  # the codes from here on have the truncation degree
+    out: dict[int, object] = {}
+    get, pop = out.get, out.pop
+    for ka, ca in a._coded.items():
+        for kb, cb in within[td - ka // top]:
+            key = ka + kb
+            if key >= cut and key not in keep:
+                continue
+            s = get(key, 0) + ca * cb
+            if s:
+                out[key] = s
+            else:
+                pop(key, None)
+    return Jet._raw(a.num_vars, td, out)
 
 
 def _substitute(outers: Sequence[Jet], var: int, replacement: Jet, var_map: Mapping[int, int]) -> list[Jet]:

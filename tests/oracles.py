@@ -23,6 +23,12 @@ a replayed recentering plan must reproduce.
 The alpha read-off composes every p_j in full with the corrected identity
 and reads the xi_j xi_k eta_k coefficients, which fixes the floats the
 restricted ``alpha_matrix`` must reproduce bit for bit.
+
+The full conjugation builds every coefficient of the diagonalized 3-jet with
+jet arithmetic (``Jet + Jet``, ``Jet * c`` and ``JetVector.compose``), which
+fixes the floats and key order ``diagonalized_jets`` must reproduce at the
+coefficients it keeps; the functional-equation residual and the reality
+constraint on values need every cubic coefficient, so they run on it.
 """
 
 import math
@@ -31,9 +37,9 @@ from fractions import Fraction
 import numpy as np
 
 from charvar_kam import charts
-from charvar_kam.birkhoff import BrjunoResult, alpha_matrix, phi2_psi2
-from charvar_kam.errors import ConsistencyError, SingularChartError
-from charvar_kam.jets import QQi, Jet, jet_sqrt, jet_variables
+from charvar_kam.birkhoff import NORMAL_FORM_DEGREE, BrjunoResult, NormalFormInput, alpha_matrix, phi2_psi2
+from charvar_kam.errors import ConsistencyError, ShapeMismatchError, SingularChartError
+from charvar_kam.jets import QQi, Jet, JetVector, jet_sqrt, jet_variables
 from charvar_kam.mcg import fixed_family_su2
 from charvar_kam.varieties import kappa_su2
 
@@ -374,3 +380,46 @@ def alpha_matrix_compose(nf, phi2, psi2):
             e[d + k] += 1
             alpha[j, k] = complex(comp.coefficient(tuple(e)))
     return alpha
+
+
+def diagonalized_full(map_jet, basis, tol=1e-9):
+    """diagonalized_jets(map_jet, basis, tol) with every coefficient of the 3-jet built."""
+    n = len(map_jet)
+    if map_jet.num_vars != n or n % 2:
+        raise ShapeMismatchError("map jet must be square with an even number of variables")
+    if map_jet.trunc_degree > NORMAL_FORM_DEGREE:
+        map_jet = JetVector(c.truncated(NORMAL_FORM_DEGREE) for c in map_jet)
+    d = n // 2
+    C0, inv = basis.C0, basis.inverse
+    # block index -> interleaved index
+    perm = [2 * j for j in range(d)] + [2 * j + 1 for j in range(d)]
+    td = map_jet.trunc_degree
+    zeta = jet_variables(n, td, coeff_one=1.0 + 0.0j)
+    inner = []
+    for i in range(n):
+        row = Jet.zero(n, td)
+        for k in range(n):
+            c = complex(C0[i, perm[k]])
+            if c != 0:
+                row = row + zeta[k] * c
+        inner.append(row)
+    composed = map_jet.compose(inner)
+    out = []
+    for r in range(n):
+        acc = Jet.zero(n, td)
+        for i in range(n):
+            c = complex(inv[perm[r], i])
+            if c != 0:
+                acc = acc + composed[i] * c
+        out.append(acc)
+    lam = tuple(complex(basis.normalization["eigenvalues"][j]) for j in range(d))
+    mu = tuple(l.conjugate() for l in lam)
+    nf = NormalFormInput(
+        d=d,
+        p_jets=JetVector(out[:d]),
+        q_jets=JetVector(out[d:]),
+        lam=lam,
+        mu=mu,
+    )
+    nf.validate_linear_part(tol)
+    return nf

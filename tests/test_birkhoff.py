@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import alpha_matrix_compose, brjuno_items, functional_equation_residual
+from oracles import alpha_matrix_compose, brjuno_items, diagonalized_full, functional_equation_residual
 
 from charvar_kam import charts, pipelines
 from charvar_kam.errors import ResonanceError, ShapeMismatchError
@@ -23,7 +23,7 @@ from charvar_kam.birkhoff import (
     phi2_psi2,
     twist_determinant,
 )
-from charvar_kam.spectral import build_C0
+from charvar_kam.spectral import DiagonalizingBasis, build_C0, classify_spectrum
 
 
 def random_unit(rng, avoid_orders=6, margin=0.05):
@@ -238,6 +238,111 @@ def test_alpha_matches_the_full_composition_on_a_real_su3_chart(s):
     nf = diagonalized_jets(chart.map_jet, build_C0(L, spectrum))
     assert nf.d == 3
     assert _assert_alpha_bitwise(nf).all()
+
+
+def _bits(items):
+    """Items with each coefficient's parts as hex strings, so 0.0 and -0.0 differ."""
+    return [(e, complex(c).real.hex(), complex(c).imag.hex()) for e, c in items]
+
+
+def _assert_kept_keys_match(map_jet, basis):
+    """diagonalized_jets equals the full conjugation at every key it keeps, in items and order.
+
+    A component keeps every key of degree <= 2 and, at degree 3, only
+    xi_j xi_k eta_k (p_j) or eta_j xi_k eta_k (q_j).
+    """
+    got = diagonalized_jets(map_jet, basis)
+    full = diagonalized_full(map_jet, basis)
+    d = got.d
+    for r, (g, f) in enumerate(zip((*got.p_jets, *got.q_jets), (*full.p_jets, *full.q_jets))):
+        assert (g.num_vars, g.trunc_degree) == (f.num_vars, f.trunc_degree)
+        resonant = set()
+        for k in range(d):
+            e = [0] * (2 * d)
+            e[r] += 1
+            e[k] += 1
+            e[d + k] += 1
+            resonant.add(tuple(e))
+        want = [(e, c) for e, c in f._coeffs.items() if sum(e) < 3 or e in resonant]
+        assert _bits(g._coeffs.items()) == _bits(want)
+    assert (got.lam, got.mu) == (full.lam, full.mu)
+    return got, full
+
+
+def _cubic_terms(nf):
+    return sum(1 for jet in (*nf.p_jets, *nf.q_jets) for e in jet._coeffs if sum(e) == 3)
+
+
+@pytest.mark.parametrize(
+    "s, degree, basis_entries",
+    [("0.2411", 3, 20), ("0.2439", 3, 30), ("0.2411", 5, 20), ("0.2439", 2, 30)],
+)
+def test_diagonalized_jets_keep_the_full_conjugation_on_su3_charts(s, degree, basis_entries):
+    """Sparse (20 nonzero C0 entries) and dense (30) bases, a td-5 chart and a td-2 chart."""
+    chart = charts.chart_map_jet(Fraction(s), degree)
+    L, spectrum = pipelines._su3_spectrum(chart)
+    basis = build_C0(L, spectrum)
+    assert np.count_nonzero(basis.C0) == basis_entries
+    got, full = _assert_kept_keys_match(chart.map_jet, basis)
+    if degree == 2:
+        assert got == full and _cubic_terms(full) == 0  # a 2-jet has nothing to drop
+    else:
+        assert 0 < _cubic_terms(got) <= 6 * 3 < _cubic_terms(full)
+
+
+def test_diagonalized_jets_keep_the_full_conjugation_on_the_su2_chart():
+    chart = charts.su2_chart_map_jet(Fraction(1, 10))
+    L = charts.chart_linear_matrix(chart)
+    got, full = _assert_kept_keys_match(chart.map_jet, build_C0(L, classify_spectrum(L)))
+    assert _cubic_terms(got) == 2 < _cubic_terms(full)  # xi^2 eta in p, xi eta^2 in q
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_diagonalized_jets_keep_the_full_conjugation_on_random_maps(d):
+    """A dense complex C0, and one cubic key whose running sum cancels exactly and comes back."""
+    rng = np.random.default_rng(40 + d)
+    n = 2 * d
+    lam = [cmath.exp(2j * math.pi * rng.uniform(0.02, 0.48)) for _ in range(d)]
+    C0 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    inverse = np.linalg.inv(C0)
+    L = C0 @ np.diag([v for l in lam for v in (l, l.conjugate())]) @ inverse
+    basis = DiagonalizingBasis(C0=C0, inverse=inverse, normalization={"eigenvalues": lam})
+    # the inner components of the conjugation, as diagonalized_jets builds them
+    perm = [2 * j for j in range(d)] + [2 * j + 1 for j in range(d)]
+    zeta = jet_variables(n, 3, coeff_one=1.0 + 0.0j)
+    inner = []
+    for i in range(n):
+        row = Jet.zero(n, 3)
+        for k in range(n):
+            row = row + zeta[k] * complex(C0[i, perm[k]])
+        inner.append(row)
+
+    def unit(k):
+        return tuple(int(i == k) for i in range(n))
+
+    def monomial(*vs):
+        return tuple(sum(v == i for v in vs) for i in range(n))
+
+    # xi_1^2 eta_1, kept in p_1: composing map component 0, its first two cubic
+    # terms cancel there exactly, and the third brings the key back at the end
+    target = monomial(0, 0, d)
+    m1, m2, m3 = monomial(0, 0, 0), monomial(0, 0, 1), monomial(0, 1, 1)
+    p1, p2 = (Jet(n, 3, {m: 1.0 + 0.0j}).compose(inner).coefficient(target) for m in (m1, m2))
+    assert p1 and p2
+    assert not Jet(n, 3, {m1: p2, m2: -p1}).compose(inner).coefficient(target)
+    comps = []
+    for i in range(n):
+        coeffs = {unit(k): complex(L[i, k]) for k in range(n)}
+        for _ in range(3 * n):
+            coeffs[monomial(*rng.integers(0, n, size=2))] = complex(*rng.normal(size=2))
+        if i == 0:
+            coeffs.update({m1: p2, m2: -p1, m3: 0.5 - 0.25j})
+        else:
+            for _ in range(3 * n):
+                coeffs[monomial(*rng.integers(0, n, size=3))] = complex(*rng.normal(size=2))
+        comps.append(Jet(n, 3, coeffs))
+    got, full = _assert_kept_keys_match(JetVector(comps), basis)
+    assert 0 < _cubic_terms(got) < _cubic_terms(full)
 
 
 def test_alpha_rejects_corrections_that_are_not_homogeneous_quadratic():

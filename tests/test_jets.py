@@ -11,6 +11,10 @@ from charvar_kam.jets import (
     Jet,
     JetVector,
     QQi,
+    _compose,
+    _monomials,
+    _fitting,
+    _mul_keeping,
     jet_sqrt,
     jet_variables,
     normalized_coefficient,
@@ -452,6 +456,38 @@ def test_compose_items_and_order_match_per_component_loop(
         assert [list(c._coeffs.items()) for c in got] == want
         for comp, items in zip(outer, want):
             assert list(comp.compose(inner, allow_constant=allow_constant)._coeffs.items()) == items
+
+
+@pytest.mark.parametrize("kind,num_vars,trunc_degree,density,inner_density,allow_constant", _COMPOSE_CASES)
+def test_products_kept_at_the_truncation_degree_match_the_full_ones(
+    kind, num_vars, trunc_degree, density, inner_density, allow_constant
+):
+    """Keeping some codes at the truncation degree leaves every kept key's items and order as in the full result."""
+    rng = random.Random(f"keep {kind} {num_vars}x{trunc_degree}")
+    table = _monomials(num_vars, trunc_degree)
+    cut = trunc_degree * table.top
+    top_codes = [table.encode(e) for e in _all_exponents(num_vars, trunc_degree) if sum(e) == trunc_degree]
+    for _ in range(2):
+        keep = set(rng.sample(top_codes, len(top_codes) // 3))
+
+        def kept(jet):
+            return [(k, c) for k, c in jet._coded.items() if k < cut or k in keep]
+
+        outer = JetVector(
+            random_typed_jet(rng, kind, num_vars, trunc_degree, density) for _ in range(num_vars)
+        )
+        inner = [
+            random_typed_jet(rng, kind, num_vars, trunc_degree, inner_density, zero_constant=not allow_constant)
+            for _ in range(num_vars)
+        ]
+        got = _compose(outer.components, inner, allow_constant, keep)
+        full = outer.compose(inner, allow_constant=allow_constant)
+        assert [list(c._coded.items()) for c in got] == [kept(c) for c in full]
+        assert any(len(g._coded) < len(f._coded) for g, f in zip(got, full))
+        a, b = outer[0], outer[1]  # constants and terms at the truncation degree in both factors
+        within = _fitting(b)
+        assert list(_mul_keeping(a, within, keep)._coded.items()) == kept(a * b)
+        assert list(_mul_keeping(a, within, set(top_codes))._coded.items()) == list((a * b)._coded.items())
 
 
 def test_compose_keeps_order_when_partial_sums_cancel():

@@ -1,4 +1,5 @@
 import cmath
+import gc
 import random
 from fractions import Fraction
 
@@ -15,28 +16,50 @@ from charvar_kam.spectral import build_C0, classify_spectrum
 S249 = Fraction(249, 1000)
 
 
-@pytest.fixture(scope="module")
-def nf249():
+def _basis249():
     chart = chart_map_jet(S249)
     L = chart_linear_matrix(chart)
     rep = classify_spectrum(L)
-    basis = build_C0(L, rep)
-    return diagonalized_jets(chart.map_jet, basis)
+    return chart.map_jet, build_C0(L, rep)
 
 
-def test_reality_constraint_on_diagonalized_jets(nf249):
+@pytest.fixture(scope="module")
+def nf249():
+    return diagonalized_jets(*_basis249())
+
+
+@pytest.fixture(scope="module")
+def nf249_full():
+    """Every coefficient of the diagonalized 3-jet (diagonalized_jets keeps few cubic ones)."""
+    from oracles import diagonalized_full
+
+    return diagonalized_full(*_basis249())
+
+
+def test_reality_constraint_on_diagonalized_jets(nf249_full):
     """q_j(xi, eta) = conj(p_j(eta, xi)) on real points, from conjugate-pair columns."""
     rng = random.Random(11)
-    d = nf249.d
+    d = nf249_full.d
     for _ in range(10):
         xi = [rng.uniform(-0.05, 0.05) for _ in range(d)]
         eta = [rng.uniform(-0.05, 0.05) for _ in range(d)]
         swapped = eta + xi
         plain = xi + eta
         for j in range(d):
-            lhs = complex(nf249.q_jets[j].eval(plain))
-            rhs = complex(nf249.p_jets[j].eval(swapped)).conjugate()
+            lhs = complex(nf249_full.q_jets[j].eval(plain))
+            rhs = complex(nf249_full.p_jets[j].eval(swapped)).conjugate()
             assert abs(lhs - rhs) < 1e-8
+
+
+def test_reality_constraint_on_every_kept_coefficient(nf249):
+    """q_j's coefficient at (a, b) is conj of p_j's at (b, a), for every coefficient either keeps."""
+    d = nf249.d
+    for p, q in zip(nf249.p_jets, nf249.q_jets):
+        mirrored = {e[d:] + e[:d]: c for e, c in p._coeffs.items()}
+        assert set(mirrored) == set(q._coeffs)
+        assert sum(1 for e in mirrored if sum(e) == 3) == d
+        for e, c in q._coeffs.items():
+            assert abs(c - mirrored[e].conjugate()) < 1e-12 * max(1.0, abs(c))
 
 
 def test_b_matrix_nearly_real_at_249(nf249):
@@ -44,11 +67,32 @@ def test_b_matrix_nearly_real_at_249(nf249):
     assert float(np.max(np.abs(bc.b.imag))) < 1e-6
 
 
-def test_functional_equations_hold_on_actual_chart_data(nf249):
+def test_functional_equations_hold_on_actual_chart_data(nf249_full):
     """The defining equations of the normal form hold for the real s=.249 jets."""
     from oracles import functional_equation_residual
 
-    assert functional_equation_residual(nf249) < 1e-8
+    assert functional_equation_residual(nf249_full) < 1e-8
+
+
+def test_rows_leave_no_cyclic_garbage():
+    """A whole row is freed by reference counting: su3 td 3 (dense basis) and td 5, and su2."""
+    rows = [
+        lambda: su3_main_point(Fraction(2439, 10000), 3),
+        lambda: su3_main_point(Fraction(2411, 10000), 5),
+        lambda: su2_brown_point(Fraction(1, 10)),
+    ]
+    for row in rows:  # warm-up: the caches kept across calls fill here
+        assert "error" not in row()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for row in rows:
+            gc.collect()
+            row()
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_su2_gamma1_real_and_nonzero():
