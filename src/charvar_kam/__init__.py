@@ -42,6 +42,7 @@ from .jets import (
 from .mcg import (
     FixedPointSample,
     PolyAutomorphism,
+    Su2FixedPoint,
     cat_map_su2,
     cat_map_su3,
     fixed_family_su2,

@@ -21,15 +21,17 @@ components likewise take one t-call and one z-call.
 
 SU(2): the level set kappa = ell is a surface in (x, y, z); x is eliminated
 from the quadratic kappa = ell (branch from the center) and (y, z) survive.
+The chart takes the row's fixed point, already over one integer denominator.
 
 Everything stays exact until the square roots; chart jets have float
 coefficients.  The exact parts run in integers, each jet scaled by one
 positive denominator: a recentered polynomial is its plan's integer sums
-over one common denominator, and the SU(3) t-radicand and the SU(2)
-discriminant are integer jets.  Each converts by correctly rounded
-``int / int`` division, which gives the float ``float(Fraction)`` gives, so no
-``Fraction`` arithmetic runs per chart.  All eliminations and substitutions
-are degree-truncated at the chart's truncation degree (default 3).
+over one common denominator, the SU(3) t-radicand is an integer jet, and
+the SU(2) discriminant is written out as integer coefficients.  Each
+converts by correctly rounded ``int / int`` division, which gives the float
+``float(Fraction)`` gives, so no ``Fraction`` arithmetic runs per chart.
+All eliminations and substitutions are degree-truncated at the chart's
+truncation degree (default 3).
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ import numpy as np
 
 from .errors import ConsistencyError, DegenerateChartError, SingularChartError
 from .jets import Jet, JetVector, _monomials, jet_sqrt, jet_variables
-from .mcg import cat_map_su3_poly, fixed_family_su2, fixed_family_su3
+# fixed_family_su2 is not called here (the SU(2) chart takes its result), but
+# perfbench/tracer.py looks it up in this module
+from .mcg import Su2FixedPoint, cat_map_su3_poly, fixed_family_su2, fixed_family_su3  # noqa: F401
 from .varieties import Su3Point, p_poly, q_poly
 
 __all__ = [
@@ -442,14 +446,9 @@ def chart_map_jet(s, trunc_degree: int = 3) -> ChartJet:
 
 
 def chart_linear_matrix(chart: ChartJet) -> np.ndarray:
-    """Linearization of the chart map at the fixed point (6x6 real)."""
-    n = chart.map_jet.num_vars
-    m = np.zeros((n, n))
-    for i, comp in enumerate(chart.map_jet):
-        for j in range(n):
-            e = tuple(1 if k == j else 0 for k in range(n))
-            m[i, j] = float(comp.coefficient(e))
-    return m
+    """Linearization of the chart map at the fixed point (n x n real; entry (i, j) is d comp_i / d var_j)."""
+    weights = _monomials(chart.map_jet.num_vars, chart.map_jet.trunc_degree).weights
+    return np.array([[float(comp._coded.get(w, 0)) for w in weights] for comp in chart.map_jet])
 
 
 # --------------------------------------------------------------------------
@@ -461,67 +460,65 @@ def chart_linear_matrix(chart: ChartJet) -> np.ndarray:
 class Su2ChartJet:
     """x-elimination jet and the cat-map jet in (y, z) displacements."""
 
-    s: Fraction
-    center: tuple
-    level: Fraction
+    fixed_point: Su2FixedPoint
     x_jet: Jet
     map_jet: JetVector
 
 
-def su2_chart_map_jet(s, trunc_degree: int = 3) -> Su2ChartJet:
-    """Chart of the SU(2) cat map on kappa = ell at the fixed point of parameter s.
+def _float_jet2(trunc_degree: int, terms, den: int) -> Jet:
+    """The (y, z) jet of the ``int / int`` quotients n / den at the terms (e, n) up to the degree, in order.
+
+    A quotient of 0.0 drops, as in ``map_coefficients``.
+    """
+    return Jet(2, trunc_degree, {e: n / den for e, n in terms if sum(e) <= trunc_degree})
+
+
+def su2_chart_map_jet(p0: Su2FixedPoint, trunc_degree: int = 3) -> Su2ChartJet:
+    """Chart of the SU(2) cat map on kappa = ell at the fixed point ``p0 = fixed_family_su2(s)``.
 
     kappa = ell is quadratic in x: x^2 - yz x + (y^2 + z^2 - 2 - ell) = 0, so
     x = (yz + branch*sqrt(disc))/2 with disc = (yz)^2 - 4(y^2 + z^2 - 2 - ell);
     at the center disc = (2 x0 - y0 z0)^2, which must be positive (it vanishes
     only at the blown-up origin s = 0).
+
+    The exact part runs in integers, from the fixed point's b, xn, yn, zn and
+    level_n (see ``Su2FixedPoint``): at (y, z) = (yn + b u, zn + b v) / b,
+    b^4 disc, b^2 yz, b y and b z are polynomials in the displacements (u, v)
+    with integer coefficients, written out monomial by monomial in the key
+    order the jet products of the rational computation give.  Each float
+    coefficient is one ``int / int``, which rounds as ``float(Fraction)``
+    does, so every float is unchanged.  The float tail (square root,
+    products and constant checks) is jet arithmetic.
     """
-    s = _as_fraction(s)
-    p0 = fixed_family_su2(s)
-    x0, y0, z0 = p0.coords()
-    # The exact part runs in integers.  With b the common denominator of the
-    # fixed point, b x0, b y0, b z0 and b^4 level are integers, and yv, zv, yz,
-    # disc are integer jets over b, b, b^2, b^4.  They go through the jet
-    # operations of the rational computation with each term scaled by a
-    # positive integer, so keys cancel and reappear at the same steps, and
-    # int / int rounds to the same float as float(Fraction).
-    b = math.lcm(x0.denominator, y0.denominator, z0.denominator)
-    xn, yn, zn = (c.numerator * (b // c.denominator) for c in (x0, y0, z0))
-    b2, b4 = b * b, b**4
-    level_n = b2 * (xn * xn + yn * yn + zn * zn) - b * xn * yn * zn - 2 * b4
+    s, b, xn, yn, zn = p0.s, p0.b, p0.xn, p0.yn, p0.zn
     gap_n = 2 * xn * b - yn * zn  # b^2 * (2 x0 - y0 z0)
     if gap_n == 0:
         raise SingularChartError(
             f"s = {s}: 2x - yz = 0 at the fixed point (origin blow-up), chart is singular"
         )
     branch = 1 if gap_n > 0 else -1
-    w = jet_variables(2, trunc_degree, coeff_one=b)
-    yv = w[0] + yn
-    zv = w[1] + zn
-    yz = yv * zv
-    disc = yz * yv * zv - 4 * ((yv * yv + zv * zv - 2 * b2) * b2 - level_n)
-    if disc.constant_term() != gap_n * gap_n:
+    b2, b3, b4 = b * b, b**3, b**4
+    ys, zs = yn * yn - 4 * b2, zn * zn - 4 * b2
+    disc0 = yn * yn * zn * zn - 4 * b2 * (yn * yn + zn * zn - 2 * b2) + 4 * p0.level_n
+    if disc0 != gap_n * gap_n:
         raise ConsistencyError(f"s = {s}: discriminant at the center must be (2x - yz)^2")
-    disc = disc.map_coefficients(lambda c: c / b4)
+    disc_terms = [((2, 2), b4), ((2, 1), 2 * b3 * zn), ((1, 2), 2 * b3 * yn), ((1, 1), 4 * b2 * yn * zn)]
+    disc_terms += [((2, 0), b2 * zs), ((1, 0), 2 * b * yn * zs), ((0, 2), b2 * ys), ((0, 1), 2 * b * zn * ys)]
+    disc = _float_jet2(trunc_degree, disc_terms + [((0, 0), disc0)], b4)
     if not disc.constant_term():
         raise SingularChartError(f"s = {s}: discriminant at the center underflows to 0.0")
-    x_jet = yz.map_coefficients(lambda c: c / b2) + jet_sqrt(disc) * float(branch)
+    yz = _float_jet2(trunc_degree, (((1, 1), b2), ((1, 0), b * zn), ((0, 1), b * yn), ((0, 0), yn * zn)), b2)
+    x_jet = yz + jet_sqrt(disc) * float(branch)
     x_jet = x_jet * 0.5
-    yf = yv.map_coefficients(lambda c: c / b)
-    zf = zv.map_coefficients(lambda c: c / b)
+    yf = _float_jet2(trunc_degree, (((1, 0), b), ((0, 0), yn)), b)
+    zf = _float_jet2(trunc_degree, (((0, 1), b), ((0, 0), zn)), b)
     y_image = zf * yf - x_jet
-    out_y = y_image - float(y0)
-    out_z = zf * y_image - yf - float(z0)
+    out_y = y_image - yn / b
+    out_z = zf * y_image - yf - zn / b
     comps = []
     for comp in (out_y, out_z):
         const = comp.constant_term()
         if not abs(float(const)) < 1e-10:
             raise ConsistencyError(f"s = {s}: chart map constant term {const} should vanish")
         comps.append(comp - const)
-    return Su2ChartJet(
-        s=s,
-        center=(float(x0), float(y0), float(z0)),
-        level=Fraction(level_n, b4),
-        x_jet=x_jet,
-        map_jet=JetVector(comps),
-    )
+    return Su2ChartJet(fixed_point=p0, x_jet=x_jet, map_jet=JetVector(comps))

@@ -870,13 +870,22 @@ class _Monomials:
         return got
 
     def decode(self, code: int) -> tuple:
-        """Exponent tuple of a code of the shape."""
+        """Exponent tuple of a code of the shape; ShapeMismatchError unless it is one.
+
+        A code is checked before it enters the shared table.  Each exponent
+        digit is at most trunc_degree by construction (a remainder mod
+        ``base``); their sum must equal the degree digit ``code // top``, and
+        that must be at most trunc_degree.
+        """
         got = self.exps.get(code)
         if got is None:
             digits, rest = [], code
             for _ in range(self.num_vars):
                 rest, e = divmod(rest, self.base)
                 digits.append(e)
+            if sum(digits) != rest or rest > self.trunc_degree:
+                shape = (self.num_vars, self.trunc_degree)
+                raise ShapeMismatchError(f"code {code} is no monomial of shape {shape}")
             got = self.exps[code] = tuple(digits)
             self.codes[got] = code
         return got

@@ -25,6 +25,7 @@ from .varieties import LevelValue, Su2Point, Su3Point
 __all__ = [
     "PolyAutomorphism",
     "FixedPointSample",
+    "Su2FixedPoint",
     "tau_alpha",
     "tau_beta",
     "tau_beta_inv",
@@ -213,19 +214,52 @@ def _check_pole(s):
         raise PoleError("the fixed family has a pole at s = 1/2")
 
 
-def fixed_family_su2(s) -> Su2Point:
-    """Trace tuple (2s, 2s/(2s-1), 2s) of the fixed representations A(s), B(s).
+@dataclass(frozen=True)
+class Su2FixedPoint:
+    """The SU(2) fixed point of parameter s over one denominator: every field is an integer but s.
+
+    The traces are (x0, y0, z0) = (xn, yn, zn) / b with b > 0, and the level
+    is kappa(x0, y0, z0) = level_n / b^4.  ``coords`` gives the exact
+    traces; ``center`` gives their floats by ``int / int``, which rounds
+    correctly, so each equals ``float`` of the reduced ``Fraction``.
+    """
+
+    s: Fraction
+    b: int
+    xn: int
+    yn: int
+    zn: int
+    level_n: int
+
+    def coords(self) -> tuple:
+        return tuple(Fraction(n, self.b) for n in (self.xn, self.yn, self.zn))
+
+    def center(self) -> tuple:
+        return self.xn / self.b, self.yn / self.b, self.zn / self.b
+
+
+def fixed_family_su2(s) -> Su2FixedPoint:
+    """Trace tuple (2s, 2s/(2s-1), 2s) of the fixed representations A(s), B(s), and its level.
 
     Requires |s| <= 1 (realness of the A(s) eigenvalues) and the SU(2)
     realizability bound |u|^2 = 2 s^2 / ((2s-1)^2 (1+s)) <= 1 for B(s).
+    Runs in integers from s = p/q: the checks are cross-multiplied, and with
+    d = 2p - q the common denominator is b = q |d|, so xn = zn = 2p |d| and
+    yn = 2pq sign(d).  An SU(2) row takes its fixed point, its level and its
+    chart from this one call.
     """
+    s = s if isinstance(s, Fraction) else Fraction(s)
     _check_pole(s)
-    if not -1 <= s <= 1:
+    p, q = s.numerator, s.denominator
+    if not -q <= p <= q:
         raise UnrealizableError(f"s = {s} outside [-1, 1]: A(s) leaves SU(2)")
-    denom = (2 * s - 1) ** 2 * (1 + s)
-    if denom == 0 or 2 * s * s > denom:
+    d = 2 * p - q
+    if p == -q or 2 * p * p * q > d * d * (p + q):
         raise UnrealizableError(f"s = {s}: |u| > 1, B(s) leaves SU(2)")
-    return Su2Point(2 * s, 2 * s / (2 * s - 1), 2 * s)
+    b = q * abs(d)
+    xn, yn = 2 * p * abs(d), 2 * p * q if d > 0 else -2 * p * q
+    level_n = b * b * (2 * xn * xn + yn * yn) - b * xn * xn * yn - 2 * b**4
+    return Su2FixedPoint(s=s, b=b, xn=xn, yn=yn, zn=xn, level_n=level_n)
 
 
 def su2_commutator_trace(s):

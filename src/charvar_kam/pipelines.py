@@ -37,7 +37,8 @@ from .errors import (
 )
 from .mcg import fixed_family_su2, fixed_family_su3
 from .spectral import SpectrumReport, build_C0, classify_spectrum
-from .varieties import kappa_su2
+# not called: the SU(2) level comes from fixed_family_su2; perfbench/tracer.py looks it up here
+from .varieties import kappa_su2  # noqa: F401
 
 __all__ = ["su2_brown_point", "su3_main_point", "su3_kam_report", "SCAN_ERRORS"]
 
@@ -61,7 +62,11 @@ def _c(z) -> dict:
 
 
 def su2_brown_point(s) -> dict:
-    """Fixed point, level, multiplier, and first Birkhoff coefficient on the SU(2) side."""
+    """Fixed point, level, multiplier, and first Birkhoff coefficient on the SU(2) side.
+
+    One ``fixed_family_su2`` call gives the fixed point and its level in
+    integers; the row's floats and the chart are taken from it.
+    """
     s = s if isinstance(s, Fraction) else Fraction(s)
     row: dict = {"s": float(s)}
     try:
@@ -69,9 +74,8 @@ def su2_brown_point(s) -> dict:
     except SCAN_ERRORS as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
-    kappa = kappa_su2(p0)
-    row["fixed_point"] = [float(v) for v in p0.coords()]
-    row["ell"] = float(kappa)
+    row["fixed_point"] = list(p0.center())
+    row["ell"] = p0.level_n / p0.b**4
     if s == 0:
         # the origin is the blown-up point: the level chart is singular there
         row["degenerate"] = True
@@ -79,7 +83,7 @@ def su2_brown_point(s) -> dict:
         return row
     row["degenerate"] = False
     try:
-        chart = su2_chart_map_jet(s)
+        chart = su2_chart_map_jet(p0)
         L = chart_linear_matrix(chart)
         report = classify_spectrum(L)
         row["spec_class"] = report.classification[0]

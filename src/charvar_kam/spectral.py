@@ -52,10 +52,9 @@ def eigen_small(m, residual_tol: float = 1e-9):
         return vals, vecs
     # a Jordan block yields (near-)parallel eigenvectors with tiny residuals,
     # so defectiveness must be caught through the basis conditioning
-    if np.linalg.cond(vecs) > 1e12:
-        raise NonDiagonalizableError(
-            f"eigenvector basis condition number {np.linalg.cond(vecs):.3e}: matrix is defective"
-        )
+    cond = np.linalg.cond(vecs)
+    if cond > 1e12:
+        raise NonDiagonalizableError(f"eigenvector basis condition number {cond:.3e}: matrix is defective")
     for k in range(m.shape[0]):
         v = vecs[:, k]
         res = np.linalg.norm(m @ v - vals[k] * v)

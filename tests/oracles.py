@@ -14,11 +14,17 @@ outer component and adds term by term with jet arithmetic, which fixes the
 partial sums of each key and its insertion order.
 
 Exact reference forms of computations done in integers: the Brjuno
-continued fraction run on ``Fraction``, the SU(2) chart and the SU(3) t-jet
-whose exact parts are built from ``Fraction`` jets, and P and Q expanded over
+continued fraction run on ``Fraction``, the SU(2) fixed point and level in
+``Fraction`` arithmetic, the SU(2) chart and the SU(3) t-jet whose exact
+parts are built from ``Fraction`` jets, and P and Q expanded over
 Gaussian rationals with ``Fraction`` parts throughout.  The recentering loop
 expands every monomial afresh at each call, which fixes the items and order
 a replayed recentering plan must reproduce.
+
+The SU(2) row runs the whole row on those ``Fraction`` forms, as a row did
+before its fixed point ran in integers: one fixed point for the row and
+another inside the chart, and a linear part read one ``coefficient`` at a
+time.  It fixes the bytes of every SU(2) row, error rows included.
 
 The alpha read-off composes every p_j in full with the corrected identity
 and reads the xi_j xi_k eta_k coefficients, which fixes the floats the
@@ -37,11 +43,24 @@ from fractions import Fraction
 import numpy as np
 
 from charvar_kam import charts
-from charvar_kam.birkhoff import NORMAL_FORM_DEGREE, BrjunoResult, NormalFormInput, alpha_matrix, phi2_psi2
-from charvar_kam.errors import ConsistencyError, ShapeMismatchError, SingularChartError
+from charvar_kam.birkhoff import (
+    NORMAL_FORM_DEGREE,
+    TWIST_DET_TOL,
+    BrjunoResult,
+    NormalFormInput,
+    alpha2_closed_form,
+    alpha_matrix,
+    brjuno_partial_sum,
+    diagonalized_jets,
+    nonresonance_check,
+    phi2_psi2,
+)
+from charvar_kam.errors import ConsistencyError, ShapeMismatchError, SingularChartError, UnrealizableError
 from charvar_kam.jets import QQi, Jet, JetVector, jet_sqrt, jet_variables
-from charvar_kam.mcg import fixed_family_su2
-from charvar_kam.varieties import kappa_su2
+from charvar_kam.mcg import _check_pole
+from charvar_kam.pipelines import SCAN_ERRORS
+from charvar_kam.spectral import build_C0, classify_spectrum
+from charvar_kam.varieties import Su2Point, kappa_su2
 
 
 def _eig_product(lam, mu, e):
@@ -292,10 +311,21 @@ def brjuno_items(theta, K=20, huge_quotient=1e12):
     return BrjunoResult(partial_sum=total, terms_used=terms, rational=rational, quotients=tuple(quotients))
 
 
-def su2_chart_items(s, trunc_degree=3):
-    """(x_jet items, [map_jet component items]) of the SU(2) chart, with the exact part in Fraction jets."""
+def fixed_family_su2_fraction(s):
+    """The SU(2) fixed point in ``Fraction`` arithmetic, as an ``Su2Point`` (the former ``fixed_family_su2``)."""
+    _check_pole(s)
+    if not -1 <= s <= 1:
+        raise UnrealizableError(f"s = {s} outside [-1, 1]: A(s) leaves SU(2)")
+    denom = (2 * s - 1) ** 2 * (1 + s)
+    if denom == 0 or 2 * s * s > denom:
+        raise UnrealizableError(f"s = {s}: |u| > 1, B(s) leaves SU(2)")
+    return Su2Point(2 * s, 2 * s / (2 * s - 1), 2 * s)
+
+
+def su2_chart_fraction(s, trunc_degree=3):
+    """(x_jet, map_jet) of the SU(2) chart, with the exact part in Fraction jets."""
     s = Fraction(s)
-    p0 = fixed_family_su2(s)
+    p0 = fixed_family_su2_fraction(s)
     x0, y0, z0 = p0.coords()
     level = kappa_su2(p0)
     gap = 2 * x0 - y0 * z0
@@ -326,8 +356,85 @@ def su2_chart_items(s, trunc_degree=3):
         const = comp.constant_term()
         if not abs(float(const)) < 1e-10:
             raise ConsistencyError(f"s = {s}: chart map constant term {const} should vanish")
-        comps.append(list((comp - const)._coeffs.items()))
-    return list(x_jet._coeffs.items()), comps
+        comps.append(comp - const)
+    return x_jet, JetVector(comps)
+
+
+def su2_chart_items(s, trunc_degree=3):
+    """(x_jet items, [map_jet component items]) of ``su2_chart_fraction``."""
+    x_jet, map_jet = su2_chart_fraction(s, trunc_degree)
+    return list(x_jet._coeffs.items()), [list(c._coeffs.items()) for c in map_jet]
+
+
+def chart_linear_matrix_loop(map_jet):
+    """Linear part of a chart map, one ``coefficient`` lookup per entry."""
+    n = map_jet.num_vars
+    m = np.zeros((n, n))
+    for i, comp in enumerate(map_jet):
+        for j in range(n):
+            e = tuple(1 if k == j else 0 for k in range(n))
+            m[i, j] = float(comp.coefficient(e))
+    return m
+
+
+def _c(z) -> dict:
+    z = complex(z)
+    return {"re": z.real, "im": z.imag}
+
+
+def su2_brown_point_fraction(s) -> dict:
+    """An SU(2) row with the fixed point, its level and the chart's exact part in ``Fraction``s.
+
+    The former ``pipelines.su2_brown_point`` line for line: it calls
+    ``fixed_family_su2`` and ``kappa_su2``, and the chart builds its own fixed
+    point again; the chart is ``su2_chart_fraction`` and its linear part
+    ``chart_linear_matrix_loop``.
+    """
+    s = s if isinstance(s, Fraction) else Fraction(s)
+    row: dict = {"s": float(s)}
+    try:
+        p0 = fixed_family_su2_fraction(s)
+    except SCAN_ERRORS as exc:
+        row["error"] = f"{type(exc).__name__}: {exc}"
+        return row
+    kappa = kappa_su2(p0)
+    row["fixed_point"] = [float(v) for v in p0.coords()]
+    row["ell"] = float(kappa)
+    if s == 0:
+        # the origin is the blown-up point: the level chart is singular there
+        row["degenerate"] = True
+        row["notes"] = "kappa = -2 origin; sphere-of-directions blow-up point"
+        return row
+    row["degenerate"] = False
+    try:
+        _, map_jet = su2_chart_fraction(s)
+        L = chart_linear_matrix_loop(map_jet)
+        report = classify_spectrum(L)
+        row["spec_class"] = report.classification[0]
+        lam = report.eigenvalues[report.pairing[0][0]]
+        row["multiplier"] = _c(lam)
+        if report.classification[0] != "elliptic":
+            return row
+        row["omega"] = report.omega[0]
+        flags = nonresonance_check([lam], order=4)
+        row["resonance_flags"] = [list(f) for f in flags]
+        basis = build_C0(L, report)
+        nf = diagonalized_jets(map_jet, basis)
+        p, q = nf.p_jets[0], nf.q_jets[0]
+        alpha2 = alpha2_closed_form(
+            (p.coefficient((2, 0)), p.coefficient((1, 1)), p.coefficient((0, 2))),
+            (q.coefficient((2, 0)), q.coefficient((1, 1)), q.coefficient((0, 2))),
+            p.coefficient((2, 1)),
+            nf.lam[0],
+        )
+        gamma1 = alpha2 / (1j * nf.lam[0])
+        row["alpha2"] = _c(alpha2)
+        row["gamma1"] = _c(gamma1)
+        row["twist_ok"] = bool(abs(alpha2) > TWIST_DET_TOL)
+        row["brjuno_partial"] = brjuno_partial_sum(report.omega[0]).partial_sum
+    except SCAN_ERRORS as exc:
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    return row
 
 
 def solve_t_items(spec):

@@ -11,6 +11,7 @@ from oracles import alpha_matrix_compose, brjuno_items, diagonalized_full, funct
 from charvar_kam import charts, pipelines
 from charvar_kam.errors import ResonanceError, ShapeMismatchError
 from charvar_kam.jets import Jet, JetVector, jet_variables
+from charvar_kam.mcg import fixed_family_su2
 from charvar_kam.birkhoff import (
     NormalFormInput,
     alpha2_closed_form,
@@ -291,7 +292,7 @@ def test_diagonalized_jets_keep_the_full_conjugation_on_su3_charts(s, degree, ba
 
 
 def test_diagonalized_jets_keep_the_full_conjugation_on_the_su2_chart():
-    chart = charts.su2_chart_map_jet(Fraction(1, 10))
+    chart = charts.su2_chart_map_jet(fixed_family_su2(Fraction(1, 10)))
     L = charts.chart_linear_matrix(chart)
     got, full = _assert_kept_keys_match(chart.map_jet, build_C0(L, classify_spectrum(L)))
     assert _cubic_terms(got) == 2 < _cubic_terms(full)  # xi^2 eta in p, xi eta^2 in q

@@ -21,7 +21,7 @@ from charvar_kam.charts import (
 )
 from charvar_kam.errors import ConsistencyError, SingularChartError
 from charvar_kam.jets import Jet, jet_variables
-from charvar_kam.mcg import cat_map_su3, cat_map_su3_poly, fixed_family_su3
+from charvar_kam.mcg import cat_map_su3, cat_map_su3_poly, fixed_family_su2, fixed_family_su3
 from charvar_kam.pipelines import SCAN_ERRORS, su2_brown_point, su3_main_point
 from charvar_kam.spectral import classify_spectrum
 from charvar_kam.varieties import kappa_su2, p_poly, q_poly
@@ -316,6 +316,17 @@ def test_su2_rows_equal_stored_reference(s_text):
         assert got[key] == value, key
 
 
+def test_chart_linear_matrix_reads_the_linear_coefficients():
+    """Read by variable codes, the linear part equals the one read by exponent tuples, bit for bit."""
+    from oracles import chart_linear_matrix_loop
+
+    charts_ = [chart_map_jet(Fraction("0.2439"), 3), chart_map_jet(Fraction("0.2411"), 5)]
+    for chart in charts_ + [_su2_chart(Fraction(1, 10))]:
+        got, want = chart_linear_matrix(chart), chart_linear_matrix_loop(chart.map_jet)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("s_text", ["0.239", "0.2411"])
 def test_chart_linear_part_does_not_depend_on_degree(s_text):
     """The cat map's cubic terms reach the linear part through recentering,
@@ -329,14 +340,18 @@ def test_chart_linear_part_does_not_depend_on_degree(s_text):
 # ------------------------------------------------------------------ SU(2) chart
 
 
+def _su2_chart(s):
+    return su2_chart_map_jet(fixed_family_su2(s))
+
+
 def test_su2_chart_singular_at_origin():
     with pytest.raises(SingularChartError):
-        su2_chart_map_jet(Fraction(0))
+        _su2_chart(Fraction(0))
 
 
 def test_su2_chart_zero_constant_and_unit_determinant():
     for num in (5, 10, 20, -30):
-        ch = su2_chart_map_jet(Fraction(num, 100))
+        ch = _su2_chart(Fraction(num, 100))
         for comp in ch.map_jet:
             assert not comp.constant_term()
         L = chart_linear_matrix(ch)
@@ -351,26 +366,33 @@ def _chart_or_error(build, s):
 
 
 def test_su2_chart_equals_fraction_built_chart():
-    """The integer-built exact part gives the Fraction-built chart item for item, in order."""
+    """The integer fixed point and radicand give the Fraction-built chart item for item, in order.
+
+    At every chart degree from 1 to 5: the radicand's coefficients are
+    written out, and a degree above 3 keeps its (2, 2) term first.
+    """
     from oracles import su2_chart_items
 
-    def items(s):
-        ch = su2_chart_map_jet(s)
+    def items(s, degree):
+        ch = su2_chart_map_jet(fixed_family_su2(s), degree)
         return list(ch.x_jet._coeffs.items()), [list(c._coeffs.items()) for c in ch.map_jet]
 
     values = [Fraction(-1) + Fraction(149, 100) * Fraction(k, 19) for k in range(20)]
     values += [Fraction("0.00503"), Fraction(1, 3), Fraction(-1, 7)]
     values += [Fraction(0), Fraction(1, 10**170), Fraction(-1, 10**170), Fraction(3, 2), Fraction(-11, 10)]
     errors = {}
-    for s in values:
-        got, err = _chart_or_error(items, s)
-        want, want_err = _chart_or_error(su2_chart_items, s)
-        assert got == want, s
-        assert err == want_err, s
-        if err is None:
-            assert su2_chart_map_jet(s).level == kappa_su2((2 * s, 2 * s / (2 * s - 1), 2 * s))
-        else:
-            errors[s] = err
+    for degree in (3, 1, 2, 4, 5):
+        for s in values:
+            got, err = _chart_or_error(lambda s: items(s, degree), s)
+            want, want_err = _chart_or_error(lambda s: su2_chart_items(s, degree), s)
+            assert got == want, (s, degree)
+            assert err == want_err, (s, degree)
+            if err is None:
+                p0 = _su2_chart(s).fixed_point
+                assert p0.coords() == (2 * s, 2 * s / (2 * s - 1), 2 * s)
+                assert Fraction(p0.level_n, p0.b**4) == kappa_su2(p0.coords())
+            else:
+                errors[s] = err
     assert len(values) - len(errors) >= 12
     assert "origin blow-up" in errors[Fraction(0)]
     assert "underflows to 0.0" in errors[Fraction(1, 10**170)]
@@ -378,24 +400,23 @@ def test_su2_chart_equals_fraction_built_chart():
 
 
 def test_su2_x_jet_solves_level_equation():
-    s = Fraction(1, 10)
-    ch = su2_chart_map_jet(s)
+    ch = _su2_chart(Fraction(1, 10))
     rng = random.Random(7)
-    x0, y0, z0 = ch.center
+    p0 = ch.fixed_point
+    x0, y0, z0 = p0.center()
     for _ in range(10):
         dy, dz = rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3)
         x = ch.x_jet.eval([dy, dz])
         k = kappa_su2((x, y0 + dy, z0 + dz))
-        assert abs(k - float(ch.level)) < 1e-10
+        assert abs(k - p0.level_n / p0.b**4) < 1e-10
 
 
 def test_su2_chart_map_tracks_exact_action():
     from charvar_kam.mcg import cat_map_su2
     from charvar_kam.varieties import Su2Point
 
-    s = Fraction(1, 10)
-    ch = su2_chart_map_jet(s)
-    x0, y0, z0 = ch.center
+    ch = _su2_chart(Fraction(1, 10))
+    x0, y0, z0 = ch.fixed_point.center()
     rng = random.Random(9)
     for norm in (1e-3,):
         for _ in range(5):

@@ -374,6 +374,24 @@ def test_kernels_reject_a_key_outside_the_shape():
     assert (3, -1) not in table.codes and (3, -1) not in table.exps.values()
 
 
+def test_decoding_a_code_outside_the_shape_leaves_the_table_intact():
+    """decode raises on a code that is no monomial of the shape, before recording it.
+
+    2 * top has exponent digits 0 and degree digit 2; recorded, it would be
+    the code of the constant, and every later jet of the shape would lose
+    its constant term.
+    """
+    table = _monomials(6, 3)
+    # degree digit 2 over exponents 0; a negative code; digits summing to 6 > td with degree digit 6
+    for code in (8192, -1, table.top, 3 + 3 * table.base + 6 * table.top):
+        with pytest.raises(ShapeMismatchError):
+            table.decode(code)
+        assert code not in table.exps
+    assert table.encode((0,) * 6) == 0
+    assert Jet.constant(6, 3, 1.0).coefficient((0,) * 6) == 1.0
+    assert table.decode(table.weights[2] + table.weights[5]) == (0, 0, 1, 0, 0, 1)
+
+
 # ---------------------------------------------------------------- compose
 
 

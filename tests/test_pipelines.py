@@ -1,5 +1,6 @@
 import cmath
 import gc
+import io
 import random
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ import pytest
 from charvar_kam.birkhoff import KamReport, birkhoff_coefficients, diagonalized_jets
 from charvar_kam.charts import ChartJet, chart_linear_matrix, chart_map_jet
 from charvar_kam.errors import ResonanceError
-from charvar_kam import spectral
+from charvar_kam import charts, pipelines, spectral
+from charvar_kam.cli import dump_deterministic_json
 from charvar_kam.pipelines import su2_brown_point, su3_kam_report, su3_main_point
 from charvar_kam.spectral import build_C0, classify_spectrum
 
@@ -222,3 +224,59 @@ def test_one_eigendecomposition_per_elliptic_row(monkeypatch, point, s):
     row = point(Fraction(s))
     assert row["twist_ok"] is True  # elliptic: the row went through build_C0
     assert len(calls) == 1
+
+
+def test_one_fixed_point_per_su2_row(monkeypatch):
+    """The SU(2) chart takes the row's fixed point instead of computing it again."""
+    fixed = pipelines.fixed_family_su2
+    calls = []
+
+    def counting_fixed_point(s):
+        calls.append(s)
+        return fixed(s)
+
+    for module in (pipelines, charts):
+        monkeypatch.setattr(module, "fixed_family_su2", counting_fixed_point)
+    row = su2_brown_point(Fraction(1, 10))
+    assert row["twist_ok"] is True  # elliptic: the row built its chart
+    assert calls == [Fraction(1, 10)]
+
+
+def _row_bytes(row) -> str:
+    out = io.StringIO()
+    dump_deterministic_json(row, out)
+    return out.getvalue()
+
+
+def test_su2_rows_equal_fraction_oracle():
+    """Each SU(2) row, error rows included, is byte for byte the row of the Fraction oracle.
+
+    The standard sweep, a grid over [-1.2, 1.2] (poles, both realizability
+    bounds, the origin, the singular chart at s = 1, defective and hyperbolic
+    spectra) and single points: the discriminant underflow at +-10^-170, a
+    root-of-unity multiplier at 10^-150, a non-finite linear part at 10^-160,
+    and both sides of the pole.
+    """
+    from oracles import su2_brown_point_fraction
+
+    values = [Fraction(k, 1000) for k in range(5, 250)]
+    values += [Fraction(k - 1200, 1000) for k in range(2401)]
+    tiny = Fraction(1, 10**170)
+    values += [Fraction(0), Fraction(1), tiny, -tiny, Fraction(1, 2) + Fraction(1, 10**9)]
+    values += [Fraction(1, 2) - Fraction(1, 10**9), Fraction(9, 10), Fraction(-1)]
+    values += [Fraction(1, 10**150), Fraction(1, 10**160)]
+    kinds = set()
+    for s in values:
+        row = su2_brown_point(s)
+        assert _row_bytes(row) == _row_bytes(su2_brown_point_fraction(s)), s
+        kinds.add(row["error"].split(":")[0] if "error" in row else row.get("spec_class", "degenerate"))
+    assert kinds == {
+        "elliptic",
+        "hyperbolic",
+        "degenerate",
+        "PoleError",
+        "UnrealizableError",
+        "SingularChartError",
+        "NonDiagonalizableError",
+        "ResonanceError",
+    }

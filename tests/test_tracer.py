@@ -36,3 +36,4 @@ def test_tracer_wraps_and_restores_every_traced_name():
     assert su2["rows"][0]["twist_ok"] is True
     assert len(tracer.row_s) == 2
     assert tracer.stats["charts._substituted_pq"][0] == 1
+    assert tracer.stats["mcg.fixed_family_su2"][0] == 1  # the SU(2) row's one fixed point
