@@ -17,7 +17,8 @@ coordinates) as a plan of integer steps, and each row replays it with its
 own center powers.  P and Q are recentered and t-substituted once per chart,
 in one substitution call that shares the powers of the t-jet; the z-solve
 and both residual diagnostics read that one result.  The six kept cat-map
-components likewise take one t-call and one z-call.
+components likewise take one t-call and one z-call.  The chart takes the
+row's exact fixed point, ``fixed_family_su3(s)``.
 
 SU(2): the level set kappa = ell is a surface in (x, y, z); x is eliminated
 from the quadratic kappa = ell (branch from the center) and (y, z) survive.
@@ -45,9 +46,9 @@ import numpy as np
 
 from .errors import ConsistencyError, DegenerateChartError, SingularChartError
 from .jets import Jet, JetVector, _monomials, jet_sqrt, jet_variables
-# fixed_family_su2 is not called here (the SU(2) chart takes its result), but
-# perfbench/tracer.py looks it up in this module
-from .mcg import Su2FixedPoint, cat_map_su3_poly, fixed_family_su2, fixed_family_su3  # noqa: F401
+# the fixed families are not called here (each chart takes its row's result), but
+# perfbench/tracer.py looks them up in this module
+from .mcg import FixedPointSample, Su2FixedPoint, cat_map_su3_poly, fixed_family_su2, fixed_family_su3  # noqa: F401
 from .varieties import Su3Point, p_poly, q_poly
 
 __all__ = [
@@ -77,10 +78,6 @@ _Z7 = 4  # index of z in the 7-variable space
 _T8 = 6  # index of t in the 8-variable space
 
 
-def _as_fraction(s) -> Fraction:
-    return s if isinstance(s, Fraction) else Fraction(s)
-
-
 @dataclass(frozen=True)
 class ChartSpec:
     """Chart data at the s-parameterized SU(3) fixed point.
@@ -96,24 +93,16 @@ class ChartSpec:
     trunc_degree: int = 3
 
 
-def chart_spec(s, trunc_degree: int = 3) -> ChartSpec:
-    """Validate smoothness of the t-elimination at the fixed point of parameter s."""
-    s = _as_fraction(s)
-    fp = fixed_family_su3(s)
-    c = fp.su3_point
+def chart_spec(fp: FixedPointSample, trunc_degree: int = 3) -> ChartSpec:
+    """Validate smoothness of the t-elimination at the exact fixed point ``fp = fixed_family_su3(s)``."""
+    s, c = fp.s, fp.su3_point
     # P/2 = ell is quadratic in t with root t = (xy + XY) + branch * sqrt(R);
     # at the center R0 = (t0 - x0 y0)^2, so smoothness needs t0 != x0 y0
     gap = c.t - c.x * c.y
     if gap == 0:
         raise SingularChartError(f"s = {s}: radicand vanishes at the center, chart is singular")
     branch = 1 if gap > 0 else -1
-    return ChartSpec(
-        s=s,
-        center=c,
-        level=Fraction(fp.level.zeta),
-        sqrt_branch=branch,
-        trunc_degree=trunc_degree,
-    )
+    return ChartSpec(s=s, center=c, level=fp.level.zeta, sqrt_branch=branch, trunc_degree=trunc_degree)
 
 
 def _center7(spec: ChartSpec) -> tuple:
@@ -270,6 +259,14 @@ def _p_no_t_7() -> Jet:
     return Jet(7, p_poly().trunc_degree, coeffs)
 
 
+def _finite_sqrt(radicand: Jet, s) -> Jet:
+    """``jet_sqrt(radicand)``, or SingularChartError when a constant term too small for 1 / it makes the root not finite."""
+    root = jet_sqrt(radicand)
+    if not all(map(math.isfinite, root._coded.values())):
+        raise SingularChartError(f"s = {s}: radicand at the center is too small for double precision")
+    return root
+
+
 def solve_t(spec: ChartSpec) -> Jet:
     """Degree-3 jet of t over (x, X, y, Y, z, Z, T) displacements from the center.
 
@@ -309,7 +306,7 @@ def solve_t(spec: ChartSpec) -> Jet:
     radicand = radicand.map_coefficients(lambda n: n / den)
     if not radicand.constant_term():
         raise SingularChartError(f"s = {spec.s}: radicand at the center underflows to 0.0")
-    root = jet_sqrt(radicand)
+    root = _finite_sqrt(radicand, spec.s)
     return a_jet.map_coefficients(lambda n: n / b2) + root * float(spec.sqrt_branch)
 
 
@@ -340,8 +337,11 @@ def solve_z_implicit(spec: ChartSpec, h: Jet) -> Jet:
     ``h`` is H after the t-substitution (7 variables, see ``_h_tilde``).
     Fixed-slope Newton on jets gains one degree of accuracy per sweep, so
     trunc_degree + 1 sweeps determine the jet completely.  The implicit
-    function theorem hypothesis dH/dz != 0 is checked numerically.
+    function theorem hypothesis dH/dz != 0 is checked numerically, after H
+    is checked to be finite (its coefficients overflow for |s| >~ 1e24).
     """
+    if not all(map(math.isfinite, h._coded.values())):
+        raise OverflowError(f"s = {spec.s}: H = (P/2)^2 - Q overflows a double")
     td = spec.trunc_degree
     e_z = tuple(1 if i == _Z7 else 0 for i in range(7))
     slope = float(h.coefficient(e_z))
@@ -433,16 +433,17 @@ def _chart_map_jet_cached(spec: ChartSpec) -> ChartJet:
     return ChartJet(spec=spec, t_jet=t_jet, z_jet=z_jet, map_jet=JetVector(out), p7=p7, h7=h7)
 
 
-# A scan builds each chart once; the one re-read is ``cli.compare_golden``
-# looking up the s = .249 chart twice, so one entry is enough.
+# A scan builds each chart once; the one re-read is ``--golden``, which looks
+# the s = .249 chart up twice (``cli.compare_golden`` itself, then through
+# ``su3_kam_report``), so one entry keyed by the fixed point is enough.
 @lru_cache(maxsize=1)
-def _chart_cache(s: Fraction, trunc_degree: int) -> ChartJet:
-    return _chart_map_jet_cached(chart_spec(s, trunc_degree))
+def _chart_cache(fp: FixedPointSample, trunc_degree: int) -> ChartJet:
+    return _chart_map_jet_cached(chart_spec(fp, trunc_degree))
 
 
-def chart_map_jet(s, trunc_degree: int = 3) -> ChartJet:
-    """Degree-3 jet of the cat map in the 6 chart variables at the fixed point."""
-    return _chart_cache(_as_fraction(s), trunc_degree)
+def chart_map_jet(fp: FixedPointSample, trunc_degree: int = 3) -> ChartJet:
+    """Jet of the cat map in the 6 chart variables at the fixed point ``fp = fixed_family_su3(s)``."""
+    return _chart_cache(fp, trunc_degree)
 
 
 def chart_linear_matrix(chart: ChartJet) -> np.ndarray:
@@ -508,7 +509,7 @@ def su2_chart_map_jet(p0: Su2FixedPoint, trunc_degree: int = 3) -> Su2ChartJet:
     if not disc.constant_term():
         raise SingularChartError(f"s = {s}: discriminant at the center underflows to 0.0")
     yz = _float_jet2(trunc_degree, (((1, 1), b2), ((1, 0), b * zn), ((0, 1), b * yn), ((0, 0), yn * zn)), b2)
-    x_jet = yz + jet_sqrt(disc) * float(branch)
+    x_jet = yz + _finite_sqrt(disc, s) * float(branch)
     x_jet = x_jet * 0.5
     yf = _float_jet2(trunc_degree, (((1, 0), b), ((0, 0), yn)), b)
     zf = _float_jet2(trunc_degree, (((0, 1), b), ((0, 0), zn)), b)

@@ -19,7 +19,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .charts import chart_map_jet
-from .pipelines import su2_brown_point, su3_kam_report, su3_main_point
+from .mcg import fixed_family_su3
+from .pipelines import SCAN_ERRORS, su2_brown_point, su3_kam_report, su3_main_point
 
 __all__ = ["RunConfig", "run", "dump_goldens", "main"]
 
@@ -139,13 +140,17 @@ class RunConfig:
 
 
 def parse_s_values(text: str) -> list:
-    """Parse '0.239,0.24' or '0.239:0.249:0.002' into exact Fractions (at most MAX_S_VALUES)."""
+    """Parse '0.239,0.24' or '0.239:0.249:0.002' into exact Fractions (at most MAX_S_VALUES).
+
+    Each s must fit a double, since the report prints it as one; for a range
+    its start and stop are checked.
+    """
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError("range syntax is start:stop:step")
-        start, stop, step = (Fraction(p) for p in parts)
+        start, stop, step = _in_double_range(parts[0]), _in_double_range(parts[1]), Fraction(parts[2])
         if step <= 0:
             raise ValueError("range step must be positive")
         count = max(0, (stop - start) // step + 1)
@@ -153,7 +158,16 @@ def parse_s_values(text: str) -> list:
         return [start + k * step for k in range(count)]
     parts = [p for p in text.split(",") if p.strip()]
     _check_count(len(parts))
-    return [Fraction(p) for p in parts]
+    return [_in_double_range(p) for p in parts]
+
+
+def _in_double_range(text: str) -> Fraction:
+    s = Fraction(text)
+    try:
+        float(s)
+    except OverflowError:
+        raise ValueError(f"s = {text.strip()} is outside the double range") from None
+    return s
 
 
 def _check_count(count: int):
@@ -317,6 +331,8 @@ def _read_golden(path) -> dict:
     for keys in _GOLDEN_NUMBERS:
         if not is_number(value_at(keys)):
             raise ValueError(f"golden file {path}: {'.'.join(keys)} is not a number")
+    if not math.isfinite(golden["s"]):
+        raise ValueError(f"golden file {path}: s is not finite")
     for name, num_vars in _GOLDEN_TERMS:
         terms = value_at((name, "terms"))
         if not isinstance(terms, list):
@@ -342,12 +358,14 @@ def compare_golden(path: Path, rel_tol: float = 1e-3) -> dict:
 
     Jet coefficients are binding at 1e-3 relative (6 printed digits); the
     alpha matrix entries are a diagnostic because they depend on the
-    eigenvector normalization.
+    eigenvector normalization.  A scan error at the file's s (a pole, a
+    spectrum that is not elliptic, values too large for a double) is recorded
+    as ``error`` with ``ok`` false, after the checks that ran.
     """
     golden = _read_golden(path)
     s = Fraction(str(golden["s"]))
-    chart = chart_map_jet(s)
     checks = []
+    result = {"file": str(path), "rel_tol": rel_tol, "ok": False, "checks": checks}
 
     def check(name, got, want, binding=True):
         rel = abs(got - want) / max(abs(want), 1e-30)
@@ -356,6 +374,11 @@ def compare_golden(path: Path, rel_tol: float = 1e-3) -> dict:
              "binding": binding, "ok": rel <= rel_tol}
         )
 
+    try:
+        chart = chart_map_jet(fixed_family_su3(s))
+    except SCAN_ERRORS as exc:
+        result["error"] = f"{type(exc).__name__}: {exc}"
+        return result
     tj = chart.t_jet
     check("t_jet.constant", tj.constant_term(), golden["t_jet"]["constant"])
     for term in golden["t_jet"]["terms"]:
@@ -372,7 +395,11 @@ def compare_golden(path: Path, rel_tol: float = 1e-3) -> dict:
         got = zj.coefficient(e) * math.factorial(sum(e))
         check(f"z_jet[{','.join(map(str, e))}]", got, term["printed"])
     # diagnostic only: normalization-dependent
-    det = complex(su3_kam_report(s).alpha_det)
+    try:
+        det = complex(su3_kam_report(s).alpha_det)
+    except SCAN_ERRORS as exc:
+        result["error"] = f"{type(exc).__name__}: {exc}"
+        return result
     want_det = complex(golden["alpha"]["det"]["re"], golden["alpha"]["det"]["im"])
     checks.append(
         {
@@ -384,8 +411,8 @@ def compare_golden(path: Path, rel_tol: float = 1e-3) -> dict:
             "ok": abs(det) > 1e-3,
         }
     )
-    ok = all(c["ok"] for c in checks if c["binding"])
-    return {"file": str(path), "rel_tol": rel_tol, "ok": ok, "checks": checks}
+    result["ok"] = all(c["ok"] for c in checks if c["binding"])
+    return result
 
 
 def write_report(report: dict, cfg: RunConfig):

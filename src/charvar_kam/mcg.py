@@ -293,10 +293,9 @@ def level_of_s(s):
 
 @dataclass(frozen=True)
 class FixedPointSample:
-    """An s-parameterized cat-map fixed point with its level value."""
+    """The SU(3) cat-map fixed point of parameter s with its level value, all exact."""
 
-    s: object
-    su2_point: Su2Point
+    s: Fraction
     su3_point: Su3Point
     level: LevelValue
 
@@ -307,18 +306,16 @@ def fixed_family_su3(s) -> FixedPointSample:
     Defined for every s != 1/2: the tuple is fixed by the cat map as a
     polynomial identity.  It corresponds to an actual SU(3) representation
     only when B(s) exists, i.e. inside realizable_interval bounds; callers
-    that need membership should check the level against the deltoid.
+    that need membership should check the level against the deltoid.  s is
+    made a ``Fraction`` first, so the point is exact; an SU(3) row takes its
+    fixed point, its level and its chart from this one call.
     """
+    s = s if isinstance(s, Fraction) else Fraction(s)
     _check_pole(s)
     a = -1 + 4 * s * s
     b = -1 + 4 * s * s / (1 - 2 * s) ** 2
     su3 = Su3Point(a, 0, b, 0, a, 0, b, 0, U=0, branch=1)
-    return FixedPointSample(
-        s=s,
-        su2_point=Su2Point(2 * s, 2 * s / (2 * s - 1), 2 * s),
-        su3_point=su3,
-        level=LevelValue(level_of_s(s), 0),
-    )
+    return FixedPointSample(s=s, su3_point=su3, level=LevelValue(level_of_s(s), 0))
 
 
 # --------------------------------------------------------------------------

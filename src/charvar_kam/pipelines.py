@@ -53,6 +53,7 @@ SCAN_ERRORS = (
     NonDiagonalizableError,
     ShapeMismatchError,
     ConsistencyError,
+    OverflowError,  # values too large for a double
 )
 
 
@@ -113,21 +114,14 @@ def su2_brown_point(s) -> dict:
     return row
 
 
-def _su3_spectrum(chart: ChartJet) -> tuple[np.ndarray, SpectrumReport]:
-    """First half of the SU(3) chain: linear part of the chart map and its spectrum.
-
-    The chain stops here when the spectrum is not elliptic, and a scan row
-    records the spectrum before the second half runs, so a row whose normal
-    form fails still reports it.
-    """
-    L = chart_linear_matrix(chart)
-    return L, classify_spectrum(L)
-
-
 def _su3_verdicts(
     chart: ChartJet, L: np.ndarray, spectrum: SpectrumReport
 ) -> tuple[BirkhoffCoefficients, KamReport]:
-    """Second half, for an elliptic spectrum: Birkhoff coefficients and KAM verdicts."""
+    """Birkhoff coefficients and KAM verdicts from an SU(3) chart and its elliptic spectrum.
+
+    Kept apart from the spectrum, so a scan row records the spectrum before
+    this runs and a row whose normal form fails still reports it.
+    """
     nf = diagonalized_jets(chart.map_jet, build_C0(L, spectrum))
     bc = birkhoff_coefficients(nf)
     det = twist_determinant(bc.alpha)
@@ -144,32 +138,34 @@ def _su3_verdicts(
 
 def su3_kam_report(s, trunc_degree: int = 3) -> KamReport:
     """Twist/non-planarity verdicts for the SU(3) fixed point at parameter s."""
-    chart = chart_map_jet(s, trunc_degree)
-    L, spectrum = _su3_spectrum(chart)
+    chart = chart_map_jet(fixed_family_su3(s), trunc_degree)
+    L = chart_linear_matrix(chart)
+    spectrum = classify_spectrum(L)
     if not spectrum.is_elliptic():
         raise ResonanceError(f"spectrum at s = {s} is not elliptic: {spectrum.classification}")
     return _su3_verdicts(chart, L, spectrum)[1]
 
 
 def su3_main_point(s, trunc_degree: int = 3, dump_jets: bool = False) -> dict:
-    """Full per-s row of the SU(3) pipeline: chart, spectrum, alpha matrix, verdicts."""
+    """Full per-s row of the SU(3) pipeline: chart, spectrum, alpha matrix, verdicts.
+
+    One ``fixed_family_su3`` call gives the exact fixed point and its level;
+    the row's floats and the chart are taken from it.
+    """
     s = s if isinstance(s, Fraction) else Fraction(s)
     row: dict = {"s": float(s)}
     try:
         fp = fixed_family_su3(s)
-    except SCAN_ERRORS as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
-    row["fixed_point"] = [float(v) for v in fp.su3_point.coords9()]
-    row["ell"] = float(fp.level.zeta)
-    row["on_variety"] = bool(fp.level.in_deltoid(tol=1e-9))
-    if not row["on_variety"]:
-        row["notes"] = "fixed-line formula leaves the character variety at this s (formal chart only)"
-    try:
-        chart = chart_map_jet(s, trunc_degree)
+        row["fixed_point"] = [float(v) for v in fp.su3_point.coords9()]
+        row["ell"] = float(fp.level.zeta)
+        row["on_variety"] = bool(fp.level.in_deltoid(tol=1e-9))
+        if not row["on_variety"]:
+            row["notes"] = "fixed-line formula leaves the character variety at this s (formal chart only)"
+        chart = chart_map_jet(fp, trunc_degree)
         row["residual_h"] = chart.residual_h()
         row["residual_level"] = chart.residual_level()
-        L, spectrum = _su3_spectrum(chart)
+        L = chart_linear_matrix(chart)
+        spectrum = classify_spectrum(L)
         row["spec_class"] = list(spectrum.classification)
         row["eigenvalues"] = [_c(v) for v in spectrum.eigenvalues]
         if dump_jets:

@@ -344,7 +344,10 @@ def su2_chart_fraction(s, trunc_degree=3):
     disc = disc.map_coefficients(float)
     if not disc.constant_term():
         raise SingularChartError(f"s = {s}: discriminant at the center underflows to 0.0")
-    x_jet = yz.map_coefficients(float) + jet_sqrt(disc) * float(branch)
+    root = jet_sqrt(disc)
+    if not all(math.isfinite(c) for c in root.coeffs.values()):
+        raise SingularChartError(f"s = {s}: radicand at the center is too small for double precision")
+    x_jet = yz.map_coefficients(float) + root * float(branch)
     x_jet = x_jet * 0.5
     yf = yv.map_coefficients(float)
     zf = zv.map_coefficients(float)

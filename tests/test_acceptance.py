@@ -115,7 +115,7 @@ def test_criterion_1_exact_identities():
 def test_criterion_2_chart_golden_s249():
     """Printed s=.249 jet values at 1e-3 relative; residuals below 1e-7."""
     t0 = time.monotonic()
-    chart = chart_map_jet(S249)
+    chart = chart_map_jet(fixed_family_su3(S249))
     tj, zj = chart.t_jet, chart.z_jet
 
     def printed(jet, exps):
@@ -138,7 +138,7 @@ def test_criterion_2_chart_golden_s249():
 def test_criterion_3_spectrum_window():
     """Elliptic spectrum across the window; exact torus multipliers at the level-2 end."""
     for s in WINDOW:
-        rep = classify_spectrum(chart_linear_matrix(chart_map_jet(s)))
+        rep = classify_spectrum(chart_linear_matrix(chart_map_jet(fixed_family_su3(s))))
         assert rep.is_elliptic(), f"s = {s} not elliptic"
         assert len(rep.pairing) == 3
         for v in rep.eigenvalues:
@@ -214,7 +214,7 @@ def test_criterion_4_su2_brown_gap_fill():
 
 
 def _verdict_data(s):
-    chart = chart_map_jet(s)
+    chart = chart_map_jet(fixed_family_su3(s))
     L = chart_linear_matrix(chart)
     rep = classify_spectrum(L)
     basis = build_C0(L, rep)
@@ -327,7 +327,7 @@ def test_criterion_6_property_suites():
             for res in (res_p, res_q):
                 assert max((abs(v) for v in res.coeffs.values()), default=0.0) < 1e-12
     # order-3 accuracy of the chart jets (ratio >= 15 under halving)
-    chart = chart_map_jet(S249)
+    chart = chart_map_jet(fixed_family_su3(S249))
     centers8 = [float(v) for v in chart.spec.center.coords8()]
 
     def exact_image(v):

@@ -8,10 +8,10 @@ import pytest
 
 from oracles import alpha_matrix_compose, brjuno_items, diagonalized_full, functional_equation_residual
 
-from charvar_kam import charts, pipelines
+from charvar_kam import charts
 from charvar_kam.errors import ResonanceError, ShapeMismatchError
 from charvar_kam.jets import Jet, JetVector, jet_variables
-from charvar_kam.mcg import fixed_family_su2
+from charvar_kam.mcg import fixed_family_su2, fixed_family_su3
 from charvar_kam.birkhoff import (
     NormalFormInput,
     alpha2_closed_form,
@@ -234,8 +234,9 @@ def test_alpha_matches_the_full_composition_when_partial_sums_cancel():
 
 @pytest.mark.parametrize("s", ["0.2411", "0.2439"])
 def test_alpha_matches_the_full_composition_on_a_real_su3_chart(s):
-    chart = charts.chart_map_jet(Fraction(s))
-    L, spectrum = pipelines._su3_spectrum(chart)
+    chart = charts.chart_map_jet(fixed_family_su3(Fraction(s)))
+    L = charts.chart_linear_matrix(chart)
+    spectrum = classify_spectrum(L)
     nf = diagonalized_jets(chart.map_jet, build_C0(L, spectrum))
     assert nf.d == 3
     assert _assert_alpha_bitwise(nf).all()
@@ -280,8 +281,9 @@ def _cubic_terms(nf):
 )
 def test_diagonalized_jets_keep_the_full_conjugation_on_su3_charts(s, degree, basis_entries):
     """Sparse (20 nonzero C0 entries) and dense (30) bases, a td-5 chart and a td-2 chart."""
-    chart = charts.chart_map_jet(Fraction(s), degree)
-    L, spectrum = pipelines._su3_spectrum(chart)
+    chart = charts.chart_map_jet(fixed_family_su3(Fraction(s)), degree)
+    L = charts.chart_linear_matrix(chart)
+    spectrum = classify_spectrum(L)
     basis = build_C0(L, spectrum)
     assert np.count_nonzero(basis.C0) == basis_entries
     got, full = _assert_kept_keys_match(chart.map_jet, basis)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from charvar_kam import charts, cli, jets
+from charvar_kam.mcg import fixed_family_su3
 
 _REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -45,7 +46,7 @@ def test_plan_cache_holds_one_plan_per_polynomial_degree_and_zero_pattern():
     first = [Fraction(k, 10000) for k in range(2390, 2490, 2)]
     assert len(first) == 50
     cli.run(cli.RunConfig(pipeline="su3-main", s_values=first))
-    patterns = {tuple(not c for c in charts._center8(charts.chart_spec(s))) for s in first}
+    patterns = {tuple(not c for c in charts._center8(charts.chart_spec(fixed_family_su3(s)))) for s in first}
     info = charts._shift_plan.cache_info()
     # P, Q, P without t and the six kept cat-map components: each built once
     assert len(patterns) == 1 and info.currsize == info.misses == 9

@@ -38,11 +38,11 @@ def printed(jet, exps):
 
 @pytest.fixture(scope="module")
 def chart249():
-    return chart_map_jet(S249)
+    return chart_map_jet(fixed_family_su3(S249))
 
 
 def test_chart_spec_branch_and_level():
-    spec = chart_spec(S249)
+    spec = chart_spec(fixed_family_su3(S249))
     assert spec.sqrt_branch == -1
     assert float(spec.level) == pytest.approx(-0.9250133569004855, abs=1e-13)
 
@@ -84,7 +84,7 @@ def test_elimination_residuals(chart249):
 def test_branch_constant_matches_center_along_scan():
     for num in (239, 242, 245, 249):
         s = Fraction(num, 1000)
-        spec = chart_spec(s)
+        spec = chart_spec(fixed_family_su3(s))
         tj = solve_t(spec)
         assert tj.constant_term() == pytest.approx(float(spec.center.t), abs=1e-12)
         zj = solve_z_implicit(spec, _h_tilde(*_substituted_pq(spec, tj)))
@@ -152,13 +152,13 @@ def test_chart_degenerates_at_s0():
     from charvar_kam.errors import DegenerateChartError
 
     with pytest.raises(DegenerateChartError):
-        chart_map_jet(Fraction(0))
+        chart_map_jet(fixed_family_su3(Fraction(0)))
 
 
 def test_spectrum_near_s0_mixed():
     # near s = 0 the spectrum mixes: one elliptic pair and two hyperbolic pairs
     # whose multipliers approach the torus values (3 +/- sqrt(5))/2
-    chart = chart_map_jet(Fraction(1, 100))
+    chart = chart_map_jet(fixed_family_su3(Fraction(1, 100)))
     rep = classify_spectrum(chart_linear_matrix(chart))
     assert sorted(rep.classification) == ["elliptic", "hyperbolic", "hyperbolic"]
     mags = sorted(
@@ -200,7 +200,7 @@ _ODD_CENTER = (Fraction(0), Fraction(1, 3), Fraction(1, 3), 0, Fraction(-2, 7), 
 
 @pytest.mark.parametrize("trunc_degree", [3, 4, 5])
 def test_translate_matches_compose_items_and_order(trunc_degree):
-    spec = chart_spec(S249, trunc_degree)
+    spec = chart_spec(fixed_family_su3(S249), trunc_degree)
     centers8 = charts._center8(spec)
     cases = [(p_poly(), centers8), (q_poly(), centers8), (charts._p_no_t_7(), charts._center7(spec))]
     for i in charts._KEEP_COMPONENTS:
@@ -224,7 +224,7 @@ def test_translate_replays_the_expansion_loop(s, trunc_degree):
     if s == "odd":
         cases = [(poly, _ODD_CENTER) for poly in polys8]
     else:
-        spec = chart_spec(Fraction(s), trunc_degree)
+        spec = chart_spec(fixed_family_su3(Fraction(s)), trunc_degree)
         cases = [(poly, charts._center8(spec)) for poly in polys8]
         cases.append((charts._p_no_t_7(), charts._center7(spec)))
     for poly, centers in cases:
@@ -239,7 +239,7 @@ def test_solve_t_matches_the_fraction_built_t_jet(s, trunc_degree):
     """The t-jet built in scaled integers has the items, in order, of the Fraction-built one."""
     from oracles import solve_t_items
 
-    spec = chart_spec(Fraction(s), trunc_degree)
+    spec = chart_spec(fixed_family_su3(Fraction(s)), trunc_degree)
     got = list(solve_t(spec)._coeffs.items())
     assert got == solve_t_items(spec)
     assert all(type(c) is float for _, c in got)
@@ -276,7 +276,7 @@ def test_chart_build_recenters_p_and_q_once(monkeypatch):
 
     monkeypatch.setattr(charts, "_substituted_pq", counted)
     charts._chart_cache.cache_clear()
-    chart = chart_map_jet(S249)
+    chart = chart_map_jet(fixed_family_su3(S249))
     assert calls == [S249]
     p7, q7 = real(chart.spec, chart.t_jet)
     zeta = chart.z_jet - chart.z_jet.constant_term()
@@ -320,7 +320,7 @@ def test_chart_linear_matrix_reads_the_linear_coefficients():
     """Read by variable codes, the linear part equals the one read by exponent tuples, bit for bit."""
     from oracles import chart_linear_matrix_loop
 
-    charts_ = [chart_map_jet(Fraction("0.2439"), 3), chart_map_jet(Fraction("0.2411"), 5)]
+    charts_ = [chart_map_jet(fixed_family_su3(Fraction("0.2439")), 3), chart_map_jet(fixed_family_su3(Fraction("0.2411")), 5)]
     for chart in charts_ + [_su2_chart(Fraction(1, 10))]:
         got, want = chart_linear_matrix(chart), chart_linear_matrix_loop(chart.map_jet)
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -332,7 +332,7 @@ def test_chart_linear_part_does_not_depend_on_degree(s_text):
     """The cat map's cubic terms reach the linear part through recentering,
     so a degree-2 chart builds the cat map at its full degree too."""
     s = Fraction(s_text)
-    m2, m3, m4 = (chart_linear_matrix(chart_map_jet(s, td)) for td in (2, 3, 4))
+    m2, m3, m4 = (chart_linear_matrix(chart_map_jet(fixed_family_su3(s), td)) for td in (2, 3, 4))
     assert (m2 == m3).all() and (m3 == m4).all()
     assert classify_spectrum(m2).classification == ("elliptic",) * 3
 
@@ -432,7 +432,7 @@ def test_su2_chart_map_tracks_exact_action():
 
 def test_center_off_level_raises_scan_error():
     """A center that misses P/2 = ell raises a typed error a scan records, even under -O."""
-    spec = chart_spec(S249)
+    spec = chart_spec(fixed_family_su3(S249))
     off = dataclasses.replace(spec, level=spec.level + Fraction(1, 10**6))
     with pytest.raises(ConsistencyError):
         solve_t(off)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import resource
 import subprocess
@@ -98,6 +99,18 @@ def test_cli_exit_2_on_pole():
     assert "config error" in res.stderr
 
 
+@pytest.mark.parametrize("pipeline", ["su2-brown", "su3-main"])
+@pytest.mark.parametrize("s_text, bad", [("0.1,1e400", "1e400"), ("-1e309:0:1e300", "-1e309")])
+def test_s_outside_the_double_range_is_a_config_error_before_any_row(monkeypatch, capsys, pipeline, s_text, bad):
+    rows = []
+    monkeypatch.setattr(cli, "su3_main_point", lambda *args: rows.append(args) or {})
+    monkeypatch.setattr(cli, "su2_brown_point", lambda *args: rows.append(args) or {})
+    code = cli.main(["--pipeline", pipeline, "--s", s_text])
+    out = capsys.readouterr()
+    assert (code, rows, out.out) == (2, [], "")
+    assert out.err == f"config error: s = {bad} is outside the double range\n"
+
+
 def test_cli_s_takes_a_negative_start_as_its_own_argument():
     """``--s -1:...`` reads the range, as ``--s=-1:...`` does; ``--s --format`` is still an error."""
     spaced = run_cli(["--pipeline", "su2-brown", "--s", "-1:-0.9:0.05", "--format", "csv"])
@@ -175,14 +188,18 @@ def test_su2_scan_ignores_golden():
         ("{}", "s is missing"),
         ('{"s": 0.249}', "fixed_point_shifts is missing"),
         ("golden with a bad term", "t_jet.terms[0].exps is not a list of 7 non-negative integers"),
+        ("golden with an infinite s", "s is not finite"),
     ],
 )
 def test_bad_golden_file_is_a_config_error_before_any_row(tmp_path, monkeypatch, capsys, content, message):
     path = tmp_path / "golden.json"
-    if content == "golden with a bad term":
+    if content is not None and content.startswith("golden with"):
         dump_goldens(tmp_path)
         data = json.loads((tmp_path / "su3_chart_s249.json").read_text())
-        data["t_jet"]["terms"][0]["exps"] = [0, 0, 0, 0, 0, -1, 3]
+        if content == "golden with a bad term":
+            data["t_jet"]["terms"][0]["exps"] = [0, 0, 0, 0, 0, -1, 3]
+        else:
+            data["s"] = math.inf
         content = json.dumps(data)
     if content is not None:
         path.write_text(content)
@@ -224,6 +241,18 @@ def test_radicand_underflow_is_a_recorded_row_error(pipeline, s_values):
     neighbours, _ = run(RunConfig(pipeline=pipeline, s_values=[s_values[0], s_values[2]]))
     assert neighbours["rows"] == [first, last]
     assert first["twist_ok"] is True and last["twist_ok"] is True
+
+
+def test_su3_rows_whose_values_overflow_a_double_are_recorded(tmp_path):
+    """|s| from 1e40 up: the chart, ell or the fixed point overflows; each row records it."""
+    out, alone = tmp_path / "scan.json", tmp_path / "alone.json"
+    assert cli.main(["--pipeline", "su3-main", "--s", "0.241,1e40,-1e60,1e100,1e200", "--out", str(out)]) == 0
+    assert cli.main(["--pipeline", "su3-main", "--s", "0.241", "--out", str(alone)]) == 0
+    first, *rest = json.loads(out.read_text())["rows"]
+    assert json.dumps(first) == json.dumps(json.loads(alone.read_text())["rows"][0])
+    assert [row["error"].split(":")[0] for row in rest] == [
+        "OverflowError", "SingularChartError", "OverflowError", "OverflowError"
+    ]
 
 
 def test_json_determinism_byte_identical(tmp_path):
@@ -371,6 +400,28 @@ def test_golden_mismatch_detected(tmp_path):
     report, code = run(cfg)
     assert code == 1
     assert report["golden"]["ok"] is False
+
+
+@pytest.mark.parametrize(
+    "s, error, binding_checks",
+    [(0.3, "ResonanceError: spectrum at s = 3/10 is not elliptic", 23), (0.5, "PoleError", 0), (1e300, "OverflowError", 0)],
+)
+def test_golden_s_the_chain_cannot_handle_is_recorded(tmp_path, capsys, s, error, binding_checks):
+    """The report is written with the typed error in its golden section, exit 1, and no traceback."""
+    dump_goldens(tmp_path)
+    golden_path = tmp_path / "su3_chart_s249.json"
+    data = json.loads(golden_path.read_text())
+    data["s"] = s
+    golden_path.write_text(json.dumps(data))
+    out = tmp_path / "rep.json"
+    code = cli.main(["--pipeline", "su3-main", "--s", "0.249", "--golden", str(golden_path), "--out", str(out)])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert report["rows"][0]["verdict"] is True
+    golden = report["golden"]
+    assert golden["ok"] is False and golden["error"].startswith(error)
+    assert [c["binding"] for c in golden["checks"]] == [True] * binding_checks
 
 
 def test_main_requires_pipeline():

@@ -98,9 +98,9 @@ def test_cat_map_su3_fixes_family_exactly():
 
 
 def test_cat_map_su3_fixes_family_float():
-    fp = fixed_family_su3(0.249).su3_point
-    img = cat_map_su3(fp)
-    assert max(abs(a - b) for a, b in zip(img.coords9(), fp.coords9())) < 1e-9
+    point = tuple(float(c) for c in fixed_family_su3(Fraction(249, 1000)).su3_point.coords9())
+    img = cat_map_su3(point)
+    assert max(abs(a - b) for a, b in zip(img, point)) < 1e-9
 
 
 def test_cat_map_su3_preserves_pq_values():

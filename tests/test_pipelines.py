@@ -1,6 +1,7 @@
 import cmath
 import gc
 import io
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from charvar_kam.birkhoff import KamReport, birkhoff_coefficients, diagonalized_jets
 from charvar_kam.charts import ChartJet, chart_linear_matrix, chart_map_jet
 from charvar_kam.errors import ResonanceError
+from charvar_kam.mcg import fixed_family_su3
 from charvar_kam import charts, pipelines, spectral
 from charvar_kam.cli import dump_deterministic_json
 from charvar_kam.pipelines import su2_brown_point, su3_kam_report, su3_main_point
@@ -19,7 +21,7 @@ S249 = Fraction(249, 1000)
 
 
 def _basis249():
-    chart = chart_map_jet(S249)
+    chart = chart_map_jet(fixed_family_su3(S249))
     L = chart_linear_matrix(chart)
     rep = classify_spectrum(L)
     return chart.map_jet, build_C0(L, rep)
@@ -187,7 +189,7 @@ def test_alpha_det_stable_under_higher_truncation():
 @pytest.mark.parametrize("degree,nf_degree", [(5, 3), (2, 2)])
 def test_diagonalized_jets_work_on_the_three_jet(degree, nf_degree):
     """A deeper chart is truncated to its 3-jet; a shallower one is never raised."""
-    chart = chart_map_jet(S249, degree)
+    chart = chart_map_jet(fixed_family_su3(S249), degree)
     assert chart.map_jet.trunc_degree == degree
     L = chart_linear_matrix(chart)
     nf = diagonalized_jets(chart.map_jet, build_C0(L, classify_spectrum(L)))
@@ -198,7 +200,7 @@ def test_eigenvalue_continuity_along_scan():
     """Adjacent s values (step 1e-3) move eigenvalues by < 0.1 in modulus."""
     prev = None
     for num in (239, 240, 241, 242):
-        chart = chart_map_jet(Fraction(num, 1000))
+        chart = chart_map_jet(fixed_family_su3(Fraction(num, 1000)))
         rep = classify_spectrum(chart_linear_matrix(chart))
         lams = sorted(
             (rep.eigenvalues[p[0]] for p in rep.pairing), key=lambda z: cmath.phase(z)
@@ -242,6 +244,55 @@ def test_one_fixed_point_per_su2_row(monkeypatch):
     assert calls == [Fraction(1, 10)]
 
 
+def test_one_fixed_point_per_su3_row(monkeypatch):
+    """The SU(3) chart takes the row's fixed point instead of computing it again."""
+    fixed = pipelines.fixed_family_su3
+    calls = []
+
+    def counting_fixed_point(s):
+        calls.append(s)
+        return fixed(s)
+
+    for module in (pipelines, charts):
+        monkeypatch.setattr(module, "fixed_family_su3", counting_fixed_point)
+    charts._chart_cache.cache_clear()
+    row = su3_main_point(Fraction("0.2411"))
+    assert row["verdict"] is True  # the row built its chart and normal form
+    assert calls == [Fraction("0.2411")]
+
+
+def _floats(value):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _floats(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _floats(v)
+
+
+def test_no_single_s_aborts_a_row_or_leaves_a_non_finite_value():
+    """s = +-10^k across the double range, and s next to the SU(3) tangency at 1/4.
+
+    Overflowing exact values, an overflowing H (every k from 24 to 38),
+    square-root jets too large for a double and underflowing radicands all
+    end as recorded row errors, and every float a row carries (residuals
+    included) is finite, so the report is valid JSON.
+    """
+    ks = sorted({*range(-300, 301, 20), *range(21, 40)})
+    values = [sign * Fraction(10) ** k for k in ks for sign in (1, -1)]
+    values += [Fraction(1, 4) + sign * Fraction(1, 10**k) for k in (100, 150, 160, 170) for sign in (1, -1)]
+    for point in (su2_brown_point, su3_main_point):
+        for s in values:
+            row = point(s)
+            assert all(map(math.isfinite, _floats(row))), (point.__name__, s, row)
+    for point, s in ((su2_brown_point, Fraction(1, 10**160)), (su3_main_point, Fraction(1, 4) + Fraction(1, 10**150))):
+        error = point(s)["error"]
+        assert error.endswith(": radicand at the center is too small for double precision"), error
+        assert error.startswith("SingularChartError: ")
+
+
 def _row_bytes(row) -> str:
     out = io.StringIO()
     dump_deterministic_json(row, out)
@@ -254,8 +305,8 @@ def test_su2_rows_equal_fraction_oracle():
     The standard sweep, a grid over [-1.2, 1.2] (poles, both realizability
     bounds, the origin, the singular chart at s = 1, defective and hyperbolic
     spectra) and single points: the discriminant underflow at +-10^-170, a
-    root-of-unity multiplier at 10^-150, a non-finite linear part at 10^-160,
-    and both sides of the pole.
+    root-of-unity multiplier at 10^-100, a square root too large for a double
+    at 10^-150 and 10^-160 (a singular chart), and both sides of the pole.
     """
     from oracles import su2_brown_point_fraction
 
@@ -264,7 +315,7 @@ def test_su2_rows_equal_fraction_oracle():
     tiny = Fraction(1, 10**170)
     values += [Fraction(0), Fraction(1), tiny, -tiny, Fraction(1, 2) + Fraction(1, 10**9)]
     values += [Fraction(1, 2) - Fraction(1, 10**9), Fraction(9, 10), Fraction(-1)]
-    values += [Fraction(1, 10**150), Fraction(1, 10**160)]
+    values += [Fraction(1, 10**100), Fraction(1, 10**150), Fraction(1, 10**160)]
     kinds = set()
     for s in values:
         row = su2_brown_point(s)

@@ -37,3 +37,4 @@ def test_tracer_wraps_and_restores_every_traced_name():
     assert len(tracer.row_s) == 2
     assert tracer.stats["charts._substituted_pq"][0] == 1
     assert tracer.stats["mcg.fixed_family_su2"][0] == 1  # the SU(2) row's one fixed point
+    assert tracer.stats["mcg.fixed_family_su3"][0] == 1  # the SU(3) row's one fixed point
