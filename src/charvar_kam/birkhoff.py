@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ResonanceError, ShapeMismatchError
 from .jets import Jet, JetVector, _compose, _monomials, _Products, jet_variables
-from .spectral import DiagonalizingBasis
+from .spectral import UNIT_CIRCLE_TOL, DiagonalizingBasis
 
 __all__ = [
     "NormalFormInput",
@@ -48,12 +48,17 @@ __all__ = [
     "NORMAL_FORM_DEGREE",
 ]
 
-#: Homological denominators smaller than this are treated as resonant.
-RESONANCE_DENOM_TOL = 1e-10
-
 #: Degree of the map jet the normal form works on: alpha_jk are degree-3
 #: coefficients, and nothing downstream reads a higher degree.
 NORMAL_FORM_DEGREE = 3
+
+# The normal form's verdict and health thresholds (the README's threshold table).
+LINEAR_PART_TOL = 1e-9  #: largest error allowed in the linear part of a diagonalized map jet
+RESONANCE_DENOM_TOL = 1e-10  #: homological denominators smaller than this are resonant
+RESONANCE_TOL = 1e-8  #: an eigenvalue product this near an eigenvalue, or a power this near 1, is resonant
+RESONANCE_ORDER = 4  #: the highest order of the roots of unity ``nonresonance_check`` tests
+TWIST_DET_TOL = 1e-6  #: |det alpha| above this asserts the twist condition
+NONPLANARITY_DET_TOL = 1e-9  #: |det Re b| above this asserts a non-planar frequency map
 
 
 @dataclass(frozen=True)
@@ -84,7 +89,7 @@ class NormalFormInput:
         if len(self.lam) != self.d or len(self.mu) != self.d:
             raise ShapeMismatchError("need d eigenvalues lambda and mu")
 
-    def validate_linear_part(self, tol: float = 1e-9):
+    def validate_linear_part(self):
         n = 2 * self.d
         for j in range(self.d):
             for block, jets, diag in (("xi", self.p_jets, self.lam), ("eta", self.q_jets, self.mu)):
@@ -94,13 +99,13 @@ class NormalFormInput:
                 for i in range(n):
                     want = diag[j] if i == own else 0.0
                     got = complex(jet._coded.get(weights[i], 0))
-                    if abs(got - want) > tol:
+                    if abs(got - want) > LINEAR_PART_TOL:
                         raise ShapeMismatchError(
                             f"linear part of {block}_{j + 1} is off by {abs(got - want):.2e} at variable {i}"
                         )
 
 
-def diagonalized_jets(map_jet: JetVector, basis: DiagonalizingBasis, tol: float = 1e-9) -> NormalFormInput:
+def diagonalized_jets(map_jet: JetVector, basis: DiagonalizingBasis) -> NormalFormInput:
     """Conjugate a real 2d-component map jet by C0 into normal-form variables.
 
     ``map_jet`` has 2d components in 2d real variables, zero constant terms.
@@ -154,7 +159,7 @@ def diagonalized_jets(map_jet: JetVector, basis: DiagonalizingBasis, tol: float 
         lam=lam,
         mu=mu,
     )
-    nf.validate_linear_part(tol)
+    nf.validate_linear_part()
     return nf
 
 
@@ -197,17 +202,17 @@ def _eig_product(lam, mu, exps) -> complex:
     return out
 
 
-def nonresonance_check(lam: Sequence[complex], order: int = 4, tol: float = 1e-8) -> list:
+def nonresonance_check(lam: Sequence[complex]) -> list:
     """Report resonances among unit eigenvalues.
 
     Returns tuples ("lambda_lambda" | "lambda_mu" | "mu_mu", j, m, n) for
-    |lambda_j - lambda_m lambda_n| < tol (and the mu variants), plus
-    ("root_of_unity", j, k) when lambda_j^k = 1 for k <= order.  Indices are
-    1-based.  Report-only: an empty list means no violations.
+    |lambda_j - lambda_m lambda_n| < RESONANCE_TOL (and the mu variants), plus
+    ("root_of_unity", j, k) when lambda_j^k = 1 for k <= RESONANCE_ORDER.
+    Indices are 1-based.  Report-only: an empty list means no violations.
     """
     lam = [complex(l) for l in lam]
     for l in lam:
-        if abs(abs(l) - 1.0) > 1e-8:
+        if abs(abs(l) - 1.0) > UNIT_CIRCLE_TOL:
             raise ValueError(f"nonresonance_check expects unit-modulus eigenvalues, got |{l}|")
     mu = [l.conjugate() for l in lam]
     d = len(lam)
@@ -215,15 +220,15 @@ def nonresonance_check(lam: Sequence[complex], order: int = 4, tol: float = 1e-8
     for j in range(d):
         for m in range(d):
             for n in range(d):
-                if abs(lam[m] * lam[n] - lam[j]) < tol:
+                if abs(lam[m] * lam[n] - lam[j]) < RESONANCE_TOL:
                     out.append(("lambda_lambda", j + 1, m + 1, n + 1))
-                if abs(lam[m] * mu[n] - lam[j]) < tol:
+                if abs(lam[m] * mu[n] - lam[j]) < RESONANCE_TOL:
                     out.append(("lambda_mu", j + 1, m + 1, n + 1))
-                if abs(mu[m] * mu[n] - lam[j]) < tol:
+                if abs(mu[m] * mu[n] - lam[j]) < RESONANCE_TOL:
                     out.append(("mu_mu", j + 1, m + 1, n + 1))
     for j in range(d):
-        for k in range(1, order + 1):
-            if abs(lam[j] ** k - 1.0) < tol:
+        for k in range(1, RESONANCE_ORDER + 1):
+            if abs(lam[j] ** k - 1.0) < RESONANCE_TOL:
                 out.append(("root_of_unity", j + 1, k))
     return out
 
@@ -254,7 +259,7 @@ def phi2_psi2(nf: NormalFormInput) -> tuple[JetVector, JetVector]:
 
     phi_{j,2} solves phi(lam xi, mu eta) - lambda_j phi = [p_j]_2 and psi_{j,2}
     the mu_j analogue; each monomial divides by its own eigenvalue-product
-    denominator, so near-resonant denominators (< 1e-10) raise.
+    denominator, so denominators below RESONANCE_DENOM_TOL raise.
     """
     phis = [_solve_homological(p, nf.lam, nf.mu, nf.lam[j]) for j, p in enumerate(nf.p_jets)]
     psis = [_solve_homological(q, nf.lam, nf.mu, nf.mu[j]) for j, q in enumerate(nf.q_jets)]
@@ -267,7 +272,7 @@ def _corrected_identity(nf: NormalFormInput, phi2: JetVector, psi2: JetVector) -
     return [zeta[i] + phi2[i] for i in range(nf.d)] + [zeta[nf.d + i] + psi2[i] for i in range(nf.d)]
 
 
-def alpha_matrix(nf: NormalFormInput, phi2: JetVector | None = None, psi2: JetVector | None = None) -> np.ndarray:
+def alpha_matrix(nf: NormalFormInput, phi2: JetVector, psi2: JetVector) -> np.ndarray:
     """First Birkhoff coefficient matrix (alpha_jk).
 
     alpha_jk is the coefficient of xi_j xi_k eta_k in p_j composed with the
@@ -287,8 +292,6 @@ def alpha_matrix(nf: NormalFormInput, phi2: JetVector | None = None, psi2: JetVe
     homogeneous quadratic jets of the normal form's shape, as ``phi2_psi2``
     returns them; anything else raises ``ShapeMismatchError``.
     """
-    if phi2 is None or psi2 is None:
-        phi2, psi2 = phi2_psi2(nf)
     d = nf.d
     n = 2 * d
     td = nf.p_jets.trunc_degree
@@ -329,27 +332,22 @@ def alpha_matrix(nf: NormalFormInput, phi2: JetVector | None = None, psi2: JetVe
 
 @dataclass(frozen=True)
 class BirkhoffCoefficients:
-    """phi_2/psi_2 corrections, the alpha matrix, b = alpha/(i lambda), and gamma_1 (d = 1)."""
+    """The alpha matrix and b = alpha/(i lambda)."""
 
-    phi2: JetVector
-    psi2: JetVector
     alpha: np.ndarray
     b: np.ndarray
-    gamma1: complex | None = None
 
 
 def birkhoff_coefficients(nf: NormalFormInput) -> BirkhoffCoefficients:
-    phi2, psi2 = phi2_psi2(nf)
-    alpha = alpha_matrix(nf, phi2, psi2)
+    alpha = alpha_matrix(nf, *phi2_psi2(nf))
     b = np.array(
         [[alpha[j, k] / (1j * nf.lam[j]) for k in range(nf.d)] for j in range(nf.d)],
         dtype=complex,
     )
-    gamma1 = complex(b[0, 0]) if nf.d == 1 else None
-    return BirkhoffCoefficients(phi2=phi2, psi2=psi2, alpha=alpha, b=b, gamma1=gamma1)
+    return BirkhoffCoefficients(alpha=alpha, b=b)
 
 
-def alpha2_closed_form(p2: Sequence[complex], q2: Sequence[complex], p31: complex, lam: complex, tol: float = 1e-8) -> complex:
+def alpha2_closed_form(p2: Sequence[complex], q2: Sequence[complex], p31: complex, lam: complex) -> complex:
     """Closed-form first Birkhoff coefficient of a 2D elliptic map.
 
     p2 = (p20, p21, p22) and q2 = (q20, q21) [a third entry is accepted and
@@ -359,7 +357,7 @@ def alpha2_closed_form(p2: Sequence[complex], q2: Sequence[complex], p31: comple
     b20 (lambda^2 - mu) = q20, and lambda^2 - mu = (lambda^3 - 1)/lambda.
     """
     lam = complex(lam)
-    if abs(lam - 1.0) < tol or abs(lam**3 - 1.0) < tol:
+    if abs(lam - 1.0) < RESONANCE_TOL or abs(lam**3 - 1.0) < RESONANCE_TOL:
         raise ResonanceError(f"lambda = {lam} is (near) a root of unity of order 1 or 3")
     mu = 1.0 / lam
     p20, p21, p22 = (complex(c) for c in p2)
@@ -377,24 +375,16 @@ def twist_determinant(alpha) -> complex:
     return complex(np.linalg.det(np.asarray(alpha, dtype=complex)))
 
 
-def nonplanarity_check(omega: Sequence[float], b, domain_radius: float = 1e-3, tol: float = 1e-9) -> bool:
-    """True iff the frequency map r -> omega + b r has non-planar image.
+def nonplanarity_check(b) -> bool:
+    """True iff the frequency map r -> omega + b r is non-planar: |det Re b| > NONPLANARITY_DET_TOL (1e-9).
 
-    Tests affine independence of the d+1 image points {omega + r b e_i} for
-    r in {0, domain_radius * e_1, ...} via the (d+1)x(d+1) determinant on
-    rows (1, point); the determinant is normalized by domain_radius^d so the
-    verdict does not depend on the probing radius.  b may carry small
-    imaginary parts from the eigenvector normalization; the frequency map is
-    real, so the real part is used.
+    The image is affine, so it is non-planar iff Re b is nonsingular, whatever
+    omega is; b may carry small imaginary parts from the eigenvector
+    normalization, and the frequency map is real.  With b = alpha/(i lambda)
+    row by row, |det b| = |det alpha|: this is the twist invariant of Re b
+    with a looser tolerance than ``TWIST_DET_TOL``, not an independent check.
     """
-    omega = np.asarray(omega, dtype=float)
-    d = len(omega)
-    b = np.asarray(b, dtype=complex).real
-    rows = [np.concatenate(([1.0], omega))]
-    for i in range(d):
-        rows.append(np.concatenate(([1.0], omega + domain_radius * b[:, i])))
-    det = np.linalg.det(np.array(rows))
-    return bool(abs(det) / domain_radius**d > tol)
+    return bool(abs(np.linalg.det(np.asarray(b, dtype=complex).real)) > NONPLANARITY_DET_TOL)
 
 
 @dataclass(frozen=True)
@@ -415,10 +405,6 @@ class KamReport:
             "resonance_flags": [list(f) for f in self.resonance_flags],
             "brjuno_partial": self.brjuno_partial,
         }
-
-
-#: |det alpha| above this asserts the twist condition.
-TWIST_DET_TOL = 1e-6
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,10 @@ _MAP_7_TO_6 = {0: 0, 1: 1, 2: 2, 3: 3, 5: 4, 6: 5}  # drop z (index 4)
 _Z7 = 4  # index of z in the 7-variable space
 _T8 = 6  # index of t in the 8-variable space
 
+# The chart's verdict thresholds (the README's threshold table).
+CHART_CONSTANT_TOL = 1e-10  #: an SU(3) or SU(2) chart-map constant term not below this fails the fixed point
+DH_DZ_MIN = 1e-8  #: |dH/dz| at the center below this makes the implicit z-chart degenerate
+
 
 @dataclass(frozen=True)
 class ChartSpec:
@@ -159,6 +163,14 @@ def _translate(poly: Jet, centers, trunc_degree: int) -> tuple[Jet, int]:
             pop(key, None)
     den = plan.coeff_den * math.prod(map(pow, dens, plan.top))
     return Jet._raw(poly.num_vars, trunc_degree, sums), den
+
+
+def _recentered(spec: ChartSpec, poly: Jet, minus=0) -> Jet:
+    """``_float_jet`` of ``poly`` recentered at the fixed point, or an OverflowError naming s and the step."""
+    try:
+        return _float_jet(*_translate(poly, _center8(spec), spec.trunc_degree), minus)
+    except OverflowError:
+        raise OverflowError(f"s = {spec.s}: recentering at the fixed point overflows a double") from None
 
 
 def _float_jet(num: Jet, den: int, minus=0) -> Jet:
@@ -312,11 +324,8 @@ def solve_t(spec: ChartSpec) -> Jet:
 
 def _substituted_pq(spec: ChartSpec, t_jet: Jet) -> tuple[Jet, Jet]:
     """P and Q recentered at the fixed point with the t-jet substituted (7 variables)."""
-    td = spec.trunc_degree
-    centers8 = _center8(spec)
     t_disp = t_jet - t_jet.constant_term()
-    p_c = _float_jet(*_translate(p_poly(), centers8, td))
-    q_c = _float_jet(*_translate(q_poly(), centers8, td))
+    p_c, q_c = _recentered(spec, p_poly()), _recentered(spec, q_poly())
     p7, q7 = JetVector([p_c, q_c]).substitute_variable(_T8, t_disp, _MAP_8_TO_7)
     return p7, q7
 
@@ -345,7 +354,7 @@ def solve_z_implicit(spec: ChartSpec, h: Jet) -> Jet:
     td = spec.trunc_degree
     e_z = tuple(1 if i == _Z7 else 0 for i in range(7))
     slope = float(h.coefficient(e_z))
-    if abs(slope) < 1e-8:
+    if abs(slope) < DH_DZ_MIN:
         raise DegenerateChartError(
             f"s = {spec.s}: dH/dz = {slope:.3e} at the center, implicit chart degenerates"
         )
@@ -418,24 +427,22 @@ def _chart_map_jet_cached(spec: ChartSpec) -> ChartJet:
     zeta = z_jet - z_jet.constant_term()
     centers8 = _center8(spec)
     t7 = t_jet - t_jet.constant_term()
-    centered = JetVector(
-        _float_jet(*_translate(poly8, centers8, td), centers8[i])
-        for i, poly8 in zip(_KEEP_COMPONENTS, _cat_map_8(td))
-    )
+    kept = zip(_KEEP_COMPONENTS, _cat_map_8(td))
+    centered = JetVector(_recentered(spec, poly8, centers8[i]) for i, poly8 in kept)
     # substitute t (8 -> 7 variables), then z (7 -> 6): elimination order
     g6 = centered.substitute_variable(_T8, t7, _MAP_8_TO_7).substitute_variable(_Z7, zeta, _MAP_7_TO_6)
     out = []
     for comp in g6:
         const = comp.constant_term()
-        if not abs(complex(const)) < 1e-10:
+        if not abs(complex(const)) < CHART_CONSTANT_TOL:
             raise ConsistencyError(f"s = {spec.s}: chart map constant term {const} should vanish")
         out.append(comp - const)
     return ChartJet(spec=spec, t_jet=t_jet, z_jet=z_jet, map_jet=JetVector(out), p7=p7, h7=h7)
 
 
-# A scan builds each chart once; the one re-read is ``--golden``, which looks
-# the s = .249 chart up twice (``cli.compare_golden`` itself, then through
-# ``su3_kam_report``), so one entry keyed by the fixed point is enough.
+# A scan builds each chart once; ``--golden`` looks up the chart at the
+# file's s once more (``cli.compare_golden``, which reads its verdict off that
+# chart), so one entry keyed by the fixed point is enough.
 @lru_cache(maxsize=1)
 def _chart_cache(fp: FixedPointSample, trunc_degree: int) -> ChartJet:
     return _chart_map_jet_cached(chart_spec(fp, trunc_degree))
@@ -519,7 +526,7 @@ def su2_chart_map_jet(p0: Su2FixedPoint, trunc_degree: int = 3) -> Su2ChartJet:
     comps = []
     for comp in (out_y, out_z):
         const = comp.constant_term()
-        if not abs(float(const)) < 1e-10:
+        if not abs(float(const)) < CHART_CONSTANT_TOL:
             raise ConsistencyError(f"s = {s}: chart map constant term {const} should vanish")
         comps.append(comp - const)
     return Su2ChartJet(fixed_point=p0, x_jet=x_jet, map_jet=JetVector(comps))

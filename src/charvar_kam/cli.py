@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .charts import chart_map_jet
 from .mcg import fixed_family_su3
-from .pipelines import SCAN_ERRORS, su2_brown_point, su3_kam_report, su3_main_point
+from .pipelines import SCAN_ERRORS, chart_kam_report, su2_brown_point, su3_main_point
 
 __all__ = ["RunConfig", "run", "dump_goldens", "main"]
 
@@ -32,6 +32,10 @@ MAX_S_VALUES = 10**6
 #: Highest chart truncation degree; checked before any chart is built.  One
 #: su3 row costs about 1.2 s and 44 MB at degree 8, and 33 s and 152 MB at 12.
 MAX_DEGREE = 8
+
+# The golden comparison's thresholds (the README's threshold table).
+GOLDEN_REL_TOL = 1e-3  #: the relative error a binding golden check allows (6 printed digits)
+GOLDEN_DET_MIN = 1e-3  #: |det alpha| above this passes the golden file's alpha_det diagnostic
 
 #: Reference values as printed in the source write-up (6 significant digits).
 #: Printed degree-k jet terms carry k! times the polynomial coefficient; the
@@ -111,7 +115,7 @@ _LEVEL_GOLDEN = {
 
 @dataclass
 class RunConfig:
-    """Scan configuration; s values must avoid the pole s = 1/2."""
+    """Scan configuration; s values must avoid the pole s = 1/2 and fit a double."""
 
     pipeline: str
     s_values: list = field(default_factory=list)
@@ -121,6 +125,7 @@ class RunConfig:
     golden: str | None = None
     require_verdict: bool = False
     dump_jets: bool = False
+    golden_values: dict | None = field(default=None, init=False, repr=False)  # the golden file, read once
 
     def __post_init__(self):
         if self.pipeline not in ("su2-brown", "su3-main"):
@@ -135,8 +140,9 @@ class RunConfig:
         for s in self.s_values:
             if s == Fraction(1, 2):
                 raise ValueError("s = 1/2 is a pole of the fixed family")
+            _in_double_range(s)
         if self.golden and self.pipeline == "su3-main":
-            _read_golden(self.golden)  # a bad file fails here, before any row runs
+            self.golden_values = _read_golden(self.golden)  # a bad file fails here, before any row runs
 
 
 def parse_s_values(text: str) -> list:
@@ -161,12 +167,13 @@ def parse_s_values(text: str) -> list:
     return [_in_double_range(p) for p in parts]
 
 
-def _in_double_range(text: str) -> Fraction:
-    s = Fraction(text)
+def _in_double_range(value) -> Fraction:
+    """``Fraction(value)``, or a ValueError naming it unless it fits a double, as the report prints s."""
+    s = Fraction(value)
     try:
         float(s)
     except OverflowError:
-        raise ValueError(f"s = {text.strip()} is outside the double range") from None
+        raise ValueError(f"s = {str(value).strip()} is outside the double range") from None
     return s
 
 
@@ -252,7 +259,7 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     }
     code = 3 if cfg.require_verdict and cfg.s_values and not hit else 0
     if cfg.golden and cfg.pipeline == "su3-main":
-        golden_result = compare_golden(Path(cfg.golden))
+        golden_result = compare_golden(Path(cfg.golden), cfg.golden_values)
         report["golden"] = golden_result
         if not golden_result["ok"] and code == 0:
             code = 1
@@ -353,25 +360,24 @@ def _read_golden(path) -> dict:
     return golden
 
 
-def compare_golden(path: Path, rel_tol: float = 1e-3) -> dict:
-    """Compare the computed s = .249 chart against a stored golden file.
+def compare_golden(path: Path, golden: dict) -> dict:
+    """Compare the computed s = .249 chart against ``golden = _read_golden(path)``.
 
-    Jet coefficients are binding at 1e-3 relative (6 printed digits); the
-    alpha matrix entries are a diagnostic because they depend on the
-    eigenvector normalization.  A scan error at the file's s (a pole, a
-    spectrum that is not elliptic, values too large for a double) is recorded
-    as ``error`` with ``ok`` false, after the checks that ran.
+    Jet coefficients are binding at GOLDEN_REL_TOL; alpha_det, read off the
+    same chart, is a diagnostic because it depends on the eigenvector
+    normalization.  A scan error at the file's s (a pole, a spectrum that is
+    not elliptic, values too large for a double) is recorded as ``error``
+    with ``ok`` false, after the checks that ran.
     """
-    golden = _read_golden(path)
     s = Fraction(str(golden["s"]))
     checks = []
-    result = {"file": str(path), "rel_tol": rel_tol, "ok": False, "checks": checks}
+    result = {"file": str(path), "rel_tol": GOLDEN_REL_TOL, "ok": False, "checks": checks}
 
     def check(name, got, want, binding=True):
         rel = abs(got - want) / max(abs(want), 1e-30)
         checks.append(
             {"name": name, "got": float(got), "want": float(want), "rel_err": rel,
-             "binding": binding, "ok": rel <= rel_tol}
+             "binding": binding, "ok": rel <= GOLDEN_REL_TOL}
         )
 
     try:
@@ -396,7 +402,7 @@ def compare_golden(path: Path, rel_tol: float = 1e-3) -> dict:
         check(f"z_jet[{','.join(map(str, e))}]", got, term["printed"])
     # diagnostic only: normalization-dependent
     try:
-        det = complex(su3_kam_report(s).alpha_det)
+        det = complex(chart_kam_report(chart).alpha_det)
     except SCAN_ERRORS as exc:
         result["error"] = f"{type(exc).__name__}: {exc}"
         return result
@@ -408,7 +414,7 @@ def compare_golden(path: Path, rel_tol: float = 1e-3) -> dict:
             "want": [want_det.real, want_det.imag],
             "rel_err": abs(det - want_det) / abs(want_det),
             "binding": False,
-            "ok": abs(det) > 1e-3,
+            "ok": abs(det) > GOLDEN_DET_MIN,
         }
     )
     result["ok"] = all(c["ok"] for c in checks if c["binding"])

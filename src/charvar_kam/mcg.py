@@ -50,6 +50,10 @@ __all__ = [
     "realizable_interval_su3",
 ]
 
+# Thresholds of the matrix models (the README's threshold table).
+UNITARY_TOL = 1e-12  #: b_matrix's 1 - |u|^2 may dip this far below 0 before B(s) leaves SU(2)
+REALIZABLE_BISECT_TOL = 1e-13  #: the bracket width at which ``realizable_interval_su3`` stops bisecting
+
 
 class PolyAutomorphism:
     """A polynomial self-map of R^n given componentwise by jets."""
@@ -342,7 +346,7 @@ def b_matrix(s) -> np.ndarray:
     im_u = s * (1 - s) / ((2 * s - 1) * math.sqrt(1 - s * s))
     u = complex(re_u, im_u)
     v_sq = 1.0 - abs(u) ** 2
-    if v_sq < -1e-12:
+    if v_sq < -UNITARY_TOL:
         raise UnrealizableError(f"s = {s}: |u|^2 = {abs(u)**2:.6f} > 1")
     v = math.sqrt(max(0.0, v_sq))
     return np.array([[u, -v], [v, u.conjugate()]], dtype=complex)
@@ -360,7 +364,7 @@ def symmetric_square(mat2) -> np.ndarray:
     )
 
 
-def realizable_interval_su3(tol: float = 1e-13) -> tuple[float, float]:
+def realizable_interval_su3() -> tuple[float, float]:
     """Endpoints around s = 0 where the symmetric-square level attains -1.
 
     The level ell(s) never crosses -1 (the real slice of the deltoid is
@@ -381,7 +385,7 @@ def realizable_interval_su3(tol: float = 1e-13) -> tuple[float, float]:
         flo = g_prime(lo)
         if (flo > 0) == (g_prime(hi) > 0):
             raise ConsistencyError(f"bracket [{lo}, {hi}] must straddle the root")
-        while hi - lo > Fraction(tol).limit_denominator(10**16):
+        while hi - lo > Fraction(REALIZABLE_BISECT_TOL).limit_denominator(10**16):
             mid = (lo + hi) / 2
             fm = g_prime(mid)
             if fm == 0:

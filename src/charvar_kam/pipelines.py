@@ -40,7 +40,7 @@ from .spectral import SpectrumReport, build_C0, classify_spectrum
 # not called: the SU(2) level comes from fixed_family_su2; perfbench/tracer.py looks it up here
 from .varieties import kappa_su2  # noqa: F401
 
-__all__ = ["su2_brown_point", "su3_main_point", "su3_kam_report", "SCAN_ERRORS"]
+__all__ = ["su2_brown_point", "su3_main_point", "su3_kam_report", "chart_kam_report", "SCAN_ERRORS"]
 
 #: Everything a scan survives by recording instead of raising.
 SCAN_ERRORS = (
@@ -93,7 +93,7 @@ def su2_brown_point(s) -> dict:
         if report.classification[0] != "elliptic":
             return row
         row["omega"] = report.omega[0]
-        flags = nonresonance_check([lam], order=4)
+        flags = nonresonance_check([lam])
         row["resonance_flags"] = [list(f) for f in flags]
         basis = build_C0(L, report)
         nf = diagonalized_jets(chart.map_jet, basis)
@@ -126,24 +126,28 @@ def _su3_verdicts(
     bc = birkhoff_coefficients(nf)
     det = twist_determinant(bc.alpha)
     omega = spectrum.elliptic_frequencies()
-    flags = nonresonance_check([nf.lam[j] for j in range(nf.d)], order=4)
+    flags = nonresonance_check([nf.lam[j] for j in range(nf.d)])
     return bc, KamReport(
         alpha_det=det,
         twist_ok=bool(abs(det) > TWIST_DET_TOL),
-        nonplanarity_ok=bool(nonplanarity_check(omega, bc.b)),
+        nonplanarity_ok=nonplanarity_check(bc.b),
         resonance_flags=flags,
         brjuno_partial=max(brjuno_partial_sum(w).partial_sum for w in omega),
     )
 
 
-def su3_kam_report(s, trunc_degree: int = 3) -> KamReport:
-    """Twist/non-planarity verdicts for the SU(3) fixed point at parameter s."""
-    chart = chart_map_jet(fixed_family_su3(s), trunc_degree)
+def chart_kam_report(chart: ChartJet) -> KamReport:
+    """Twist/non-planarity verdicts from an SU(3) chart; ResonanceError unless its spectrum is elliptic."""
     L = chart_linear_matrix(chart)
     spectrum = classify_spectrum(L)
     if not spectrum.is_elliptic():
-        raise ResonanceError(f"spectrum at s = {s} is not elliptic: {spectrum.classification}")
+        raise ResonanceError(f"spectrum at s = {chart.spec.s} is not elliptic: {spectrum.classification}")
     return _su3_verdicts(chart, L, spectrum)[1]
+
+
+def su3_kam_report(s, trunc_degree: int = 3) -> KamReport:
+    """Twist/non-planarity verdicts for the SU(3) fixed point at parameter s."""
+    return chart_kam_report(chart_map_jet(fixed_family_su3(s), trunc_degree))
 
 
 def su3_main_point(s, trunc_degree: int = 3, dump_jets: bool = False) -> dict:
@@ -156,9 +160,13 @@ def su3_main_point(s, trunc_degree: int = 3, dump_jets: bool = False) -> dict:
     row: dict = {"s": float(s)}
     try:
         fp = fixed_family_su3(s)
-        row["fixed_point"] = [float(v) for v in fp.su3_point.coords9()]
-        row["ell"] = float(fp.level.zeta)
-        row["on_variety"] = bool(fp.level.in_deltoid(tol=1e-9))
+        try:
+            row["fixed_point"] = [float(v) for v in fp.su3_point.coords9()]
+            row["ell"] = float(fp.level.zeta)
+        except OverflowError:
+            stage = "level" if "fixed_point" in row else "fixed point"
+            raise OverflowError(f"s = {s}: the {stage} does not fit a double") from None
+        row["on_variety"] = bool(fp.level.in_deltoid())
         if not row["on_variety"]:
             row["notes"] = "fixed-line formula leaves the character variety at this s (formal chart only)"
         chart = chart_map_jet(fp, trunc_degree)

@@ -24,18 +24,22 @@ __all__ = [
     "UNIT_CIRCLE_TOL",
 ]
 
-#: |abs(lambda) - 1| below this counts as "on the unit circle".
-UNIT_CIRCLE_TOL = 1e-8
+# The spectrum's verdict and health thresholds (the README's threshold table).
+UNIT_CIRCLE_TOL = 1e-8  #: |abs(lambda) - 1| below this counts as "on the unit circle"
+REPEAT_TOL = 1e-8  #: elliptic eigenvalues closer than this repeat, and are tagged resonant
+_PARABOLIC_TOL = 1e-8  #: lambda in {+1, -1} within this counts as parabolic
+REAL_AXIS_TOL = 1e-9  #: |Im lambda| at or below this counts as a real eigenvalue
+PARTNER_TOL = 1e-6  #: an eigenvalue pairs within this times max(1, |target|) of its partner's target
+EIGEN_RESIDUAL_TOL = 1e-9  #: an eigenpair residual above this times ||m|| is defective
+EIGEN_COND_MAX = 1e12  #: an eigenvector basis condition number above this is defective
+C0_RESIDUAL_TOL = 1e-9  #: an off-diagonal entry of C0^-1 m C0 above this times max(1, ||m||) fails C0
 
-#: lambda in {+1, -1} within this counts as parabolic.
-_PARABOLIC_TOL = 1e-8
 
-
-def eigen_small(m, residual_tol: float = 1e-9):
+def eigen_small(m):
     """Eigendecomposition of a small (n <= 8) complex matrix.
 
     Returns (eigenvalues, eigenvectors) with eigenvectors as columns, and
-    enforces the residual bound ||m v - lambda v|| <= residual_tol * ||m||
+    enforces the residual bound ||m v - lambda v|| <= EIGEN_RESIDUAL_TOL * ||m||
     for every pair; failing that, the matrix is declared defective.
     """
     m = np.asarray(m, dtype=complex)
@@ -53,14 +57,14 @@ def eigen_small(m, residual_tol: float = 1e-9):
     # a Jordan block yields (near-)parallel eigenvectors with tiny residuals,
     # so defectiveness must be caught through the basis conditioning
     cond = np.linalg.cond(vecs)
-    if cond > 1e12:
+    if cond > EIGEN_COND_MAX:
         raise NonDiagonalizableError(f"eigenvector basis condition number {cond:.3e}: matrix is defective")
     for k in range(m.shape[0]):
         v = vecs[:, k]
         res = np.linalg.norm(m @ v - vals[k] * v)
-        if res > residual_tol * scale:
+        if res > EIGEN_RESIDUAL_TOL * scale:
             raise NonDiagonalizableError(
-                f"eigenpair {k} residual {res:.3e} exceeds {residual_tol:.1e} * ||m||"
+                f"eigenpair {k} residual {res:.3e} exceeds {EIGEN_RESIDUAL_TOL:.1e} * ||m||"
             )
     return vals, vecs
 
@@ -98,7 +102,22 @@ class SpectrumReport:
         }
 
 
-def classify_spectrum(m, pair_tol: float = 1e-9) -> SpectrumReport:
+def _partner(vals, used, j, target, real: bool = False) -> tuple:
+    """(k, distance) of the unused k != j nearest ``target``, k None past PARTNER_TOL * max(1, |target|).
+
+    With ``real``, only real eigenvalues count, by their real part.
+    """
+    best, best_err = None, math.inf
+    for k, v in enumerate(vals):
+        if used[k] or k == j or (real and abs(v.imag) > REAL_AXIS_TOL):
+            continue
+        err = abs((v.real if real else v) - target)
+        if err < best_err:
+            best, best_err = k, err
+    return (best if best_err <= PARTNER_TOL * max(1.0, abs(target)) else None), best_err
+
+
+def classify_spectrum(m) -> SpectrumReport:
     """Pair and tag the spectrum of a real square matrix (n <= 8, n even).
 
     Complex eigenvalues pair with their conjugates; real ones pair with their
@@ -121,16 +140,9 @@ def classify_spectrum(m, pair_tol: float = 1e-9) -> SpectrumReport:
         if used[j]:
             continue
         lam = vals[j]
-        if abs(lam.imag) > pair_tol:
-            # conjugate partner
-            best, best_err = None, math.inf
-            for k in range(n):
-                if used[k] or k == j:
-                    continue
-                err = abs(vals[k] - lam.conjugate())
-                if err < best_err:
-                    best, best_err = k, err
-            if best is None or best_err > 1e-6 * max(1.0, abs(lam)):
+        if abs(lam.imag) > REAL_AXIS_TOL:
+            best, best_err = _partner(vals, used, j, lam.conjugate())
+            if best is None:
                 raise SpectrumStructureError(
                     f"eigenvalue {lam} has no conjugate partner (best residual {best_err:.3e})"
                 )
@@ -149,12 +161,7 @@ def classify_spectrum(m, pair_tol: float = 1e-9) -> SpectrumReport:
         else:
             lam_r = lam.real
             if abs(lam_r - 1.0) < _PARABOLIC_TOL or abs(lam_r + 1.0) < _PARABOLIC_TOL:
-                # find the matching parabolic partner
-                best = None
-                for k in range(n):
-                    if not used[k] and k != j and abs(vals[k] - lam) < 1e-6:
-                        best = k
-                        break
+                best = _partner(vals, used, j, lam)[0]
                 if best is None:
                     raise SpectrumStructureError(f"unpaired parabolic eigenvalue {lam_r}")
                 used[j] = used[best] = True
@@ -162,17 +169,9 @@ def classify_spectrum(m, pair_tol: float = 1e-9) -> SpectrumReport:
                 tags.append("parabolic")
                 omegas.append(math.nan)
                 continue
-            # reciprocal partner (0 has none)
-            best, best_err = None, math.inf
-            for k in range(n if lam_r else 0):
-                if used[k] or k == j:
-                    continue
-                if abs(vals[k].imag) > pair_tol:
-                    continue
-                err = abs(vals[k].real - 1.0 / lam_r)
-                if err < best_err:
-                    best, best_err = k, err
-            if best is None or best_err > 1e-6 * max(1.0, abs(1.0 / lam_r)):
+            # 0 has no reciprocal
+            best = _partner(vals, used, j, 1.0 / lam_r if lam_r else math.inf, real=True)[0]
+            if best is None:
                 raise SpectrumStructureError(f"real eigenvalue {lam_r} has no reciprocal partner")
             used[j] = used[best] = True
             big = j if abs(vals[j]) >= abs(vals[best]) else best
@@ -184,7 +183,7 @@ def classify_spectrum(m, pair_tol: float = 1e-9) -> SpectrumReport:
     ell = [vals[p[0]] for p, t in zip(pairing, tags) if t == "elliptic"]
     for a in range(len(ell)):
         for b in range(a + 1, len(ell)):
-            if abs(ell[a] - ell[b]) < UNIT_CIRCLE_TOL:
+            if abs(ell[a] - ell[b]) < REPEAT_TOL:
                 tags = ["resonant" if t == "elliptic" else t for t in tags]
     return SpectrumReport(
         eigenvalues=tuple(vals),
@@ -202,30 +201,24 @@ class DiagonalizingBasis:
     Column order is interleaved (xi_1, eta_1, xi_2, eta_2, ...): column 2j is
     the unit-norm eigenvector of the j-th elliptic eigenvalue (Im > 0) with
     its first above-threshold entry rotated to be real positive, and column
-    2j+1 is the elementwise conjugate.  The convention is recorded in
-    ``normalization`` so alternative scalings can be compared.
+    2j+1 is the elementwise conjugate.  ``normalization["eigenvalues"]``
+    holds the eigenvalue of each xi column.
     """
 
     C0: np.ndarray
     inverse: np.ndarray
     normalization: dict = field(default_factory=dict)
 
-    @property
-    def d(self) -> int:
-        return self.C0.shape[0] // 2
 
-
-def build_C0(m, report: SpectrumReport | None = None, tol: float = 1e-9) -> DiagonalizingBasis:
+def build_C0(m, report: SpectrumReport) -> DiagonalizingBasis:
     """Diagonalizing basis for a real matrix with fully elliptic spectrum.
 
-    The columns of C0 are the eigenvectors of ``report`` (by default
-    ``classify_spectrum(m)``, which tags repeated elliptic eigenvalues
-    resonant).  Verifies the off-diagonal residual of C0^-1 m C0 against
-    ``tol``, which also rejects a report of another matrix.
+    The columns of C0 are the eigenvectors of ``report = classify_spectrum(m)``,
+    which tags repeated elliptic eigenvalues resonant.  Verifies the
+    off-diagonal residual of C0^-1 m C0 against ``C0_RESIDUAL_TOL``, which
+    also rejects a report of another matrix.
     """
     m = np.asarray(m, dtype=float)
-    if report is None:
-        report = classify_spectrum(m)
     if not report.is_elliptic():
         raise ResonanceError(
             f"build_C0 needs an all-elliptic spectrum, got tags {report.classification}"
@@ -249,15 +242,10 @@ def build_C0(m, report: SpectrumReport | None = None, tol: float = 1e-9) -> Diag
     off = diag - np.diag(np.diag(diag))
     scale = max(1.0, float(np.linalg.norm(m)))
     res = float(np.max(np.abs(off)))
-    if res > tol * scale:
+    if res > C0_RESIDUAL_TOL * scale:
         raise NonDiagonalizableError(f"off-diagonal residual {res:.3e} exceeds tolerance")
     return DiagonalizingBasis(
         C0=C0,
         inverse=inv,
-        normalization={
-            "columns": "interleaved (xi_1, eta_1, ...)",
-            "scaling": "unit Euclidean norm",
-            "phase": "first entry with |.| > 1e-9 rotated real positive",
-            "eigenvalues": [complex(report.eigenvalues[j]) for j, _ in report.pairing],
-        },
+        normalization={"eigenvalues": [complex(report.eigenvalues[j]) for j, _ in report.pairing]},
     )

@@ -30,6 +30,10 @@ The alpha read-off composes every p_j in full with the corrected identity
 and reads the xi_j xi_k eta_k coefficients, which fixes the floats the
 restricted ``alpha_matrix`` must reproduce bit for bit.
 
+The frequency-map probe takes the determinant of d+1 image points over the
+probing radius^d, which is det(Re b) up to rounding; ``nonplanarity_check``
+must give its verdict.
+
 The full conjugation builds every coefficient of the diagonalized 3-jet with
 jet arithmetic (``Jet + Jet``, ``Jet * c`` and ``JetVector.compose``), which
 fixes the floats and key order ``diagonalized_jets`` must reproduce at the
@@ -419,7 +423,7 @@ def su2_brown_point_fraction(s) -> dict:
         if report.classification[0] != "elliptic":
             return row
         row["omega"] = report.omega[0]
-        flags = nonresonance_check([lam], order=4)
+        flags = nonresonance_check([lam])
         row["resonance_flags"] = [list(f) for f in flags]
         basis = build_C0(L, report)
         nf = diagonalized_jets(map_jet, basis)
@@ -492,8 +496,8 @@ def alpha_matrix_compose(nf, phi2, psi2):
     return alpha
 
 
-def diagonalized_full(map_jet, basis, tol=1e-9):
-    """diagonalized_jets(map_jet, basis, tol) with every coefficient of the 3-jet built."""
+def diagonalized_full(map_jet, basis):
+    """diagonalized_jets(map_jet, basis) with every coefficient of the 3-jet built."""
     n = len(map_jet)
     if map_jet.num_vars != n or n % 2:
         raise ShapeMismatchError("map jet must be square with an even number of variables")
@@ -531,5 +535,24 @@ def diagonalized_full(map_jet, basis, tol=1e-9):
         lam=lam,
         mu=mu,
     )
-    nf.validate_linear_part(tol)
+    nf.validate_linear_part()
     return nf
+
+
+def nonplanarity_probe(omega, b, domain_radius=1e-3):
+    """(verdict, determinant) of the frequency map r -> omega + b r, by probing it at radius domain_radius.
+
+    Affine independence of the d+1 image points {omega + r b e_i} for r in
+    {0, domain_radius * e_1, ...}: the (d+1)x(d+1) determinant on rows
+    (1, point), divided by domain_radius^d, and the verdict |det| > 1e-9.
+    The real part of b is used.  ``nonplanarity_check`` took this
+    determinant before it read det(Re b) directly.
+    """
+    omega = np.asarray(omega, dtype=float)
+    d = len(omega)
+    b = np.asarray(b, dtype=complex).real
+    rows = [np.concatenate(([1.0], omega))]
+    for i in range(d):
+        rows.append(np.concatenate(([1.0], omega + domain_radius * b[:, i])))
+    det = np.linalg.det(np.array(rows)) / domain_radius**d
+    return bool(abs(det) > 1e-9), det

@@ -197,7 +197,7 @@ def test_criterion_4_su2_brown_gap_fill():
         from charvar_kam.birkhoff import NormalFormInput
 
         nf = NormalFormInput(1, JetVector([p]), JetVector([q]), (lam,), (mu,))
-        a_machine = alpha_matrix(nf)[0, 0]
+        a_machine = alpha_matrix(nf, *phi2_psi2(nf))[0, 0]
         a_closed = alpha2_closed_form(
             (p.coefficient((2, 0)), p.coefficient((1, 1)), p.coefficient((0, 2))),
             (q.coefficient((2, 0)), q.coefficient((1, 1)), q.coefficient((0, 2))),
@@ -230,8 +230,8 @@ def test_criterion_5_su3_kam_verdict():
         _, _, rep, _, nf, bc = _verdict_data(s)
         det = twist_determinant(bc.alpha)
         assert abs(det) > 1e-6, f"s = {s}: |det alpha| = {abs(det)}"
-        assert nonplanarity_check(rep.elliptic_frequencies(), bc.b)
-        assert nonresonance_check(list(nf.lam), order=4) == []
+        assert nonplanarity_check(bc.b)
+        assert nonresonance_check(list(nf.lam)) == []
     chart, L, rep, basis, nf, bc = _verdict_data(S249)
     det249 = twist_determinant(bc.alpha)
     assert abs(det249) > 1e-3
@@ -239,9 +239,8 @@ def test_criterion_5_su3_kam_verdict():
     from charvar_kam.spectral import DiagonalizingBasis
 
     rng = random.Random(23)
-    omega = rep.elliptic_frequencies()
     base_twist = abs(det249) > 1e-6
-    base_nonplanar = nonplanarity_check(omega, bc.b)
+    base_nonplanar = nonplanarity_check(bc.b)
     for _ in range(100):
         c = [rng.uniform(0.25, 4.0) for _ in range(3)]
         scale = np.diag([c[0], c[0], c[1], c[1], c[2], c[2]]).astype(complex)
@@ -257,7 +256,7 @@ def test_criterion_5_su3_kam_verdict():
         expected = det249 * (c[0] * c[1] * c[2]) ** 2
         assert abs(det_s - expected) < 1e-6 * abs(expected)
         assert (abs(det_s) > 1e-6) == base_twist
-        assert nonplanarity_check(omega, bc_s.b) == base_nonplanar
+        assert nonplanarity_check(bc_s.b) == base_nonplanar
     _ok(
         "5: twist |det alpha| > 1e-6 and non-planarity at s in {.239,.24,.241,.242}; "
         f"|det alpha(.249)| = {abs(det249):.3f} > 1e-3; verdicts invariant under "
@@ -296,7 +295,7 @@ def test_criterion_6_property_suites():
     for _ in range(10):
         theta1, theta2 = rng.uniform(0.05, 0.45), rng.uniform(0.05, 0.45)
         lam = (cmath.exp(2j * math.pi * theta1), cmath.exp(2j * math.pi * theta2))
-        if nonresonance_check(list(lam), order=2):
+        if nonresonance_check(list(lam)):
             continue
         mu = tuple(v.conjugate() for v in lam)
         zeta = jet_variables(4, 3, coeff_one=1.0 + 0.0j)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import alpha_matrix_compose, brjuno_items, diagonalized_full, functional_equation_residual
+from oracles import (
+    alpha_matrix_compose,
+    brjuno_items,
+    diagonalized_full,
+    functional_equation_residual,
+    nonplanarity_probe,
+)
 
 from charvar_kam import charts
 from charvar_kam.errors import ResonanceError, ShapeMismatchError
@@ -62,20 +69,20 @@ def random_nf(rng, d, cubic=True):
 
 
 def test_nonresonance_root_of_unity_flag():
-    flags = nonresonance_check([1j], order=4)
+    flags = nonresonance_check([1j])
     assert ("root_of_unity", 1, 4) in flags
     assert not [f for f in flags if f[0] == "root_of_unity" and f[2] < 4]
 
 
 def test_nonresonance_constructed_violation():
     lam = [cmath.exp(2j * math.pi * 0.1), cmath.exp(2j * math.pi * 0.2)]
-    flags = nonresonance_check(lam, order=4)
+    flags = nonresonance_check(lam)
     assert ("lambda_lambda", 2, 1, 1) in flags
 
 
 def test_nonresonance_clean_spectrum():
     lam = [cmath.exp(2j * math.pi * w) for w in (0.11, 0.23, 0.41)]
-    assert nonresonance_check(lam, order=4) == []
+    assert nonresonance_check(lam) == []
 
 
 def test_nonresonance_requires_unit_modulus():
@@ -152,14 +159,14 @@ def test_alpha_zero_for_linear_map():
     ps = [Jet.variable(j, n, 3, lam[j]) for j in range(3)]
     qs = [Jet.variable(3 + j, n, 3, mu[j]) for j in range(3)]
     nf = NormalFormInput(3, JetVector(ps), JetVector(qs), lam, mu)
-    assert np.allclose(alpha_matrix(nf), 0.0)
+    assert np.allclose(alpha_matrix(nf, *phi2_psi2(nf)), 0.0)
 
 
 def test_alpha_d1_matches_closed_form_on_50_random_maps():
     rng = random.Random(3)
     for _ in range(50):
         nf = random_nf(rng, 1)
-        a_mech = alpha_matrix(nf)[0, 0]
+        a_mech = alpha_matrix(nf, *phi2_psi2(nf))[0, 0]
         p = nf.p_jets[0]
         q = nf.q_jets[0]
         p2 = (p.coefficient((2, 0)), p.coefficient((1, 1)), p.coefficient((0, 2)))
@@ -203,7 +210,6 @@ def test_alpha_matches_the_full_composition_bitwise(d, trunc_degree):
         qs = [Jet.variable(d + j, n, trunc_degree, mu[j]) + _random_tail(rng, n, trunc_degree, density) for j in range(d)]
         nf = NormalFormInput(d=d, p_jets=JetVector(ps), q_jets=JetVector(qs), lam=lam, mu=mu)
         alpha = _assert_alpha_bitwise(nf)
-        assert alpha.tobytes() == alpha_matrix(nf).tobytes()
         if trunc_degree < 3:
             assert not alpha.any()
         elif density == 30:
@@ -376,7 +382,7 @@ def test_alpha2_closed_form_trivial_cases():
     p = zeta[0] * 1j + zeta[0] ** 2 + zeta[0] * zeta[1]
     q = zeta[1] * (-1j)
     nf = NormalFormInput(1, JetVector([p]), JetVector([q]), (1j,), (-1j,))
-    assert abs(val - alpha_matrix(nf)[0, 0]) < 1e-12
+    assert abs(val - alpha_matrix(nf, *phi2_psi2(nf))[0, 0]) < 1e-12
 
 
 def test_alpha2_closed_form_resonance_guard():
@@ -414,8 +420,8 @@ def test_alpha_covariance_under_pair_rescaling():
         nf.lam,
         nf.mu,
     )
-    a1 = alpha_matrix(nf)
-    a2 = alpha_matrix(nf2)
+    a1 = alpha_matrix(nf, *phi2_psi2(nf))
+    a2 = alpha_matrix(nf2, *phi2_psi2(nf2))
     for j in range(2):
         for k in range(2):
             assert abs(a2[j, k] - a1[j, k] * c[k] ** 2) < 1e-9
@@ -432,10 +438,10 @@ def test_birkhoff_coefficients_relations():
             assert abs(bc.alpha[j, k] - 1j * nf.lam[j] * bc.b[j, k]) < 1e-12
     nf1 = random_nf(rng, 1)
     bc1 = birkhoff_coefficients(nf1)
-    assert bc1.gamma1 is not None
-    assert abs(bc1.gamma1 - bc1.alpha[0, 0] / (1j * nf1.lam[0])) < 1e-12
-    # gamma1 != 0 iff alpha2 != 0
-    assert (abs(bc1.gamma1) > 1e-12) == (abs(bc1.alpha[0, 0]) > 1e-12)
+    # d = 1: b is the first Birkhoff invariant gamma1 = alpha2 / (i lambda), nonzero iff alpha2 is
+    assert abs(bc1.b[0, 0] - bc1.alpha[0, 0] / (1j * nf1.lam[0])) < 1e-12
+    assert (abs(bc1.b[0, 0]) > 1e-12) == (abs(bc1.alpha[0, 0]) > 1e-12)
+    assert [f.name for f in dataclasses.fields(bc1)] == ["alpha", "b"]
 
 
 def test_alpha2_continuity_in_lambda():
@@ -461,20 +467,37 @@ def test_twist_determinant_values():
 
 
 def test_nonplanarity_basic():
-    omega = [0.1, 0.2, 0.3]
-    assert nonplanarity_check(omega, np.eye(3))
-    assert not nonplanarity_check(omega, np.zeros((3, 3)))
+    assert nonplanarity_check(np.eye(3))
+    assert not nonplanarity_check(np.zeros((3, 3)))
     singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    assert not nonplanarity_check(omega, singular)
+    assert not nonplanarity_check(singular)
+    # the frequency map is real: only Re b counts
+    assert not nonplanarity_check(singular + 1j * np.eye(3))
 
 
-def test_nonplanarity_radius_independent():
+def _assert_nonplanarity_matches_the_probe(omega, b):
+    got = nonplanarity_check(b)
+    want, det = nonplanarity_probe(omega, b)
+    assert got == want
+    assert abs(np.linalg.det(b.real) - det) <= 1e-11 * abs(det)
+
+
+@pytest.mark.parametrize("s", [Fraction(239, 1000) + k * Fraction(5, 10000) for k in range(21)])
+def test_nonplanarity_matches_the_probing_radius_determinant_on_the_window(s):
+    """|det Re b| > tol agrees with the (d+1)x(d+1) determinant over r^d it replaced, on each su3 window row."""
+    chart = charts.chart_map_jet(fixed_family_su3(s))
+    L = charts.chart_linear_matrix(chart)
+    spectrum = classify_spectrum(L)
+    b = birkhoff_coefficients(diagonalized_jets(chart.map_jet, build_C0(L, spectrum))).b
+    _assert_nonplanarity_matches_the_probe(np.array(spectrum.elliptic_frequencies()), b)
+
+
+def test_nonplanarity_matches_the_probing_radius_determinant_on_random_b():
     rng = np.random.default_rng(3)
-    b = rng.normal(size=(3, 3))
-    omega = rng.normal(size=3)
-    assert nonplanarity_check(omega, b, domain_radius=1e-2) == nonplanarity_check(
-        omega, b, domain_radius=1e-5
-    )
+    for d in (1, 2, 3, 4):
+        for _ in range(50):
+            b = rng.normal(size=(d, d)) + 1e-3j * rng.normal(size=(d, d))
+            _assert_nonplanarity_matches_the_probe(rng.uniform(0, 0.5, size=d), b)
 
 
 # ------------------------------------------------------------------ Brjuno

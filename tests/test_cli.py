@@ -88,6 +88,16 @@ def test_config_rejects_pole():
         RunConfig(pipeline="su3-main", s_values=[Fraction(1, 2)])
 
 
+@pytest.mark.parametrize("pipeline", ["su2-brown", "su3-main"])
+def test_config_rejects_s_outside_the_double_range(pipeline):
+    """A library caller's s is checked as ``--s`` is: the report prints each s as a double."""
+    with pytest.raises(ValueError, match="is outside the double range"):
+        RunConfig(pipeline=pipeline, s_values=[Fraction(1, 10), Fraction(10) ** 400])
+    with pytest.raises(ValueError, match="is outside the double range"):
+        run(RunConfig(pipeline=pipeline, s_values=[-Fraction(10) ** 309]))
+    RunConfig(pipeline=pipeline, s_values=[Fraction(10) ** 300, Fraction(1, 10**400)])  # 1e-400 rounds to 0.0: accepted
+
+
 def test_config_rejects_unknown_pipeline():
     with pytest.raises(ValueError):
         RunConfig(pipeline="nope")
@@ -253,6 +263,13 @@ def test_su3_rows_whose_values_overflow_a_double_are_recorded(tmp_path):
     assert [row["error"].split(":")[0] for row in rest] == [
         "OverflowError", "SingularChartError", "OverflowError", "OverflowError"
     ]
+    # each overflow names its s and the step that overflowed
+    overflows = [row["error"] for row in rest if row["error"].startswith("OverflowError")]
+    assert overflows == [
+        f"OverflowError: s = {10**40}: recentering at the fixed point overflows a double",
+        f"OverflowError: s = {10**100}: the level does not fit a double",
+        f"OverflowError: s = {10**200}: the fixed point does not fit a double",
+    ]
 
 
 def test_json_determinism_byte_identical(tmp_path):
@@ -284,12 +301,9 @@ def test_csv_columns(tmp_path):
     assert fields[5] == "True" and fields[6] == "True"
 
 
-def test_thread_env_respected(tmp_path):
+def test_rows_keep_input_order(tmp_path):
     out = tmp_path / "r.json"
-    res = run_cli(
-        ["--pipeline", "su2-brown", "--s", "0.05,0.1,0.15", "--out", str(out)],
-        env={"CHARVAR_KAM_THREADS": "2"},
-    )
+    res = run_cli(["--pipeline", "su2-brown", "--s", "0.05,0.1,0.15", "--out", str(out)])
     assert res.returncode == 0
     rows = json.loads(out.read_text())["rows"]
     assert [r["s"] for r in rows] == [0.05, 0.1, 0.15]  # input order preserved
@@ -339,7 +353,8 @@ def test_dump_goldens_round_trip(tmp_path):
 
 def test_golden_comparison_passes(tmp_path):
     paths = dump_goldens(tmp_path)
-    result = compare_golden(tmp_path / "su3_chart_s249.json")
+    path = tmp_path / "su3_chart_s249.json"
+    result = compare_golden(path, cli._read_golden(path))
     assert result["ok"] is True
     binding = [c for c in result["checks"] if c["binding"]]
     assert len(binding) >= 20
@@ -386,13 +401,39 @@ def test_golden_reuses_kam_report_not_a_full_row(tmp_path, monkeypatch):
     assert diagnostic["got"] == [det["re"], det["im"]]
 
 
+def test_golden_runs_each_step_once(tmp_path, monkeypatch):
+    """A row at the file's s with --golden: the file is read once; the row and the comparison each take one
+    fixed point, one chart lookup and one verdict chain."""
+    from charvar_kam import pipelines
+
+    dump_goldens(tmp_path)
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or real(*args))
+
+    for module in (cli, pipelines):
+        counted(module, "fixed_family_su3")
+        counted(module, "chart_map_jet")
+    counted(cli, "_read_golden")
+    counted(pipelines, "_su3_verdicts")
+    out = tmp_path / "rep.json"
+    argv = ["--pipeline", "su3-main", "--s", "0.249", "--out", str(out)]
+    assert cli.main([*argv, "--golden", str(tmp_path / "su3_chart_s249.json")]) == 0
+    assert {name: calls.count(name) for name in calls} == {
+        "_read_golden": 1, "fixed_family_su3": 2, "chart_map_jet": 2, "_su3_verdicts": 2
+    }
+    assert json.loads(out.read_text())["golden"]["ok"] is True
+
+
 def test_golden_mismatch_detected(tmp_path):
     paths = dump_goldens(tmp_path)
     golden_path = tmp_path / "su3_chart_s249.json"
     data = json.loads(golden_path.read_text())
     data["t_jet"]["constant"] = -0.02  # corrupt a binding value
     golden_path.write_text(json.dumps(data))
-    result = compare_golden(golden_path)
+    result = compare_golden(golden_path, cli._read_golden(golden_path))
     assert result["ok"] is False
     cfg = RunConfig(
         pipeline="su3-main", s_values=[Fraction(249, 1000)], golden=str(golden_path)

@@ -30,3 +30,33 @@ def test_no_raised_assertion_error_in_package():
             if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                 found.append(where)
     assert found == []
+
+
+#: The on-variety checks take their tolerance as an argument: float points
+#: built from random SU(3) matrices need a looser one than exact points.
+_TOLERANCE_ARGUMENTS = {
+    "varieties.py:in_deltoid",
+    "varieties.py:su3_on_variety",
+    "varieties.py:boundary_map_su3",
+    "varieties.py:deltoid_member",
+}
+
+
+def _is_tolerance(name: str) -> bool:
+    return name == "tol" or name.endswith("_tol") or name == "domain_radius"
+
+
+def test_no_tolerance_keyword_defaults_in_package():
+    """Each verdict threshold is one named module constant, not a keyword default a caller could change."""
+    found = []
+    for where, node in _package_nodes():
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        with_defaults = args.posonlyargs + args.args
+        defaulted = with_defaults[len(with_defaults) - len(args.defaults) :]
+        defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        name = f"{where.split(':')[0]}:{node.name}"
+        if name not in _TOLERANCE_ARGUMENTS:
+            found += [f"{where} {node.name}({a.arg}=...)" for a in defaulted if _is_tolerance(a.arg)]
+    assert found == []

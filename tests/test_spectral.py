@@ -155,7 +155,7 @@ def test_spectrum_report_json():
 
 def test_build_C0_rotation():
     theta = 0.37
-    basis = build_C0(rotation(theta))
+    basis = build_C0(rotation(theta), classify_spectrum(rotation(theta)))
     C0 = basis.C0
     # conjugate-pair columns, unit norm, leading entry real positive
     assert np.allclose(C0[:, 1], np.conj(C0[:, 0]))
@@ -169,7 +169,7 @@ def test_build_C0_rotation():
 
 def test_build_C0_six_dim_residual():
     m = block_diag(rotation(0.3), rotation(0.8), rotation(1.4))
-    basis = build_C0(m)
+    basis = build_C0(m, classify_spectrum(m))
     diag = basis.inverse @ m @ basis.C0
     off = diag - np.diag(np.diag(diag))
     assert np.max(np.abs(off)) < 1e-9
@@ -180,12 +180,13 @@ def test_build_C0_six_dim_residual():
 def test_build_C0_rejects_resonant():
     m = block_diag(rotation(0.5), rotation(0.5))
     with pytest.raises(ResonanceError):
-        build_C0(m)
+        build_C0(m, classify_spectrum(m))
 
 
 def test_build_C0_rejects_hyperbolic():
     with pytest.raises(ResonanceError):
-        build_C0(np.array([[2.0, 1.0], [1.0, 1.0]]))
+        m = np.array([[2.0, 1.0], [1.0, 1.0]])
+        build_C0(m, classify_spectrum(m))
 
 
 def test_eigenvalue_continuity_small_step():
