@@ -131,7 +131,7 @@ def diagonalized_jets(map_jet: JetVector, basis: DiagonalizingBasis) -> NormalFo
     if map_jet.trunc_degree > NORMAL_FORM_DEGREE:
         map_jet = JetVector(c.truncated(NORMAL_FORM_DEGREE) for c in map_jet)
     d = n // 2
-    C0, inv = basis.C0, basis.inverse
+    C0, inv = basis.C0.tolist(), basis.inverse.tolist()
     # block index -> interleaved index
     perm = [2 * j for j in range(d)] + [2 * j + 1 for j in range(d)]
     td = map_jet.trunc_degree
@@ -140,14 +140,14 @@ def diagonalized_jets(map_jet: JetVector, basis: DiagonalizingBasis) -> NormalFo
     zeta = [{w[k]: 1.0 + 0.0j} for k in range(n)]
     cut = NORMAL_FORM_DEGREE * table.top  # the codes from here on are cubic
     inner = [
-        Jet._raw(n, td, _combination(zeta, [complex(C0[i, perm[k]]) for k in range(n)], cut, ())) for i in range(n)
+        Jet._raw(n, td, _combination(zeta, [complex(C0[i][perm[k]]) for k in range(n)], cut, ())) for i in range(n)
     ]
     # the cubic codes each output keeps: xi_j xi_k eta_k in p_j, eta_j xi_k eta_k in q_j
     resonant = [{w[r] + w[k] + w[d + k] for k in range(d)} for r in range(n)]
     keep = set().union(*resonant) if td == NORMAL_FORM_DEGREE else None  # a 2-jet has no cubic keys
     composed = [c._coded for c in _compose(map_jet.components, inner, False, keep)]
     out = [
-        Jet._raw(n, td, _combination(composed, [complex(inv[perm[r], i]) for i in range(n)], cut, resonant[r]))
+        Jet._raw(n, td, _combination(composed, [complex(inv[perm[r]][i]) for i in range(n)], cut, resonant[r]))
         for r in range(n)
     ]
     lam = tuple(complex(basis.normalization["eigenvalues"][j]) for j in range(d))
@@ -430,8 +430,12 @@ def brjuno_partial_sum(theta, K: int = 20, huge_quotient: float = 1e12) -> Brjun
     the fractional part of theta, taken exactly (a float is converted without
     rounding), so Fraction input gives exact quotients.
     """
-    x = Fraction(theta)
-    num, den = x.numerator % x.denominator, x.denominator
+    if isinstance(theta, float):
+        num, den = theta.as_integer_ratio()  # exact, in lowest terms
+    else:
+        x = Fraction(theta)
+        num, den = x.numerator, x.denominator
+    num %= den
     qs = [1]
     q_prev = 0
     quotients = []

@@ -478,7 +478,14 @@ def _float_jet2(trunc_degree: int, terms, den: int) -> Jet:
 
     A quotient of 0.0 drops, as in ``map_coefficients``.
     """
-    return Jet(2, trunc_degree, {e: n / den for e, n in terms if sum(e) <= trunc_degree})
+    encode = _monomials(2, trunc_degree).encode
+    coded = {}
+    for e, n in terms:
+        if sum(e) <= trunc_degree:
+            v = n / den
+            if v:
+                coded[encode(e)] = v
+    return Jet._raw(2, trunc_degree, coded)
 
 
 def su2_chart_map_jet(p0: Su2FixedPoint, trunc_degree: int = 3) -> Su2ChartJet:

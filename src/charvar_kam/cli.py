@@ -36,6 +36,7 @@ MAX_DEGREE = 8
 # The golden comparison's thresholds (the README's threshold table).
 GOLDEN_REL_TOL = 1e-3  #: the relative error a binding golden check allows (6 printed digits)
 GOLDEN_DET_MIN = 1e-3  #: |det alpha| above this passes the golden file's alpha_det diagnostic
+GOLDEN_REL_FLOOR = 1e-30  #: a golden check divides its error by max(|want|, this)
 
 #: Reference values as printed in the source write-up (6 significant digits).
 #: Printed degree-k jet terms carry k! times the polynomial coefficient; the
@@ -182,51 +183,91 @@ def _check_count(count: int):
         raise ValueError(f"{count} s values requested, more than the cap of {MAX_S_VALUES}")
 
 
-def _json_escape(s: str) -> str:
-    return json.dumps(s)
+#: The JSON string of a str (what ``json.dumps`` gives for one, without its set-up).
+_json_escape = json.encoder.encode_basestring_ascii
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    return _NON_FINITE.get(text, text)
 
 
 def dump_deterministic_json(obj, out: io.TextIOBase, indent: int = 0):
-    """JSON writer with 17-significant-digit floats and stable ordering."""
-    pad = "  " * indent
+    """Write ``obj`` to ``out`` as JSON text, in one ``write``, byte-deterministically.
+
+    The format: a non-empty dict or list (a tuple too) opens its bracket, puts
+    each item on its own line indented two spaces per level (``indent`` is
+    the level of ``obj`` itself), separates items with ``,`` at the line end
+    and closes on a line of its own; an empty one is ``{}`` or ``[]``.  Dict
+    items keep insertion order, each key as the JSON string of ``str(key)``
+    followed by ``": "``.  ``true``/``false`` for bools, ``str`` for other
+    ints, floats at 17 significant digits (``.17g``) with ``NaN``,
+    ``Infinity`` and ``-Infinity``, ``null`` for None, and any other value as
+    the ASCII JSON string of its ``str``.
+    """
+    parts: list[str] = []
+    _put_json(obj, indent, parts.append, {})
+    out.write("".join(parts))
+
+
+#: The text of the leaves most reports are made of, by exact type (as ``_put_json`` writes them).
+_LEAF_TEXT = {float: _format_float, str: _json_escape}
+
+
+def _put_json(obj, depth: int, emit, keys: dict):
+    """Append the pieces of ``obj``'s JSON text at nesting ``depth``; ``keys`` caches escaped keys.
+
+    Items whose exact type has an entry in ``_LEAF_TEXT`` are written in
+    place, anything else (containers, subclasses) through this function.
+    """
+    leaf_text = _LEAF_TEXT.get
     if isinstance(obj, dict):
         if not obj:
-            out.write("{}")
+            emit("{}")
             return
-        out.write("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            out.write("  " * (indent + 1) + _json_escape(str(k)) + ": ")
-            dump_deterministic_json(v, out, indent + 1)
-            out.write(",\n" if i < len(obj) - 1 else "\n")
-        out.write(pad + "}")
+        pad = "  " * (depth + 1)
+        opener, sep = "{\n" + pad, ",\n" + pad
+        for k, v in obj.items():
+            text = str(k)
+            key = keys.get(text)
+            if key is None:
+                key = keys[text] = _json_escape(text) + ": "
+            emit(opener)
+            emit(key)
+            leaf = leaf_text(type(v))
+            if leaf is None:
+                _put_json(v, depth + 1, emit, keys)
+            else:
+                emit(leaf(v))
+            opener = sep
+        emit("\n" + "  " * depth + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
-            out.write("[]")
+            emit("[]")
             return
-        out.write("[\n")
-        for i, v in enumerate(obj):
-            out.write("  " * (indent + 1))
-            dump_deterministic_json(v, out, indent + 1)
-            out.write(",\n" if i < len(obj) - 1 else "\n")
-        out.write(pad + "]")
+        pad = "  " * (depth + 1)
+        opener, sep = "[\n" + pad, ",\n" + pad
+        for v in obj:
+            emit(opener)
+            leaf = leaf_text(type(v))
+            if leaf is None:
+                _put_json(v, depth + 1, emit, keys)
+            else:
+                emit(leaf(v))
+            opener = sep
+        emit("\n" + "  " * depth + "]")
     elif isinstance(obj, bool):
-        out.write("true" if obj else "false")
+        emit("true" if obj else "false")
     elif isinstance(obj, int):
-        out.write(str(obj))
+        emit(str(obj))
     elif isinstance(obj, float):
-        out.write(_format_float(obj))
+        emit(_format_float(obj))
     elif obj is None:
-        out.write("null")
+        emit("null")
     else:
-        out.write(_json_escape(str(obj)))
+        emit(_json_escape(str(obj)))
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -374,7 +415,7 @@ def compare_golden(path: Path, golden: dict) -> dict:
     result = {"file": str(path), "rel_tol": GOLDEN_REL_TOL, "ok": False, "checks": checks}
 
     def check(name, got, want, binding=True):
-        rel = abs(got - want) / max(abs(want), 1e-30)
+        rel = abs(got - want) / max(abs(want), GOLDEN_REL_FLOOR)
         checks.append(
             {"name": name, "got": float(got), "want": float(want), "rel_err": rel,
              "binding": binding, "ok": rel <= GOLDEN_REL_TOL}

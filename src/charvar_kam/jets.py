@@ -186,10 +186,11 @@ class Jet:
     # -- internal fast constructor (coded dict already canonical & within degree) --
     @classmethod
     def _raw(cls, num_vars, trunc_degree, coded):
-        self = object.__new__(cls)
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "trunc_degree", trunc_degree)
-        object.__setattr__(self, "_coded", coded)
+        # the slot descriptors set the slots past the immutability guard
+        self = _new(cls)
+        _set_num_vars(self, num_vars)
+        _set_trunc_degree(self, trunc_degree)
+        _set_coded(self, coded)
         return self
 
     # -- constructors -------------------------------------------------------
@@ -274,9 +275,20 @@ class Jet:
                 f"({other.num_vars},{other.trunc_degree})"
             )
 
+    def _plus_constant(self, value) -> "Jet":
+        """``self + value`` for a number: one dict copy with key 0 updated (dropped if it cancels)."""
+        out = dict(self._coded)
+        if value:
+            s = out.get(0, 0) + value
+            if s:
+                out[0] = s
+            else:
+                out.pop(0, None)
+        return Jet._raw(self.num_vars, self.trunc_degree, out)
+
     def __add__(self, other):
         if not isinstance(other, Jet):
-            return self + Jet.constant(self.num_vars, self.trunc_degree, other)
+            return self._plus_constant(other)
         self._check_shape(other)
         out = dict(self._coded)
         for k, c in other._coded.items():
@@ -293,16 +305,31 @@ class Jet:
         return Jet._raw(self.num_vars, self.trunc_degree, {k: -c for k, c in self._coded.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else Jet.constant(self.num_vars, self.trunc_degree, -other))
+        if not isinstance(other, Jet):
+            return self._plus_constant(-other)
+        self._check_shape(other)
+        # the sums of self + (-other), in one pass
+        out = dict(self._coded)
+        for k, c in other._coded.items():
+            s = out.get(k, 0) - c
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        return Jet._raw(self.num_vars, self.trunc_degree, out)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            if not other:
-                return Jet.zero(self.num_vars, self.trunc_degree)
-            return self.map_coefficients(lambda c: c * other)
+            out = {}
+            if other:
+                for k, c in self._coded.items():
+                    v = c * other
+                    if v:
+                        out[k] = v
+            return Jet._raw(self.num_vars, self.trunc_degree, out)
         self._check_shape(other)
         td = self.trunc_degree
         top = _monomials(self.num_vars, td).top
@@ -432,6 +459,12 @@ class Jet:
                 c = c.real
             coeffs[tuple(t["exps"])] = c
         return cls(data["num_vars"], data["trunc_degree"], coeffs)
+
+
+_new = object.__new__
+_set_num_vars, _set_trunc_degree, _set_coded = (
+    Jet.num_vars.__set__, Jet.trunc_degree.__set__, Jet._coded.__set__
+)
 
 
 def _horner(coeffs: Mapping[tuple, object], point: tuple, var: int, num_vars: int):
@@ -589,13 +622,15 @@ def _compose(outers: Sequence[Jet], inner: Sequence[Jet], allow_constant: bool, 
     nv, td = inner[0].num_vars, inner[0].trunc_degree
     outer_table = _monomials(outers[0].num_vars, outers[0].trunc_degree)
     product = _Products(inner, outer_table, keep).product  # keyed by the outer monomial's code
+    # zero-constant inner: each factor raises the degree, so a term above td adds nothing
+    too_high = math.inf if allow_constant else (td + 1) * outer_table.top
     out = []
     for outer in outers:
         acc: dict[int, object] = {}  # the constant monomial's code is 0
         get, pop = acc.get, acc.pop
         for code, c in outer._coded.items():
-            if not c or (not allow_constant and code // outer_table.top > td):
-                continue  # adds nothing (zero-constant inner: each factor raises degree)
+            if not c or code >= too_high:
+                continue
             if not code:
                 s = get(0, 0) + c
                 if s:
@@ -681,10 +716,10 @@ def _fitting(b: Jet) -> list[list]:
     """``[terms of b of degree <= r for r in 0..trunc_degree]``, each list in ``b``'s order."""
     td = b.trunc_degree
     top = _monomials(b.num_vars, td).top
-    within: list[list] = [[] for _ in range(td + 1)]
-    for kb, cb in b._coded.items():
-        for r in range(kb // top, td + 1):
-            within[r].append((kb, cb))
+    items = list(b._coded.items())
+    # degree <= r is code < (r + 1) * top; every term has degree <= td
+    within = [[t for t in items if t[0] < bound] for bound in range(top, td * top + 1, top)]
+    within.append(items)
     return within
 
 
@@ -922,19 +957,28 @@ def jet_sqrt(a: Jet) -> Jet:
     if c_f <= 0.0:
         raise ValueError(f"jet_sqrt needs a positive constant term, got {c_f}")
     w = (a - c) * (1.0 / c_f)  # zero constant term
-    root = math.sqrt(c_f)
-    # sqrt(c(1+w)) = sqrt(c) * sum binom(1/2, k) w^k
-    acc = Jet.constant(a.num_vars, a.trunc_degree, 1.0)
+    # sqrt(c(1+w)) = sqrt(c) * sum binom(1/2, k) w^k; the powers start at w,
+    # which is the constant-1 jet times w bit for bit
+    acc = {0: 1.0}
+    get, pop = acc.get, acc.pop
     coeff = 1.0
-    w_pow = Jet.constant(a.num_vars, a.trunc_degree, 1.0)
-    half = 0.5
+    w_pow = w
     for k in range(1, a.trunc_degree + 1):
-        coeff *= (half - (k - 1)) / k
-        w_pow = w_pow * w
+        coeff *= (0.5 - (k - 1)) / k
+        if k > 1:
+            w_pow = w_pow * w
         if w_pow.is_zero():
             break
-        acc = acc + w_pow * coeff
-    return acc * root
+        # the steps of acc + w_pow * coeff
+        for key, v in w_pow._coded.items():
+            v = v * coeff
+            if v:
+                s = get(key, 0) + v
+                if s:
+                    acc[key] = s
+                else:
+                    pop(key, None)
+    return Jet._raw(a.num_vars, a.trunc_degree, acc) * math.sqrt(c_f)
 
 
 def normalized_coefficient(a: Jet, upper: Sequence[int], lower: Sequence[int]):

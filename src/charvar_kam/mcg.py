@@ -53,6 +53,7 @@ __all__ = [
 # Thresholds of the matrix models (the README's threshold table).
 UNITARY_TOL = 1e-12  #: b_matrix's 1 - |u|^2 may dip this far below 0 before B(s) leaves SU(2)
 REALIZABLE_BISECT_TOL = 1e-13  #: the bracket width at which ``realizable_interval_su3`` stops bisecting
+SPHERE_NORM_TOL = 1e-12  #: ``sphere_action`` normalizes, with a warning, a direction whose norm is off 1 by more
 
 
 class PolyAutomorphism:
@@ -65,10 +66,6 @@ class PolyAutomorphism:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("PolyAutomorphism is immutable")
-
-    @property
-    def arity(self) -> int:
-        return len(self.components)
 
     def __call__(self, point):
         return tuple(c.eval(list(point)) for c in self.components)
@@ -202,7 +199,7 @@ def sphere_action(generator: str, d) -> np.ndarray:
         raise KeyError(f"unknown generator {generator!r}; choose from {sorted(SPHERE_GENERATORS)}")
     v = np.asarray(d, dtype=float)
     n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > 1e-12:
+    if abs(n - 1.0) > SPHERE_NORM_TOL:
         warnings.warn(f"sphere_action input has norm {n:.6g}; normalizing", stacklevel=2)
         v = v / n
     return mat @ v
@@ -213,8 +210,11 @@ def sphere_action(generator: str, d) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+_POLE = Fraction(1, 2)
+
+
 def _check_pole(s):
-    if s == Fraction(1, 2) or s == 0.5:
+    if s == _POLE or (not isinstance(s, Fraction) and s == 0.5):
         raise PoleError("the fixed family has a pole at s = 1/2")
 
 

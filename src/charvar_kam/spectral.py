@@ -33,6 +33,7 @@ PARTNER_TOL = 1e-6  #: an eigenvalue pairs within this times max(1, |target|) of
 EIGEN_RESIDUAL_TOL = 1e-9  #: an eigenpair residual above this times ||m|| is defective
 EIGEN_COND_MAX = 1e12  #: an eigenvector basis condition number above this is defective
 C0_RESIDUAL_TOL = 1e-9  #: an off-diagonal entry of C0^-1 m C0 above this times max(1, ||m||) fails C0
+PHASE_LEAD_MIN = 1e-9  #: C0's phase is pinned at the first eigenvector entry of modulus above this
 
 
 def eigen_small(m):
@@ -55,13 +56,15 @@ def eigen_small(m):
     if scale == 0.0:
         return vals, vecs
     # a Jordan block yields (near-)parallel eigenvectors with tiny residuals,
-    # so defectiveness must be caught through the basis conditioning
-    cond = np.linalg.cond(vecs)
+    # so defectiveness must be caught through the basis conditioning: the
+    # 2-norm condition number s_max / s_min, as np.linalg.cond computes it
+    s = np.linalg.svd(vecs, compute_uv=False).tolist()
+    cond = s[0] / s[-1] if s[-1] else math.inf
     if cond > EIGEN_COND_MAX:
         raise NonDiagonalizableError(f"eigenvector basis condition number {cond:.3e}: matrix is defective")
-    for k in range(m.shape[0]):
-        v = vecs[:, k]
-        res = np.linalg.norm(m @ v - vals[k] * v)
+    # column k is m v_k - lambda_k v_k
+    residuals = np.linalg.norm(m @ vecs - vecs * vals, axis=0)
+    for k, res in enumerate(residuals.tolist()):
         if res > EIGEN_RESIDUAL_TOL * scale:
             raise NonDiagonalizableError(
                 f"eigenpair {k} residual {res:.3e} exceeds {EIGEN_RESIDUAL_TOL:.1e} * ||m||"
@@ -77,6 +80,7 @@ class SpectrumReport:
     lambda_jbar ~ conj(lambda_j); classification tags each pair elliptic,
     hyperbolic, parabolic or resonant; omega holds arg(lambda)/2pi in
     (0, 1/2) for each elliptic pair (NaN placeholder otherwise).
+    eigenvalues holds Python ``complex`` numbers, not numpy scalars.
     eigenvectors (columns, read by ``build_C0``) stays out of equality,
     hashing and the JSON form.
     """
@@ -130,6 +134,7 @@ def classify_spectrum(m) -> SpectrumReport:
     if np.iscomplexobj(m) and np.max(np.abs(m.imag)) > 0:
         raise SpectrumStructureError("classify_spectrum expects a real matrix")
     vals, vecs = eigen_small(np.asarray(m, dtype=float))
+    vals = vals.tolist()  # Python complex: the same abs (hypot) and phase as numpy's scalars
     n = len(vals)
     used = [False] * n
     pairing = []
@@ -229,7 +234,7 @@ def build_C0(m, report: SpectrumReport) -> DiagonalizingBasis:
         v = report.eigenvectors[:, j].astype(complex)
         v = v / np.linalg.norm(v)
         # deterministic phase: first entry above threshold made real positive
-        lead = next(i for i in range(n) if abs(v[i]) > 1e-9)
+        lead = next(i for i in range(n) if abs(v[i]) > PHASE_LEAD_MIN)
         v = v * (abs(v[lead]) / v[lead])
         cols.append(v)
         cols.append(np.conj(v))

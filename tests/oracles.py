@@ -39,8 +39,23 @@ jet arithmetic (``Jet + Jet``, ``Jet * c`` and ``JetVector.compose``), which
 fixes the floats and key order ``diagonalized_jets`` must reproduce at the
 coefficients it keeps; the functional-equation residual and the reality
 constraint on values need every cubic coefficient, so they run on it.
+
+Whole-jet forms of the jet operations that now run as one dict pass: a jet
+plus or minus a number adds the constant jet of that number, a jet minus a
+jet adds the negated jet, a jet times a number maps its coefficients, and
+the square-root series starts its powers at the constant-1 jet and builds
+every step as a jet.  They fix the items, their order and their float bits.
+
+The spectrum pairing on numpy scalars, as ``classify_spectrum`` ran before
+it read the eigenvalues as Python complex numbers, fixes its pairing, tags,
+frequencies and error messages.
+
+The recursive report writer, which wrote each piece to the stream as it went
+and escaped every key afresh, fixes the bytes of ``dump_deterministic_json``.
 """
 
+import cmath
+import json
 import math
 from fractions import Fraction
 
@@ -59,11 +74,26 @@ from charvar_kam.birkhoff import (
     nonresonance_check,
     phi2_psi2,
 )
-from charvar_kam.errors import ConsistencyError, ShapeMismatchError, SingularChartError, UnrealizableError
+from charvar_kam.errors import (
+    ConsistencyError,
+    ShapeMismatchError,
+    SingularChartError,
+    SpectrumStructureError,
+    UnrealizableError,
+)
 from charvar_kam.jets import QQi, Jet, JetVector, jet_sqrt, jet_variables
 from charvar_kam.mcg import _check_pole
 from charvar_kam.pipelines import SCAN_ERRORS
-from charvar_kam.spectral import build_C0, classify_spectrum
+from charvar_kam.spectral import (
+    _PARABOLIC_TOL,
+    REAL_AXIS_TOL,
+    REPEAT_TOL,
+    UNIT_CIRCLE_TOL,
+    _partner,
+    build_C0,
+    classify_spectrum,
+    eigen_small,
+)
 from charvar_kam.varieties import Su2Point, kappa_su2
 
 
@@ -556,3 +586,142 @@ def nonplanarity_probe(omega, b, domain_radius=1e-3):
         rows.append(np.concatenate(([1.0], omega + domain_radius * b[:, i])))
     det = np.linalg.det(np.array(rows)) / domain_radius**d
     return bool(abs(det) > 1e-9), det
+
+
+def jet_plus_number(a, x):
+    """``a + x`` for a number x as it was built: a plus the constant jet of x (``a - x`` is ``a + (-x)``)."""
+    return a + Jet.constant(a.num_vars, a.trunc_degree, x)
+
+
+def jet_minus_jet(a, b):
+    """``a - b`` for jets as it was built: a plus the negated b."""
+    return a + (-b)
+
+
+def jet_times_number(a, x):
+    """``a * x`` for a number x as it was built: the zero jet for a zero x, else a map over the coefficients."""
+    if not x:
+        return Jet.zero(a.num_vars, a.trunc_degree)
+    return a.map_coefficients(lambda c: c * x)
+
+
+def jet_sqrt_steps(a):
+    """``jet_sqrt(a)`` as it was built: every step a whole jet, the powers from the constant-1 jet."""
+    c = a.constant_term()
+    if isinstance(c, (complex, QQi)):
+        raise ValueError("jet_sqrt is defined for real-coefficient jets only")
+    c_f = float(c)
+    if c_f <= 0.0:
+        raise ValueError(f"jet_sqrt needs a positive constant term, got {c_f}")
+    nv, td = a.num_vars, a.trunc_degree
+    w = jet_times_number(jet_plus_number(a, -c), 1.0 / c_f)
+    root = math.sqrt(c_f)
+    acc = Jet.constant(nv, td, 1.0)
+    coeff = 1.0
+    w_pow = Jet.constant(nv, td, 1.0)
+    for k in range(1, td + 1):
+        coeff *= (0.5 - (k - 1)) / k
+        w_pow = w_pow * w
+        if w_pow.is_zero():
+            break
+        acc = acc + jet_times_number(w_pow, coeff)
+    return jet_times_number(acc, root)
+
+
+def classify_spectrum_numpy(m):
+    """(eigenvalues, pairing, tags, omega) of ``classify_spectrum(m)``, paired on numpy scalars."""
+    vals, _ = eigen_small(np.asarray(m, dtype=float))
+    n = len(vals)
+    used = [False] * n
+    pairing, tags, omegas = [], [], []
+    order = sorted(range(n), key=lambda k: (-abs(vals[k].imag), -vals[k].real))
+    for j in order:
+        if used[j]:
+            continue
+        lam = vals[j]
+        if abs(lam.imag) > REAL_AXIS_TOL:
+            best, best_err = _partner(vals, used, j, lam.conjugate())
+            if best is None:
+                raise SpectrumStructureError(
+                    f"eigenvalue {lam} has no conjugate partner (best residual {best_err:.3e})"
+                )
+            jj = j if lam.imag > 0 else best
+            kk = best if lam.imag > 0 else j
+            used[j] = used[best] = True
+            lam_pos = vals[jj]
+            pairing.append((jj, kk))
+            if abs(abs(lam_pos) - 1.0) < UNIT_CIRCLE_TOL:
+                tags.append("elliptic")
+                omegas.append(cmath.phase(lam_pos) / (2 * math.pi))
+            else:
+                tags.append("hyperbolic")
+                omegas.append(math.nan)
+        else:
+            lam_r = lam.real
+            if abs(lam_r - 1.0) < _PARABOLIC_TOL or abs(lam_r + 1.0) < _PARABOLIC_TOL:
+                best = _partner(vals, used, j, lam)[0]
+                if best is None:
+                    raise SpectrumStructureError(f"unpaired parabolic eigenvalue {lam_r}")
+                used[j] = used[best] = True
+                pairing.append((j, best))
+                tags.append("parabolic")
+                omegas.append(math.nan)
+                continue
+            best = _partner(vals, used, j, 1.0 / lam_r if lam_r else math.inf, real=True)[0]
+            if best is None:
+                raise SpectrumStructureError(f"real eigenvalue {lam_r} has no reciprocal partner")
+            used[j] = used[best] = True
+            big = j if abs(vals[j]) >= abs(vals[best]) else best
+            small = best if big == j else j
+            pairing.append((big, small))
+            tags.append("hyperbolic")
+            omegas.append(math.nan)
+    ell = [vals[p[0]] for p, t in zip(pairing, tags) if t == "elliptic"]
+    for a in range(len(ell)):
+        for b in range(a + 1, len(ell)):
+            if abs(ell[a] - ell[b]) < REPEAT_TOL:
+                tags = ["resonant" if t == "elliptic" else t for t in tags]
+    return tuple(vals), tuple(pairing), tuple(tags), tuple(omegas)
+
+
+def _format_float_checked(x):
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return format(x, ".17g")
+
+
+def dump_json_recursive(obj, out, indent=0):
+    """The report writer as it was: one ``write`` per piece, every key escaped afresh."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            out.write("{}")
+            return
+        out.write("{\n")
+        for i, (k, v) in enumerate(obj.items()):
+            out.write("  " * (indent + 1) + json.dumps(str(k)) + ": ")
+            dump_json_recursive(v, out, indent + 1)
+            out.write(",\n" if i < len(obj) - 1 else "\n")
+        out.write(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.write("[]")
+            return
+        out.write("[\n")
+        for i, v in enumerate(obj):
+            out.write("  " * (indent + 1))
+            dump_json_recursive(v, out, indent + 1)
+            out.write(",\n" if i < len(obj) - 1 else "\n")
+        out.write(pad + "]")
+    elif isinstance(obj, bool):
+        out.write("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.write(str(obj))
+    elif isinstance(obj, float):
+        out.write(_format_float_checked(obj))
+    elif obj is None:
+        out.write("null")
+    else:
+        out.write(json.dumps(str(obj)))

@@ -543,6 +543,19 @@ def test_brjuno_integer_euclid_matches_fraction_loop():
         assert brjuno_partial_sum(theta, 20, huge_quotient=3) == brjuno_items(theta, 20, huge_quotient=3)
 
 
+def test_brjuno_float_ratio_matches_fraction_path():
+    """A float's ratio from ``as_integer_ratio`` gives the ``Fraction`` path's result, field for field."""
+    rng = random.Random(31)
+    thetas = [rng.uniform(-3.0, 3.0) for _ in range(300)]
+    thetas += [rng.uniform(0.0, 1e-6) for _ in range(20)] + [np.float64(rng.random()) for _ in range(20)]
+    thetas += [0.0, -0.0, 1.0, -2.5, 1e17, 5e-324, 1 / 3, 0.1]
+    for theta in thetas:
+        assert brjuno_partial_sum(theta) == brjuno_items(theta), theta
+    for bad, error in ((math.inf, OverflowError), (-math.inf, OverflowError), (math.nan, ValueError)):
+        with pytest.raises(error):
+            brjuno_partial_sum(bad)
+
+
 def test_brjuno_bounded_quotients_monotone():
     # theta = [0; 1, 2, 1, 2, ...] solves t^2 + 2t - 2 = 0, i.e. t = sqrt(3) - 1
     theta = math.sqrt(3) - 1

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -286,6 +287,56 @@ def test_json_floats_have_17_significant_digits(tmp_path):
     text = out.read_text()
     assert "0.10000000000000001" in text  # 17g rendering of float 0.1
     json.loads(text)  # still valid JSON
+
+
+def _writer_cases():
+    """Objects whose JSON text pins every rule of the report format."""
+    import enum
+
+    import numpy as np
+
+    from charvar_kam.pipelines import su2_brown_point
+
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+    for path in sorted(reference.glob("*.json")):
+        yield json.loads(path.read_text())["report"]
+    yield [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 0.1, -2.5]
+    yield {"a": {}, "b": [], "c": (), "d": {"e": [[], {}, [1, [2, {"f": ()}]]]}, "g": (1, (2.0, "h"))}
+    yield [True, 1, False, 0, None, 1.0, True, -7, 10**30]
+    yield {
+        'quote"': 1, "back\\slash": 2, "new\nline": 3, "tab\t": 4, "é ü": 5, "\u2028": 6, "\x00": 7,
+        1: "one", 2.5: "two and a half", None: "none", (1, 2): "pair", False: "false",
+    }
+    yield [{1: "int key"}, {True: "bool key"}, {"1": "str key"}]  # equal keys of other types, one cache
+    yield [su2_brown_point(Fraction(2)), su2_brown_point(Fraction(1, 10)), su2_brown_point(Fraction(0))]
+    yield {"error": 'PoleError: "quoted" \\ é', "notes": "", "tags": ["elliptic", "hyperbolic"]}
+
+    class Tag(enum.IntEnum):
+        A = 1
+
+    class Text(str):
+        pass
+
+    class Real(float):
+        pass
+
+    yield [np.float64(0.25), np.int64(3), np.bool_(True), Tag.A, Text("t"), Real(1.5), Fraction(1, 3), 1j]
+    yield {}
+    yield []
+    yield 3.0
+    yield "just text"
+
+
+@pytest.mark.parametrize("indent", [0, 2])
+def test_report_writer_matches_the_recursive_writer(indent):
+    """One join of pieces gives the bytes of the recursive writer that wrote each piece to the stream."""
+    from oracles import dump_json_recursive
+
+    for obj in _writer_cases():
+        want, got = io.StringIO(), io.StringIO()
+        dump_json_recursive(obj, want, indent)
+        cli.dump_deterministic_json(obj, got, indent)
+        assert got.getvalue() == want.getvalue()
 
 
 def test_csv_columns(tmp_path):

@@ -679,6 +679,98 @@ def test_jet_sqrt_rejects_nonpositive():
         jet_sqrt(x)  # zero constant term
 
 
+# ---------------------------------------------------------------- one-pass operations
+
+
+def _bits(jet):
+    """The stored items in order, each float by its hex and each exact number with its type."""
+
+    def bits(c):
+        if isinstance(c, float):
+            return ("float", c.hex())
+        if isinstance(c, complex):
+            return ("complex", c.real.hex(), c.imag.hex())
+        if isinstance(c, QQi):
+            return ("QQi", type(c.re), c.re, type(c.im), c.im)
+        return (type(c), c)
+
+    return [(k, bits(c)) for k, c in jet._coded.items()]
+
+
+#: Numbers each coefficient kind meets in the one-pass operations.
+_SCALARS = {
+    "float": [0, 0.0, -0.0, 3, 0.75, -1.25, Fraction(1, 3), 1e-300],
+    "complex": [0, 2, -0.5, complex(0.5, -1.5), 1j],
+    "Fraction": [0, 3, Fraction(-2, 3), 0.5, 1.25],
+    "QQi": [0, -2, Fraction(1, 2), QQi(1, Fraction(-1, 3))],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_COEFF_KINDS))
+def test_one_pass_operations_match_whole_jet_steps(kind):
+    """Jet +- number, Jet - Jet and Jet * number give the former whole-jet results, item for item and bit for bit."""
+    from oracles import jet_minus_jet, jet_plus_number, jet_times_number
+
+    rng = random.Random(f"one pass {kind}")
+    for num_vars, trunc_degree, density in _SHAPES[:3]:
+        for _ in range(3):
+            a = random_typed_jet(rng, kind, num_vars, trunc_degree, density)
+            b = random_typed_jet(rng, kind, num_vars, trunc_degree, density)
+            for x in _SCALARS[kind] + [_COEFF_KINDS[kind](rng)]:
+                assert _bits(a + x) == _bits(jet_plus_number(a, x))
+                assert _bits(x + a) == _bits(jet_plus_number(a, x))
+                assert _bits(a - x) == _bits(jet_plus_number(a, -x))
+                assert _bits(a * x) == _bits(jet_times_number(a, x))
+                assert _bits(x * a) == _bits(jet_times_number(a, x))
+            assert _bits(a - b) == _bits(jet_minus_jet(a, b))
+            assert (a - a).is_zero()
+            # a key that cancels leaves the dict, and comes back at the end
+            c = a.constant_term()
+            assert _bits((a - c) + c) == _bits(jet_plus_number(jet_plus_number(a, -c), c))
+            half = Jet._raw(num_vars, trunc_degree, dict(list(a._coded.items())[::2]))
+            assert _bits((a - half) + half) == _bits(jet_minus_jet(a, half) + half)
+
+
+def test_one_pass_operations_drop_cancellation_and_underflow():
+    from oracles import jet_minus_jet, jet_plus_number, jet_times_number
+
+    a = Jet(2, 3, {(0, 0): 5e-324, (1, 0): 1e-300, (0, 1): 2.0, (1, 1): -3.0})
+    b = Jet(2, 3, {(1, 1): -3.0, (0, 1): 1.0, (2, 0): 4.0})
+    assert _bits(a - 5e-324) == _bits(jet_plus_number(a, -5e-324))
+    assert 0 not in (a - 5e-324)._coded
+    assert _bits(a * 1e-300) == _bits(jet_times_number(a, 1e-300))
+    assert list((a * 1e-300)._coeffs) == [(0, 1), (1, 1)]  # 5e-324 and 1e-300 times 1e-300 underflow to 0.0
+    diff = a - b
+    assert _bits(diff) == _bits(jet_minus_jet(a, b))
+    assert (1, 1) not in diff._coeffs
+    back = diff + Jet(2, 3, {(1, 1): 1.0})
+    assert list(back._coeffs)[-1] == (1, 1)
+
+
+@pytest.mark.parametrize("kind", ["float", "complex", "Fraction", "int"])
+def test_jet_sqrt_matches_whole_jet_steps(kind):
+    """jet_sqrt gives the float bits and key order of the series built jet by jet from the constant-1 jet."""
+    from oracles import jet_sqrt_steps
+
+    rng = random.Random(f"sqrt {kind}")
+    draw = _COEFF_KINDS.get(kind, lambda r: r.randint(-3, 3))
+    constant = {"float": lambda r: r.uniform(0.1, 5.0), "complex": lambda r: r.uniform(0.1, 5.0)}
+    constant = constant.get(kind, lambda r: Fraction(r.randint(1, 9), r.randint(1, 4)))
+    for num_vars, trunc_degree, density in _SHAPES:
+        for _ in range(3):
+            coeffs = {e: draw(rng) for e in _all_exponents(num_vars, trunc_degree) if any(e) and rng.random() < density}
+            coeffs[(0,) * num_vars] = constant(rng)
+            a = Jet(num_vars, trunc_degree, coeffs)
+            assert _bits(jet_sqrt(a)) == _bits(jet_sqrt_steps(a))
+    # powers of w that underflow end the series early; tiny terms drop
+    for a in (Jet(2, 3, {(0, 0): 1.0, (1, 0): 1e-200}), Jet(2, 3, {(0, 0): 4.0, (0, 1): 1e-320, (2, 0): 3.0})):
+        assert _bits(jet_sqrt(a)) == _bits(jet_sqrt_steps(a))
+    with pytest.raises(TypeError):
+        jet_sqrt(Jet(2, 3, {(0, 0): 1, (1, 0): QQi(0, 1)}))
+    with pytest.raises(TypeError):
+        jet_sqrt_steps(Jet(2, 3, {(0, 0): 1, (1, 0): QQi(0, 1)}))
+
+
 # ---------------------------------------------------------------- normalized coefficients
 
 

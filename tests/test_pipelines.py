@@ -228,6 +228,70 @@ def test_one_eigendecomposition_per_elliptic_row(monkeypatch, point, s):
     assert len(calls) == 1
 
 
+#: Upper bounds on the work of one elliptic SU(2) row: ``Jet`` objects built
+#: (through ``Jet._raw`` and ``Jet.__init__``) and ``np.linalg`` calls.
+SU2_ROW_JETS_MAX = 36
+SU2_ROW_LINALG_MAX = 7
+
+
+def test_su2_row_builds_few_jets_and_linalg_calls(monkeypatch):
+    from charvar_kam.jets import Jet
+
+    counts = {"jets": 0, "linalg": 0}
+    raw, init = Jet.__dict__["_raw"].__func__, Jet.__init__
+
+    def counting_raw(cls, *args):
+        counts["jets"] += 1
+        return raw(cls, *args)
+
+    def counting_init(self, *args, **kwargs):
+        counts["jets"] += 1
+        init(self, *args, **kwargs)
+
+    def counting(fn):
+        def call(*args, **kwargs):
+            counts["linalg"] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    su2_brown_point(Fraction(1, 5))  # fill the code tables first
+    monkeypatch.setattr(Jet, "_raw", classmethod(counting_raw))
+    monkeypatch.setattr(Jet, "__init__", counting_init)
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, counting(fn))
+    row = su2_brown_point(Fraction(1, 10))
+    assert row["twist_ok"] is True  # elliptic: the row went through the whole chain
+    assert counts["jets"] <= SU2_ROW_JETS_MAX
+    assert counts["linalg"] <= SU2_ROW_LINALG_MAX
+    assert counts["linalg"] > 0 and counts["jets"] > 0  # the counters saw the row
+
+
+def test_twist_changes_sign_between_window_rows():
+    """det(Re b) changes sign between the grid rows s = 0.2470 and 0.2475 of the window.
+
+    Where it crosses zero the row's twist and non-planarity checks fail, so the
+    window's verdict holds at its scanned rows, not on the whole interval.
+    """
+
+    def det_re_b(s):
+        chart = chart_map_jet(fixed_family_su3(s))
+        L = chart_linear_matrix(chart)
+        bc = birkhoff_coefficients(diagonalized_jets(chart.map_jet, build_C0(L, classify_spectrum(L))))
+        return float(np.linalg.det(bc.b.real))
+
+    before, after = det_re_b(Fraction("0.2470")), det_re_b(Fraction("0.2475"))
+    assert 0.7 < before < 0.8 and -0.8 < after < -0.7
+    for s in ("0.2470", "0.2475"):
+        assert su3_main_point(Fraction(s))["verdict"] is True
+    row = su3_main_point(0.24723424102808358)
+    assert abs(complex(row["alpha_det"]["re"], row["alpha_det"]["im"])) < 1e-9
+    assert row["twist_ok"] is False and row["nonplanar_ok"] is False and row["verdict"] is False
+    assert row["spec_class"] == ["elliptic"] * 3
+
+
 def test_one_fixed_point_per_su2_row(monkeypatch):
     """The SU(2) chart takes the row's fixed point instead of computing it again."""
     fixed = pipelines.fixed_family_su2

@@ -60,3 +60,18 @@ def test_no_tolerance_keyword_defaults_in_package():
         if name not in _TOLERANCE_ARGUMENTS:
             found += [f"{where} {node.name}({a.arg}=...)" for a in defaulted if _is_tolerance(a.arg)]
     assert found == []
+
+
+def test_small_float_literals_only_in_module_constants():
+    """A float literal below 1e-6 is a threshold: it belongs in a named module-level constant."""
+    root = Path(charvar_kam.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                continue  # a module-level constant names its threshold
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Constant) and type(node.value) is float and 0 < abs(node.value) < 1e-6:
+                    found.append(f"{path.name}:{node.lineno} {node.value!r}")
+    assert found == []

@@ -64,6 +64,45 @@ def test_eigen_small_rejects_defective():
         eigen_small(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+def test_eigen_small_names_the_first_pair_past_the_residual_bound(monkeypatch):
+    """One residual check for all pairs still reports the first bad pair, with the same message."""
+    from charvar_kam import spectral
+
+    def wrong_eig(m):
+        return np.array([2.0, 3.5, 6.0], dtype=complex), np.eye(3, dtype=complex)
+
+    monkeypatch.setattr(spectral.np.linalg, "eig", wrong_eig)
+    with pytest.raises(NonDiagonalizableError, match=r"^eigenpair 1 residual 5\.000e-01 exceeds 1\.0e-09 \* \|\|m\|\|$"):
+        eigen_small(np.diag([2.0, 3.0, 5.0]))
+
+
+def test_eigen_small_singular_basis_has_infinite_condition(monkeypatch):
+    from charvar_kam import spectral
+
+    def parallel_eig(m):
+        return np.array([1.0, 1.0], dtype=complex), np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+    monkeypatch.setattr(spectral.np.linalg, "eig", parallel_eig)
+    with pytest.raises(NonDiagonalizableError, match="^eigenvector basis condition number inf: matrix is defective$"):
+        eigen_small(np.eye(2))
+
+
+def test_eigen_small_condition_is_numpys_cond(monkeypatch):
+    """The basis check compares ``np.linalg.cond`` of the eigenvectors, bit for bit, with its bound."""
+    from charvar_kam import spectral
+
+    rng = np.random.default_rng(11)
+    for n in (2, 4, 6, 8):
+        for _ in range(5):
+            m = rng.normal(size=(n, n))
+            cond = np.linalg.cond(np.linalg.eig(m.astype(complex))[1])
+            monkeypatch.setattr(spectral, "EIGEN_COND_MAX", cond)
+            eigen_small(m)
+            monkeypatch.setattr(spectral, "EIGEN_COND_MAX", np.nextafter(cond, 0.0))
+            with pytest.raises(NonDiagonalizableError, match="condition number"):
+                eigen_small(m)
+
+
 def test_eigen_small_size_guard():
     with pytest.raises(ValueError):
         eigen_small(np.eye(9))
@@ -200,3 +239,58 @@ def test_eigenvalue_continuity_small_step():
             assert abs(abs(lam) - abs(prev)) < 0.1
             assert abs(lam - prev) < 0.1
         prev = lam
+
+
+def _random_reciprocal(rng, n):
+    """A real n x n matrix with reciprocal spectrum: elliptic, hyperbolic and identity 2x2 blocks, conjugated."""
+    blocks = []
+    for _ in range(n // 2):
+        kind = rng.integers(5)
+        if kind < 3:
+            blocks.append(rotation(rng.uniform(0.05, math.pi - 0.05)))
+        elif kind == 3:
+            r = rng.uniform(1.5, 4.0) * rng.choice([-1.0, 1.0])
+            blocks.append(np.diag([r, 1 / r]))
+        else:
+            blocks.append(np.eye(2) * rng.choice([-1.0, 1.0]))
+    q = rng.normal(size=(n, n)) + 2 * np.eye(n)
+    return q @ block_diag(*blocks) @ np.linalg.inv(q)
+
+
+def _spectrum_matrices():
+    from charvar_kam.charts import chart_linear_matrix, chart_map_jet, su2_chart_map_jet
+    from charvar_kam.mcg import fixed_family_su2, fixed_family_su3
+
+    window = [Fraction("0.239") + k * Fraction("0.0005") for k in range(21)]
+    sweep = [Fraction("0.005") + k * Fraction("0.001") for k in range(245)]
+    yield from (chart_linear_matrix(chart_map_jet(fixed_family_su3(s))) for s in window)
+    yield from (chart_linear_matrix(su2_chart_map_jet(fixed_family_su2(s))) for s in sweep)
+    rng = np.random.default_rng(43)
+    for n in (2, 4, 6, 8):
+        for _ in range(25):
+            yield _random_reciprocal(rng, n)
+            yield rng.normal(size=(n, n))  # mostly no partners: the errors must agree too
+    yield block_diag(rotation(0.5), rotation(0.5), np.diag([2.0, 0.5]))  # a repeated elliptic pair
+
+
+def test_classify_spectrum_pairs_as_on_numpy_scalars():
+    """Pairing, tags, omega and error messages equal those of the pairing on numpy scalars."""
+    from oracles import classify_spectrum_numpy
+
+    kinds = set()
+    for m in _spectrum_matrices():
+        try:
+            want = classify_spectrum_numpy(m)
+        except SpectrumStructureError as exc:
+            with pytest.raises(SpectrumStructureError) as info:
+                classify_spectrum(m)
+            assert str(info.value) == str(exc)
+            kinds.add("error")
+            continue
+        rep = classify_spectrum(m)
+        assert all(type(v) is complex for v in rep.eigenvalues)
+        assert rep.eigenvalues == tuple(complex(v) for v in want[0])
+        assert (rep.pairing, rep.classification) == want[1:3]
+        assert [w.hex() for w in rep.omega] == [w.hex() for w in want[3]]
+        kinds.update(rep.classification)
+    assert kinds == {"elliptic", "hyperbolic", "parabolic", "resonant", "error"}
