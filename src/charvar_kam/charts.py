@@ -235,30 +235,44 @@ def _shift_plan(same: _Same, trunc_degree: int, zero: tuple) -> _ShiftPlan:
     """Record the expansion of ``_translate`` for centers whose zero coordinates are ``zero``.
 
     A zero coordinate contributes only its j = e_i term (every other factor
-    has a power of 0), so steps with k_i > 0 there are left out.
+    has a power of 0), so steps with k_i > 0 there are left out.  A term
+    carries its key as a code, adding ``j * weights[i]`` per variable, and its
+    center power k as one integer with digit k_i in base ``top_i + 1`` on the
+    live coordinates; a variable with e_i = 0 leaves both as they are.
     """
     coeffs = same.poly.coeffs
     nv = same.poly.num_vars
     top = tuple(max((e[i] for e in coeffs), default=0) for i in range(nv))
     coeff_den = math.lcm(*(c.denominator for c in coeffs.values()))
-    encode = _monomials(nv, trunc_degree).encode
+    weights = _monomials(nv, trunc_degree).weights
     live = tuple(i for i in range(nv) if not zero[i])
-    index: dict[tuple, int] = {}
+    place = [0] * nv  # the center power's digit value of each live coordinate
+    p = 1
+    for i in live:
+        place[i] = p
+        p *= top[i] + 1
+    shifts: dict[tuple, list] = {}  # (i, e_i) -> [(key part, j, C(e_i, j), center power part)]
+    index: dict[int, int] = {}
     steps = []
     for exps, c in coeffs.items():
-        terms = [((), 0, c.numerator * (coeff_den // c.denominator), ())]
+        terms = [(0, 0, c.numerator * (coeff_den // c.denominator), 0)]
         for i, e in enumerate(exps):
-            shifts = [(e, 1)] if zero[i] else [(j, math.comb(e, j)) for j in range(e, -1, -1)]
+            if not e:
+                continue
+            row = shifts.get((i, e))
+            if row is None:
+                js = (e,) if zero[i] else range(e, -1, -1)
+                row = shifts[i, e] = [(j * weights[i], j, math.comb(e, j), (e - j) * place[i]) for j in js]
             terms = [
-                (key + (j,), deg + j, w * f, k + (e - j,))
+                (key + dk, deg + j, w * f, k + dp)
                 for key, deg, w, k in terms
-                for j, f in shifts
+                for dk, j, f, dp in row
                 if deg + j <= trunc_degree
             ]
         for key, _, w, k in terms:
-            k = tuple(k[i] for i in live)
-            steps.append((encode(key), w, index.setdefault(k, len(index))))
-    return _ShiftPlan(top=top, coeff_den=coeff_den, live=live, center_powers=list(index), steps=steps)
+            steps.append((key, w, index.setdefault(k, len(index))))
+    center_powers = [tuple(k // place[i] % (top[i] + 1) for i in live) for k in index]
+    return _ShiftPlan(top=top, coeff_den=coeff_den, live=live, center_powers=center_powers, steps=steps)
 
 
 @lru_cache(maxsize=32)

@@ -2,21 +2,28 @@
 
 Reports are deterministic: rows run one after another in input order, dict
 keys are fixed, and floats print with 17 significant digits so identical
-configs produce byte-identical JSON.
+configs produce byte-identical JSON.  Each row is written as soon as it is
+made, and no row is kept after that.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
 import io
 import json
 import math
+import os
 import re
+import stat
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from types import GeneratorType
 
 from .charts import chart_map_jet
 from .mcg import fixed_family_su3
@@ -220,35 +227,17 @@ def _put_json(obj, depth: int, emit, keys: dict):
     """Append the pieces of ``obj``'s JSON text at nesting ``depth``; ``keys`` caches escaped keys.
 
     Items whose exact type has an entry in ``_LEAF_TEXT`` are written in
-    place, anything else (containers, subclasses) through this function.
+    place, anything else (containers, subclasses) through this function.  A
+    generator is written as the list of what it yields, read one item at a
+    time: that is how a scan's rows reach the writer.
     """
     leaf_text = _LEAF_TEXT.get
     if isinstance(obj, dict):
-        if not obj:
-            emit("{}")
-            return
+        _put_items(obj.items(), depth, emit, keys)
+    elif isinstance(obj, (list, tuple, GeneratorType)):
         pad = "  " * (depth + 1)
-        opener, sep = "{\n" + pad, ",\n" + pad
-        for k, v in obj.items():
-            text = str(k)
-            key = keys.get(text)
-            if key is None:
-                key = keys[text] = _json_escape(text) + ": "
-            emit(opener)
-            emit(key)
-            leaf = leaf_text(type(v))
-            if leaf is None:
-                _put_json(v, depth + 1, emit, keys)
-            else:
-                emit(leaf(v))
-            opener = sep
-        emit("\n" + "  " * depth + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            emit("[]")
-            return
-        pad = "  " * (depth + 1)
-        opener, sep = "[\n" + pad, ",\n" + pad
+        opener = first = "[\n" + pad
+        sep = ",\n" + pad
         for v in obj:
             emit(opener)
             leaf = leaf_text(type(v))
@@ -257,7 +246,7 @@ def _put_json(obj, depth: int, emit, keys: dict):
             else:
                 emit(leaf(v))
             opener = sep
-        emit("\n" + "  " * depth + "]")
+        emit("[]" if opener is first else "\n" + "  " * depth + "]")
     elif isinstance(obj, bool):
         emit("true" if obj else "false")
     elif isinstance(obj, int):
@@ -270,12 +259,78 @@ def _put_json(obj, depth: int, emit, keys: dict):
         emit(_json_escape(str(obj)))
 
 
+def _put_items(items, depth: int, emit, keys: dict):
+    """Append the JSON text of a dict with these ``(key, value)`` items, as :func:`_put_json` does."""
+    leaf_text = _LEAF_TEXT.get
+    pad = "  " * (depth + 1)
+    opener = first = "{\n" + pad
+    sep = ",\n" + pad
+    for k, v in items:
+        text = str(k)
+        key = keys.get(text)
+        if key is None:
+            key = keys[text] = _json_escape(text) + ": "
+        emit(opener)
+        emit(key)
+        leaf = leaf_text(type(v))
+        if leaf is None:
+            _put_json(v, depth + 1, emit, keys)
+        else:
+            emit(leaf(v))
+        opener = sep
+    emit("{}" if opener is first else "\n" + "  " * depth + "}")
+
+
 def _worker_count(n_jobs: int) -> int:
     return 1  # scans are serial; the benchmark in perfbench/ records this as its pool width
 
 
 def _scan(fn, s_values):
-    return [fn(s) for s in s_values]
+    """The rows ``fn(s)``, each made when it is read."""
+    return map(fn, s_values)
+
+
+class _Scan:
+    """One scan's report as a stream, with what its exit code needs once the stream is read.
+
+    :meth:`items` yields the report's top-level items in order; the rows are
+    made one at a time as they are read, and ``verdict_found`` and, with
+    ``--golden`` on su3-main, ``golden`` are computed once the rows are used
+    up.  Each item must be read in full before the next.
+    """
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.verdict_found = False
+        self.golden = None
+
+    def items(self):
+        cfg = self.cfg
+        yield "schema", SCHEMA
+        yield "pipeline", cfg.pipeline
+        yield "config", _config_dict(cfg)
+        if cfg.pipeline == "su2-brown":
+            rows = _scan(su2_brown_point, cfg.s_values)
+            yield "rows", self._watched(rows, lambda r: r.get("spec_class") == "elliptic" and r.get("twist_ok"))
+        else:
+            rows = _scan(lambda s: su3_main_point(s, cfg.trunc_degree, cfg.dump_jets), cfg.s_values)
+            yield "rows", self._watched(rows, lambda r: r.get("verdict"))
+        yield "verdict_found", self.verdict_found
+        if cfg.golden and cfg.pipeline == "su3-main":
+            self.golden = compare_golden(Path(cfg.golden), cfg.golden_values)
+            yield "golden", self.golden
+
+    def _watched(self, rows, hit):
+        for row in rows:
+            if not self.verdict_found and hit(row):
+                self.verdict_found = True
+            yield row
+
+    def exit_code(self) -> int:
+        """3 if --require-verdict finds no verdict in a non-empty scan, else 1 if the golden check fails, else 0."""
+        if self.cfg.require_verdict and self.cfg.s_values and not self.verdict_found:
+            return 3
+        return 1 if self.golden is not None and not self.golden["ok"] else 0
 
 
 def run(cfg: RunConfig) -> tuple[dict, int]:
@@ -283,28 +338,12 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
 
     Verdict: su2-brown needs some s with elliptic multiplier and alpha2 != 0;
     su3-main needs some s with nonzero twist determinant, non-planarity and no
-    resonance.  ``--golden`` applies to su3-main only.
+    resonance.  ``--golden`` applies to su3-main only.  The report is the
+    stream the CLI writes, collected into a dict.
     """
-    if cfg.pipeline == "su2-brown":
-        rows = _scan(su2_brown_point, cfg.s_values)
-        hit = any(r.get("spec_class") == "elliptic" and r.get("twist_ok") for r in rows)
-    else:
-        rows = _scan(lambda s: su3_main_point(s, cfg.trunc_degree, cfg.dump_jets), cfg.s_values)
-        hit = any(r.get("verdict") for r in rows)
-    report = {
-        "schema": SCHEMA,
-        "pipeline": cfg.pipeline,
-        "config": _config_dict(cfg),
-        "rows": rows,
-        "verdict_found": hit,
-    }
-    code = 3 if cfg.require_verdict and cfg.s_values and not hit else 0
-    if cfg.golden and cfg.pipeline == "su3-main":
-        golden_result = compare_golden(Path(cfg.golden), cfg.golden_values)
-        report["golden"] = golden_result
-        if not golden_result["ok"] and code == 0:
-            code = 1
-    return report, code
+    scan = _Scan(cfg)
+    report = {key: list(value) if key == "rows" else value for key, value in scan.items()}
+    return report, scan.exit_code()
 
 
 def _config_dict(cfg: RunConfig) -> dict:
@@ -462,51 +501,118 @@ def compare_golden(path: Path, golden: dict) -> dict:
     return result
 
 
-def write_report(report: dict, cfg: RunConfig):
-    if cfg.format == "json":
-        buf = io.StringIO()
-        dump_deterministic_json(report, buf)
-        text = buf.getvalue() + "\n"
-    else:
-        text = _to_csv(report)
-    if cfg.output == "-":
-        sys.stdout.write(text)
-    else:
-        Path(cfg.output).write_text(text)
+def write_report(report, cfg: RunConfig, stream):
+    """Write ``report`` to the text ``stream`` in ``cfg.format``: the header, then one ``write`` per row.
+
+    ``report`` is a report dict or a :class:`_Scan`; each row is written as
+    soon as it is read and is not kept.  JSON is the text of
+    ``dump_deterministic_json(report)`` and a newline; CSV is one header
+    line and one line per row.
+    """
+    if cfg.format == "csv":
+        _write_csv(report, cfg.pipeline, stream)
+        return
+    parts: list[str] = []
+
+    def flush():
+        stream.write("".join(parts))
+        parts.clear()
+
+    def written(rows):
+        flush()  # the header, before the first row is made
+        for row in rows:
+            yield row
+            flush()
+
+    items = ((key, written(value) if key == "rows" else value) for key, value in report.items())
+    _put_items(items, 0, parts.append, {})
+    parts.append("\n")
+    flush()
 
 
 _CSV_COLUMNS = ["s", "ell", "spec_class", "alpha_det_re", "alpha_det_im", "twist_ok", "nonplanar_ok", "notes"]
 
 
-def _to_csv(report: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _write_csv(report, pipeline: str, stream):
+    """The CSV header and then each row's line, one ``write`` each; the other items are read and not written."""
+    writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    for row in report["rows"]:
-        if report["pipeline"] == "su2-brown":
-            alpha = row.get("alpha2", {})
-            spec_class = row.get("spec_class", "")
-            twist = row.get("twist_ok", "")
-            nonplanar = twist  # d = 1: the frequency map is non-planar iff it twists
+    for key, value in report.items():
+        if key == "rows":
+            writer.writerows(_csv_row(pipeline, row) for row in value)
+
+
+def _csv_row(pipeline: str, row: dict) -> list:
+    if pipeline == "su2-brown":
+        alpha = row.get("alpha2", {})
+        spec_class = row.get("spec_class", "")
+        twist = row.get("twist_ok", "")
+        nonplanar = twist  # d = 1: the frequency map is non-planar iff it twists
+    else:
+        alpha = row.get("alpha_det", {})
+        spec_class = ";".join(row.get("spec_class", []))
+        twist = row.get("twist_ok", "")
+        nonplanar = row.get("nonplanar_ok", "")
+    notes = row.get("error") or row.get("notes") or ""
+    return [
+        _format_float(row["s"]),
+        _format_float(row["ell"]) if "ell" in row else "",
+        spec_class,
+        _format_float(alpha["re"]) if alpha else "",
+        _format_float(alpha["im"]) if alpha else "",
+        twist,
+        nonplanar,
+        notes,
+    ]
+
+
+class _ReportFile:
+    """The file ``--out`` names, written through a temporary file next to it.
+
+    Opening raises ValueError, before any row runs, when the path cannot be
+    written: a missing directory, no permission, a directory.  On a clean
+    exit of the ``with`` block the temporary file replaces the path (keeping
+    an existing file's mode); on an exception it is removed, so a scan that
+    dies part way leaves no partial report and an older file as it was.  A
+    path that exists and is not a regular file, such as ``/dev/stdout``, is
+    written directly.
+    """
+
+    def __init__(self, path: str):
+        self.temp = None
+        st = os.stat(path) if os.path.exists(path) else None  # False on any error, which mkstemp then names
+        try:
+            if st is not None and not stat.S_ISREG(st.st_mode):
+                self.stream = open(path, "w")  # a directory raises here
+                return
+            self.target = os.path.realpath(path)
+            if st is not None and not os.access(self.target, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+            folder, name = os.path.split(self.target)
+            fd, self.temp = tempfile.mkstemp(dir=folder, prefix=f".{name}.", suffix=".tmp")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {path}: {exc.strerror or exc}") from None
+        if st is not None:
+            mode = stat.S_IMODE(st.st_mode)
         else:
-            alpha = row.get("alpha_det", {})
-            spec_class = ";".join(row.get("spec_class", []))
-            twist = row.get("twist_ok", "")
-            nonplanar = row.get("nonplanar_ok", "")
-        notes = row.get("error") or row.get("notes") or ""
-        writer.writerow(
-            [
-                _format_float(row["s"]),
-                _format_float(row["ell"]) if "ell" in row else "",
-                spec_class,
-                _format_float(alpha["re"]) if alpha else "",
-                _format_float(alpha["im"]) if alpha else "",
-                twist,
-                nonplanar,
-                notes,
-            ]
-        )
-    return buf.getvalue()
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.fchmod(fd, mode)
+        self.stream = open(fd, "w")
+
+    def __enter__(self):
+        return self.stream
+
+    def __exit__(self, exc_type, *_):
+        try:
+            self.stream.close()
+            if exc_type is None and self.temp is not None:
+                os.replace(self.temp, self.target)
+                self.temp = None
+        finally:
+            if self.temp is not None:
+                os.unlink(self.temp)
 
 
 def _join_negative_s(argv) -> list[str]:
@@ -559,12 +665,14 @@ def main(argv=None) -> int:
             require_verdict=args.require_verdict,
             dump_jets=args.dump_jets,
         )
+        out = contextlib.nullcontext(sys.stdout) if cfg.output == "-" else _ReportFile(cfg.output)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    report, code = run(cfg)
-    write_report(report, cfg)
-    return code
+    scan = _Scan(cfg)
+    with out as stream:
+        write_report(scan, cfg, stream)
+    return scan.exit_code()
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ continued fraction run on ``Fraction``, the SU(2) fixed point and level in
 parts are built from ``Fraction`` jets, and P and Q expanded over
 Gaussian rationals with ``Fraction`` parts throughout.  The recentering loop
 expands every monomial afresh at each call, which fixes the items and order
-a replayed recentering plan must reproduce.
+a replayed recentering plan must reproduce, and the plan builder that
+concatenates exponent tuples fixes the plan itself.
 
 The SU(2) row runs the whole row on those ``Fraction`` forms, as a row did
 before its fixed point ran in integers: one fixed point for the row and
@@ -51,10 +52,13 @@ it read the eigenvalues as Python complex numbers, fixes its pairing, tags,
 frequencies and error messages.
 
 The recursive report writer, which wrote each piece to the stream as it went
-and escaped every key afresh, fixes the bytes of ``dump_deterministic_json``.
+and escaped every key afresh, fixes the bytes of ``dump_deterministic_json``;
+the CSV writer that took a whole report fixes the bytes of the streamed CSV.
 """
 
 import cmath
+import csv
+import io
 import json
 import math
 from fractions import Fraction
@@ -81,7 +85,7 @@ from charvar_kam.errors import (
     SpectrumStructureError,
     UnrealizableError,
 )
-from charvar_kam.jets import QQi, Jet, JetVector, jet_sqrt, jet_variables
+from charvar_kam.jets import QQi, Jet, JetVector, _monomials, jet_sqrt, jet_variables
 from charvar_kam.mcg import _check_pole
 from charvar_kam.pipelines import SCAN_ERRORS
 from charvar_kam.spectral import (
@@ -312,6 +316,36 @@ def translate_items(poly, centers, trunc_degree):
             else:
                 sums.pop(key, None)
     return [(key, Fraction(total, den)) for key, total in sums.items()]
+
+
+def shift_plan_tuples(poly, trunc_degree, zero):
+    """``charts._shift_plan`` fields, built with exponent tuples concatenated one variable at a time.
+
+    Returns ``(top, coeff_den, live, center_powers, steps)``; each key is
+    encoded only once its tuple is complete.
+    """
+    coeffs = poly.coeffs
+    nv = poly.num_vars
+    top = tuple(max((e[i] for e in coeffs), default=0) for i in range(nv))
+    coeff_den = math.lcm(*(c.denominator for c in coeffs.values()))
+    encode = _monomials(nv, trunc_degree).encode
+    live = tuple(i for i in range(nv) if not zero[i])
+    index = {}
+    steps = []
+    for exps, c in coeffs.items():
+        terms = [((), 0, c.numerator * (coeff_den // c.denominator), ())]
+        for i, e in enumerate(exps):
+            shifts = [(e, 1)] if zero[i] else [(j, math.comb(e, j)) for j in range(e, -1, -1)]
+            terms = [
+                (key + (j,), deg + j, w * f, k + (e - j,))
+                for key, deg, w, k in terms
+                for j, f in shifts
+                if deg + j <= trunc_degree
+            ]
+        for key, _, w, k in terms:
+            k = tuple(k[i] for i in live)
+            steps.append((encode(key), w, index.setdefault(k, len(index))))
+    return top, coeff_den, live, list(index), steps
 
 
 def brjuno_items(theta, K=20, huge_quotient=1e12):
@@ -725,3 +759,38 @@ def dump_json_recursive(obj, out, indent=0):
         out.write("null")
     else:
         out.write(json.dumps(str(obj)))
+
+
+_CSV_COLUMNS = ["s", "ell", "spec_class", "alpha_det_re", "alpha_det_im", "twist_ok", "nonplanar_ok", "notes"]
+
+
+def report_csv(report):
+    """The CSV text of a whole report dict, as the writer made it before rows were streamed."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_CSV_COLUMNS)
+    for row in report["rows"]:
+        if report["pipeline"] == "su2-brown":
+            alpha = row.get("alpha2", {})
+            spec_class = row.get("spec_class", "")
+            twist = row.get("twist_ok", "")
+            nonplanar = twist
+        else:
+            alpha = row.get("alpha_det", {})
+            spec_class = ";".join(row.get("spec_class", []))
+            twist = row.get("twist_ok", "")
+            nonplanar = row.get("nonplanar_ok", "")
+        notes = row.get("error") or row.get("notes") or ""
+        writer.writerow(
+            [
+                _format_float_checked(row["s"]),
+                _format_float_checked(row["ell"]) if "ell" in row else "",
+                spec_class,
+                _format_float_checked(alpha["re"]) if alpha else "",
+                _format_float_checked(alpha["im"]) if alpha else "",
+                twist,
+                nonplanar,
+                notes,
+            ]
+        )
+    return buf.getvalue()

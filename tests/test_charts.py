@@ -233,6 +233,22 @@ def test_translate_replays_the_expansion_loop(s, trunc_degree):
         assert _read_scaled(got, den) == translate_items(poly, centers, trunc_degree)
 
 
+@pytest.mark.parametrize("trunc_degree", [2, 3, 4, 5])
+def test_shift_plan_matches_the_tuple_built_plan(trunc_degree):
+    """Plans built on integer codes equal those built by concatenating exponent tuples, field for field."""
+    from oracles import shift_plan_tuples
+
+    zero8 = tuple(not c for c in charts._center8(chart_spec(fixed_family_su3(S249), 3)))
+    patterns8 = [zero8, (False,) * 8, tuple(not c for c in _ODD_CENTER)]
+    cases = [(poly, zero) for poly in (p_poly(), q_poly(), *charts._cat_map_8(trunc_degree)) for zero in patterns8]
+    cases += [(charts._p_no_t_7(), zero[:6] + zero[7:]) for zero in patterns8]
+    for poly, zero in cases:
+        charts._shift_plan.cache_clear()
+        plan = charts._shift_plan(charts._Same(poly), trunc_degree, zero)
+        got = (plan.top, plan.coeff_den, plan.live, plan.center_powers, plan.steps)
+        assert got == shift_plan_tuples(poly, trunc_degree, zero)
+
+
 @pytest.mark.parametrize("trunc_degree", [3, 5])
 @pytest.mark.parametrize("s", ["0.2411", "0.2439", "0.2455"])
 def test_solve_t_matches_the_fraction_built_t_jet(s, trunc_degree):

@@ -519,3 +519,211 @@ def test_golden_s_the_chain_cannot_handle_is_recorded(tmp_path, capsys, s, error
 def test_main_requires_pipeline():
     res = run_cli(["--s", "0.1"])
     assert res.returncode == 2
+
+
+# ------------------------------------------------------------------ streamed reports
+
+
+def _collected_bytes(argv) -> tuple[bytes, int]:
+    """What ``cli.run`` gives for ``argv``, written whole: the JSON of the report dict, or its CSV."""
+    from oracles import report_csv
+
+    flags = [a for a in argv if a == "--require-verdict"]
+    rest = [a for a in argv if a not in flags]
+    opts = dict(zip(rest[::2], rest[1::2]))
+    cfg = RunConfig(
+        pipeline=opts["--pipeline"],
+        s_values=parse_s_values(opts.get("--s", "")),
+        trunc_degree=int(opts.get("--degree", 3)),
+        format=opts.get("--format", "json"),
+        golden=opts.get("--golden"),
+        require_verdict=bool(flags),
+    )
+    report, code = run(cfg)
+    if cfg.format == "csv":
+        return report_csv(report).encode(), code
+    buf = io.StringIO()
+    cli.dump_deterministic_json(report, buf)
+    return (buf.getvalue() + "\n").encode(), code
+
+
+_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+def _reference_argv(name):
+    config = json.loads((_REFERENCE / f"{name}.json").read_text())["report"]["config"]
+    s_text = ",".join(repr(x) for x in config["s_values"])
+    return ["--pipeline", config["pipeline"], "--s", s_text, "--degree", str(config["trunc_degree"])]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # su2-sweep's 1000 rows are checked once, against its stored hash, below
+        *(_reference_argv(name) for name in ("su3-window", "su3-deep")),
+        ["--pipeline", "su2-brown", "--s", ""],
+        ["--pipeline", "su3-main", "--s", ""],
+        ["--pipeline", "su2-brown", "--s", "0,0.1,0.9,1e-170,-0.3"],  # degenerate and error rows
+        ["--pipeline", "su3-main", "--s", "0.2411,0.4,0,1e40,0.249"],  # hyperbolic, degenerate, overflowing
+        ["--pipeline", "su2-brown", "--s", "0,0.1,0.9", "--format", "csv"],
+        ["--pipeline", "su3-main", "--s", "0.2411,0.4,0,1e40", "--format", "csv", "--degree", "4"],
+        ["--pipeline", "su3-main", "--s", "0.4", "--require-verdict"],
+        ["--pipeline", "su2-brown", "--s", "0.9,0.95", "--require-verdict", "--format", "csv"],
+        ["--pipeline", "su3-main", "--s", "0.249", "--golden", "GOLDEN"],
+        ["--pipeline", "su3-main", "--s", "0.249", "--golden", "BAD-GOLDEN", "--format", "csv"],
+    ],
+    ids=lambda argv: " ".join(argv)[:60],
+)
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+def test_streamed_report_equals_the_collected_report(tmp_path, capsys, argv, to_file):
+    """``cli.main`` writes, row by row, the bytes of the whole report that ``cli.run`` returns, and its exit code."""
+    dump_goldens(tmp_path)
+    bad = tmp_path / "bad.json"
+    data = json.loads((tmp_path / "su3_chart_s249.json").read_text())
+    data["t_jet"]["constant"] = -0.02
+    bad.write_text(json.dumps(data))
+    swap = {"GOLDEN": str(tmp_path / "su3_chart_s249.json"), "BAD-GOLDEN": str(bad)}
+    argv = [swap.get(a, a) for a in argv]
+    want, want_code = _collected_bytes(argv)
+    out = tmp_path / "r.out"
+    code = cli.main([*argv, "--out", str(out) if to_file else "-"])
+    got = out.read_bytes() if to_file else capsys.readouterr().out.encode()
+    assert got == want
+    assert code == want_code
+    if "--require-verdict" in argv:
+        assert code == 3
+    if str(bad) in argv:
+        assert code == 1
+
+
+def test_reference_reports_stream_to_their_stored_bytes(tmp_path):
+    """The stored hashes are those of ``cli.run``'s reports written whole (tests/test_reference_reports.py)."""
+    import hashlib
+
+    for name in ("su3-window", "su3-deep", "su2-sweep"):
+        out = tmp_path / f"{name}.json"
+        assert cli.main([*_reference_argv(name), "--out", str(out)]) == 0
+        stored = json.loads((_REFERENCE / f"{name}.json").read_text())["sha256"]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == stored, name
+
+
+def _no_rows(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(cli, "su2_brown_point", fail)
+    monkeypatch.setattr(cli, "su3_main_point", fail)
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory", "file as directory", "read-only directory"])
+def test_unwritable_out_is_a_config_error_before_any_row(tmp_path, monkeypatch, capsys, where):
+    if where == "missing directory":
+        out = tmp_path / "nonexistent" / "r.json"
+    elif where == "directory":
+        out = tmp_path
+    elif where == "file as directory":
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "r.json"
+    else:
+        if os.geteuid() == 0:
+            pytest.skip("permission bits do not bind root")
+        locked = tmp_path / "locked"
+        locked.mkdir(mode=0o500)
+        out = locked / "r.json"
+    _no_rows(monkeypatch)
+    code = cli.main(["--pipeline", "su2-brown", "--s", "0.1,0.2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: cannot write --out {out}: ")
+    assert "Traceback" not in err
+
+
+def test_unwritable_out_from_the_command_line_exits_2():
+    res = run_cli(["--pipeline", "su2-brown", "--s", "0.1,0.2", "--out", "/nonexistent/dir/r.json"])
+    assert res.returncode == 2
+    assert res.stderr.startswith("config error: cannot write --out /nonexistent/dir/r.json: No such file or directory")
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("existing", [None, b"an older report\n"])
+def test_a_scan_that_dies_leaves_no_partial_report(tmp_path, monkeypatch, fmt, existing):
+    """An exception outside SCAN_ERRORS on the third row: no new file, an older one unchanged, no temporary left."""
+    from charvar_kam.pipelines import su2_brown_point
+
+    out = tmp_path / "r.out"
+    if existing is not None:
+        out.write_bytes(existing)
+    calls = []
+
+    def third_fails(s):
+        calls.append(s)
+        if len(calls) == 3:
+            raise RuntimeError("boom")
+        return su2_brown_point(s)
+
+    monkeypatch.setattr(cli, "su2_brown_point", third_fails)
+    with pytest.raises(RuntimeError, match="boom"):
+        cli.main(["--pipeline", "su2-brown", "--s", "0.1,0.15,0.2,0.25", "--format", fmt, "--out", str(out)])
+    assert len(calls) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if existing is None else ["r.out"])
+    if existing is not None:
+        assert out.read_bytes() == existing
+
+
+def test_report_file_keeps_the_mode_of_the_file_it_replaces(tmp_path):
+    out = tmp_path / "r.json"
+    out.write_text("old")
+    out.chmod(0o640)
+    assert cli.main(["--pipeline", "su2-brown", "--s", "0.1", "--out", str(out)]) == 0
+    assert out.stat().st_mode & 0o777 == 0o640
+    fresh = tmp_path / "new.json"
+    umask = os.umask(0o027)
+    try:
+        assert cli.main(["--pipeline", "su2-brown", "--s", "0.1", "--out", str(fresh)]) == 0
+    finally:
+        os.umask(umask)
+    assert fresh.stat().st_mode & 0o777 == 0o640
+    assert json.loads(out.read_text()) == json.loads(fresh.read_text())
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_scan_memory_does_not_grow_with_the_number_of_rows(tmp_path, monkeypatch, fmt):
+    """The peak Python allocation of ``cli.main`` from its first row on is the same for 200 and 2000 rows.
+
+    ``tracemalloc`` counts Python allocations, not the resident set, so host
+    noise does not enter.  The s values and the header, which lists every s,
+    are built and written before the first row (about 230 bytes per s at
+    their peak, by design), so the peak is taken above what is in use when
+    the first row starts.  Rows are
+    fresh copies of one real su2 row, which keeps the test quick under
+    tracemalloc; what keeps or drops rows is the scan loop and the writer.
+    """
+    import tracemalloc
+
+    from charvar_kam.pipelines import su2_brown_point
+
+    row_text = json.dumps(su2_brown_point(Fraction(1, 10)))
+
+    def peak_above_start(n):
+        base = []
+
+        def row(s):
+            if not base:
+                tracemalloc.reset_peak()
+                base.append(tracemalloc.get_traced_memory()[0])
+            return {**json.loads(row_text), "s": float(s)}
+
+        monkeypatch.setattr(cli, "su2_brown_point", row)
+        argv = ["--pipeline", "su2-brown", "--s", f"0.0001:{n / 10000}:0.0001", "--format", fmt]
+        tracemalloc.start()
+        try:
+            assert cli.main([*argv, "--out", str(tmp_path / "r.out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len((tmp_path / "r.out").read_text().splitlines()) > n
+        return peak - base[0]
+
+    small, large = peak_above_start(200), peak_above_start(2000)
+    assert large - small < 256 * 1024, (small, large)
