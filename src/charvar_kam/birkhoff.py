@@ -59,6 +59,7 @@ RESONANCE_TOL = 1e-8  #: an eigenvalue product this near an eigenvalue, or a pow
 RESONANCE_ORDER = 4  #: the highest order of the roots of unity ``nonresonance_check`` tests
 TWIST_DET_TOL = 1e-6  #: |det alpha| above this asserts the twist condition
 NONPLANARITY_DET_TOL = 1e-9  #: |det Re b| above this asserts a non-planar frequency map
+BRJUNO_HUGE_QUOTIENT = 1e12  #: a continued-fraction partial quotient above this ends the Brjuno sum as rational
 
 
 @dataclass(frozen=True)
@@ -417,14 +418,14 @@ class BrjunoResult:
     quotients: tuple
 
 
-def brjuno_partial_sum(theta, K: int = 20, huge_quotient: float = 1e12) -> BrjunoResult:
+def brjuno_partial_sum(theta, K: int = 20) -> BrjunoResult:
     """Partial sum sum_{k=1..K} log(q_{k+1}) / q_k of the Brjuno series.
 
     q_k are the continued-fraction convergent denominators of theta.  The
     expansion stops once denominators exceed 2^53 (beyond double precision
     the quotients of a float input are noise).  A terminating expansion or a
-    partial quotient above ``huge_quotient`` flags the input as rational and
-    the sum so far is returned.
+    partial quotient above ``BRJUNO_HUGE_QUOTIENT`` flags the input as
+    rational and the sum so far is returned.
 
     The expansion is Euclid's algorithm on the numerator and denominator of
     the fractional part of theta, taken exactly (a float is converted without
@@ -445,7 +446,7 @@ def brjuno_partial_sum(theta, K: int = 20, huge_quotient: float = 1e12) -> Brjun
             rational = True
             break
         a, r = divmod(den, num)
-        if a > huge_quotient:
+        if a > BRJUNO_HUGE_QUOTIENT:
             rational = True
             break
         quotients.append(a)

@@ -670,8 +670,17 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     scan = _Scan(cfg)
-    with out as stream:
-        write_report(scan, cfg, stream)
+    try:
+        with out as stream:
+            write_report(scan, cfg, stream)
+            stream.flush()
+    except BrokenPipeError:
+        # the reader is gone, so the scan stops; the interpreter flushes stdout
+        # again at exit, so point it at devnull (the Python ``signal`` docs' recipe)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return scan.exit_code()
 
 

@@ -28,6 +28,11 @@ Design notes
   ``coefficient`` encode them, and ``_coeffs`` is a read-only view that
   decodes the stored dict's keys in its order as they are read (``coeffs``
   copies it into a dict).  One table per shape caches the bijection.
+* Products have one pairwise loop, ``_mul``: ``Jet.__mul__``, the powers
+  and monomial products of compositions and substitutions, and the powers
+  of ``jet_sqrt`` all run it.  Its right factor comes grouped by degree
+  (``_fitting``: for each degree budget, the terms that fit it), and each
+  power is grouped once for all the products it ends.
 * Composition has one routine, ``JetVector.compose``: the powers of the inner
   components and the monomial products are built once and shared by all outer
   components, and ``Jet.compose`` is its one-component case.  Each component
@@ -40,11 +45,13 @@ Design notes
   coefficient of that degree.
 * Substitution of one variable has one routine too,
   ``JetVector.substitute_variable``: the replacement's powers are built once
-  for all components, and ``Jet.substitute_variable`` is its one-component
-  case.  A source term's split into the substituted exponent and the code of
-  the rest comes from a table kept per substitution signature.
-* Kernel caches (powers, monomial products, power terms that fit a degree
-  budget) live for one call and are freed by reference counting when it
+  for all components, by the same :class:`_Products` that builds a
+  composition's powers (the one cache of powers), and
+  ``Jet.substitute_variable`` is its one-component case.  A source term's
+  split into the substituted exponent and the code of the rest comes from a
+  table kept per substitution signature.
+* Kernel caches (powers and monomial products, with their degree
+  groupings) live for one call and are freed by reference counting when it
   returns: no cache is held by a function that refers to itself, a cycle
   that would keep it until the cyclic garbage collector runs.  The code and
   split tables are the only caches kept across calls.
@@ -331,22 +338,7 @@ class Jet:
                         out[k] = v
             return Jet._raw(self.num_vars, self.trunc_degree, out)
         self._check_shape(other)
-        td = self.trunc_degree
-        top = _monomials(self.num_vars, td).top
-        # each key gets the same contributions in the same order as a full scan
-        within = _fitting(other)
-        # a pair's key is ka + kb, the code of the summed exponents
-        out: dict[int, object] = {}
-        get, pop = out.get, out.pop
-        for ka, ca in self._coded.items():
-            for kb, cb in within[td - ka // top]:
-                key = ka + kb
-                s = get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    pop(key, None)
-        return Jet._raw(self.num_vars, td, out)
+        return _mul(self, _fitting(other))
 
     __rmul__ = __mul__
 
@@ -562,9 +554,6 @@ class JetVector:
             return NotImplemented
         return self.components == other.components
 
-    def eval(self, point):
-        return [c.eval(point) for c in self.components]
-
     def compose(self, inner: Sequence[Jet], allow_constant: bool = False) -> "JetVector":
         """Every component composed with ``inner``; see :meth:`Jet.compose`.
 
@@ -580,9 +569,6 @@ class JetVector:
         components.
         """
         return JetVector(_substitute(self.components, var, replacement, var_map))
-
-    def map_coefficients(self, fn) -> "JetVector":
-        return JetVector([c.map_coefficients(fn) for c in self.components])
 
     def __repr__(self):
         return f"JetVector({len(self.components)} components, num_vars={self.num_vars}, trunc_degree={self.trunc_degree})"
@@ -664,12 +650,12 @@ class _Products:
     With ``keep`` (a set of codes of the inner shape at its truncation
     degree), the inner components, powers and products keep all their keys
     below the truncation degree and only those codes at it (see
-    :func:`_mul_keeping`); ``None`` keeps every key.  A factor's term at the
+    :func:`_mul`); ``None`` keeps every key.  A factor's term at the
     truncation degree pairs only with the other factor's constant, into its
     own key, so every pair that reaches a kept key comes from kept terms:
     each kept key gets the same items, in the same relative order, as in the
     full product.  The right factor is always a power, whose terms are
-    grouped by degree once (:func:`_fitting`) for every product it ends.
+    grouped by degree once (:meth:`within`) for every product it ends.
     """
 
     __slots__ = ("inner", "table", "keep", "products", "fitting")
@@ -701,15 +687,16 @@ class _Products:
             self.products[code] = got
         return got
 
+    def within(self, code: int) -> list[list]:
+        """``_fitting(self.product(code))``, built once."""
+        got = self.fitting.get(code)
+        if got is None:
+            got = self.fitting[code] = _fitting(self.product(code))
+        return got
+
     def _times(self, a: Jet, power: int) -> Jet:
         """``a`` times the power with outer code ``power``."""
-        b = self.product(power)
-        if self.keep is None:
-            return a * b
-        within = self.fitting.get(power)
-        if within is None:
-            within = self.fitting[power] = _fitting(b)
-        return _mul_keeping(a, within, self.keep)
+        return _mul(a, self.within(power), self.keep)
 
 
 def _fitting(b: Jet) -> list[list]:
@@ -723,18 +710,21 @@ def _fitting(b: Jet) -> list[list]:
     return within
 
 
-def _mul_keeping(a: Jet, within: list, keep) -> Jet:
-    """``a * b`` with only the codes in ``keep`` at the truncation degree; ``within`` is ``_fitting(b)``.
+def _mul(a: Jet, within: list, keep=None) -> Jet:
+    """The truncated product ``a * b`` of one shape, where ``within`` is ``_fitting(b)``.
 
-    The pairs are visited as :meth:`Jet.__mul__` visits them (``a``'s terms in
-    order, each with ``b``'s terms that fit, in order), and a pair whose key
-    is at the truncation degree and not in ``keep`` is skipped: every other
-    key gets the same sums, with the same drops on cancellation, and keeps
-    its place relative to the other kept keys.
+    The one pairwise product loop: ``a``'s terms in order, each with ``b``'s
+    terms that fit, in order; a pair's key is ``ka + kb``, the code of the
+    summed exponents.  With ``keep`` (a set of codes at the truncation
+    degree) a pair whose key is at the truncation degree and not in ``keep``
+    is skipped: every other key gets the same sums, with the same drops on
+    cancellation, and keeps its place relative to the other kept keys.
+    ``None`` keeps every key.
     """
     td = a.trunc_degree
     top = _monomials(a.num_vars, td).top
-    cut = td * top  # the codes from here on have the truncation degree
+    # the codes from cut on have the truncation degree; no code of the shape reaches (td + 1) * top
+    cut = ((td + 1) if keep is None else td) * top
     out: dict[int, object] = {}
     get, pop = out.get, out.pop
     for ka, ca in a._coded.items():
@@ -754,12 +744,13 @@ def _substitute(outers: Sequence[Jet], var: int, replacement: Jet, var_map: Mapp
     """``[outer.substitute_variable(var, replacement, var_map) for outer in outers]``.
 
     ``outers`` share one shape (the components of a ``JetVector``).  The
-    powers of the replacement, and their terms that fit each degree budget,
-    are built once and shared by all components; each component adds its
-    terms in its own order, so it gets the same sums as when substituted
-    alone.  A source term's split into the exponent of ``var`` and the code
-    of its other variables in the target shape comes from a table kept per
-    substitution signature (see :class:`_Splits`).
+    powers of the replacement, each grouped by degree, are built once (by
+    :class:`_Products`, as the powers of a one-variable outer) and shared by
+    all components; each component adds its terms in its own order, so it
+    gets the same sums as when substituted alone.  A source term's split
+    into the exponent of ``var`` and the code of its other variables in the
+    target shape comes from a table kept per substitution signature (see
+    :class:`_Splits`).
     """
     source = outers[0]
     if not 0 <= var < source.num_vars:
@@ -778,20 +769,8 @@ def _substitute(outers: Sequence[Jet], var: int, replacement: Jet, var_map: Mapp
             )
     targets = tuple(0 if i == var else var_map[i] for i in range(source.num_vars))
     splits = _splits(source.num_vars, source.trunc_degree, var, targets, nv_t, td)
-    top = _monomials(nv_t, td).top
-    powers = [replacement]  # powers[k - 1] is replacement**k
-    fitting: dict[tuple, list] = {}
-
-    def power_within(k: int, room: int) -> list:
-        """Terms of replacement**k of degree <= room, in dict order."""
-        got = fitting.get((k, room))
-        if got is None:
-            while len(powers) < k:
-                powers.append(powers[-1] * replacement)
-            bound = (room + 1) * top  # codes below it have degree <= room
-            got = fitting[k, room] = [(pk, pc) for pk, pc in powers[k - 1]._coded.items() if pk < bound]
-        return got
-
+    powers = _Products([replacement], _monomials(1, td))
+    step = powers.table.weights[0]  # replacement**k has the code k * step
     out = []
     for outer in outers:
         # a term's other variables give one target code, and each power term
@@ -809,7 +788,7 @@ def _substitute(outers: Sequence[Jet], var: int, replacement: Jet, var_map: Mapp
                 else:
                     pop(rest, None)
                 continue
-            for pk, pc in power_within(k, td - rest_deg):
+            for pk, pc in powers.within(k * step)[td - rest_deg]:
                 key = pk + rest
                 s = get(key, 0) + c * pc
                 if s:
@@ -957,6 +936,7 @@ def jet_sqrt(a: Jet) -> Jet:
     if c_f <= 0.0:
         raise ValueError(f"jet_sqrt needs a positive constant term, got {c_f}")
     w = (a - c) * (1.0 / c_f)  # zero constant term
+    within = _fitting(w)
     # sqrt(c(1+w)) = sqrt(c) * sum binom(1/2, k) w^k; the powers start at w,
     # which is the constant-1 jet times w bit for bit
     acc = {0: 1.0}
@@ -966,7 +946,7 @@ def jet_sqrt(a: Jet) -> Jet:
     for k in range(1, a.trunc_degree + 1):
         coeff *= (0.5 - (k - 1)) / k
         if k > 1:
-            w_pow = w_pow * w
+            w_pow = _mul(w_pow, within)
         if w_pow.is_zero():
             break
         # the steps of acc + w_pow * coeff

@@ -9,6 +9,9 @@ the alpha/beta coefficients independently of how they were extracted.
 Reference loops for truncated jet products and one-variable substitutions:
 they visit every coefficient pair and skip those above the truncation degree,
 so they fix which contributions each result key receives and in what order.
+The grouped product loop is the one ``Jet.__mul__`` ran on its own, pairing
+each term only with the other factor's terms that fit; it fixes the items,
+order and bits of a product from the shared product kernel.
 The composition loop builds every power and monomial product afresh for each
 outer component and adds term by term with jet arithmetic, which fixes the
 partial sums of each key and its insertion order.
@@ -214,6 +217,28 @@ def mul_items(a, b):
     return list(out.items())
 
 
+def grouped_mul(self, other):
+    """``self * other`` from the pair loop ``Jet.__mul__`` ran itself, with its own degree grouping of ``other``."""
+    td = self.trunc_degree
+    top = _monomials(self.num_vars, td).top
+    # each key gets the same contributions in the same order as a full scan
+    items = list(other._coded.items())
+    within = [[t for t in items if t[0] < bound] for bound in range(top, td * top + 1, top)]
+    within.append(items)
+    # a pair's key is ka + kb, the code of the summed exponents
+    out: dict[int, object] = {}
+    get, pop = out.get, out.pop
+    for ka, ca in self._coded.items():
+        for kb, cb in within[td - ka // top]:
+            key = ka + kb
+            s = get(key, 0) + ca * cb
+            if s:
+                out[key] = s
+            else:
+                pop(key, None)
+    return Jet._raw(self.num_vars, td, out)
+
+
 def substitute_variable_items(jet, var, replacement, var_map):
     """Items of jet.substitute_variable(var, replacement, var_map), from a scan over every pair."""
     nv_t, td = replacement.num_vars, replacement.trunc_degree
@@ -349,7 +374,7 @@ def shift_plan_tuples(poly, trunc_degree, zero):
 
 
 def brjuno_items(theta, K=20, huge_quotient=1e12):
-    """brjuno_partial_sum(theta, K, huge_quotient), with the continued fraction run on Fraction."""
+    """brjuno_partial_sum(theta, K) at ``BRJUNO_HUGE_QUOTIENT = huge_quotient``, with the continued fraction run on Fraction."""
     x = Fraction(theta)
     x -= math.floor(x)
     qs = [1]

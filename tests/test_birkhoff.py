@@ -15,7 +15,7 @@ from oracles import (
     nonplanarity_probe,
 )
 
-from charvar_kam import charts
+from charvar_kam import birkhoff, charts
 from charvar_kam.errors import ResonanceError, ShapeMismatchError
 from charvar_kam.jets import Jet, JetVector, jet_variables
 from charvar_kam.mcg import fixed_family_su2, fixed_family_su3
@@ -528,7 +528,7 @@ def test_brjuno_rational_flag():
     assert exact.rational
 
 
-def test_brjuno_integer_euclid_matches_fraction_loop():
+def test_brjuno_integer_euclid_matches_fraction_loop(monkeypatch):
     """The integer continued fraction gives the Fraction loop's result, field for field."""
     rng = random.Random(29)
     thetas = [rng.uniform(0.0, 0.5) for _ in range(20)]
@@ -539,8 +539,9 @@ def test_brjuno_integer_euclid_matches_fraction_loop():
             assert brjuno_partial_sum(theta, K) == brjuno_items(theta, K), (theta, K)
     # a quotient above the threshold stops the expansion as rational
     assert brjuno_items(0.5 + 1e-14, 20).rational
+    monkeypatch.setattr(birkhoff, "BRJUNO_HUGE_QUOTIENT", 3)
     for theta in thetas[:5]:
-        assert brjuno_partial_sum(theta, 20, huge_quotient=3) == brjuno_items(theta, 20, huge_quotient=3)
+        assert brjuno_partial_sum(theta, 20) == brjuno_items(theta, 20, huge_quotient=3)
 
 
 def test_brjuno_float_ratio_matches_fraction_path():

@@ -646,6 +646,23 @@ def test_unwritable_out_from_the_command_line_exits_2():
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_closed_pipe_ends_the_scan_without_a_traceback(fmt):
+    """A reader that takes one line and closes the pipe (``| head -1``) ends the scan: exit 1, nothing on stderr."""
+    argv = ["--pipeline", "su2-brown", "--s", "0.005:0.249:0.001", "--format", fmt]  # about 170 KB as JSON
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "charvar_kam.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b""
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("existing", [None, b"an older report\n"])
 def test_a_scan_that_dies_leaves_no_partial_report(tmp_path, monkeypatch, fmt, existing):
     """An exception outside SCAN_ERRORS on the third row: no new file, an older one unchanged, no temporary left."""

@@ -14,7 +14,7 @@ from charvar_kam.jets import (
     _compose,
     _monomials,
     _fitting,
-    _mul_keeping,
+    _mul,
     jet_sqrt,
     jet_variables,
     normalized_coefficient,
@@ -504,8 +504,22 @@ def test_products_kept_at_the_truncation_degree_match_the_full_ones(
         assert any(len(g._coded) < len(f._coded) for g, f in zip(got, full))
         a, b = outer[0], outer[1]  # constants and terms at the truncation degree in both factors
         within = _fitting(b)
-        assert list(_mul_keeping(a, within, keep)._coded.items()) == kept(a * b)
-        assert list(_mul_keeping(a, within, set(top_codes))._coded.items()) == list((a * b)._coded.items())
+        assert list(_mul(a, within, keep)._coded.items()) == kept(a * b)
+        assert list(_mul(a, within, set(top_codes))._coded.items()) == list((a * b)._coded.items())
+
+
+@pytest.mark.parametrize("kind", sorted(_COEFF_KINDS) + ["int"])
+@pytest.mark.parametrize("num_vars,trunc_degree,density", sorted({case[1:4] for case in _COMPOSE_CASES}))
+def test_mul_matches_the_grouped_pair_loop(kind, num_vars, trunc_degree, density):
+    """``Jet * Jet`` gives the items of ``Jet.__mul__``'s own grouped pair loop, in order and bit for bit."""
+    from oracles import grouped_mul
+
+    rng = random.Random(f"grouped mul {kind} {num_vars}x{trunc_degree}")
+    draw = _COEFF_KINDS.get(kind, lambda r: r.randint(-3, 3))
+    exponents = list(_all_exponents(num_vars, trunc_degree))
+    for _ in range(3):
+        a, b = (Jet(num_vars, trunc_degree, {e: draw(rng) for e in exponents if rng.random() < density}) for _ in range(2))
+        assert _bits(a * b) == _bits(grouped_mul(a, b))
 
 
 def test_compose_keeps_order_when_partial_sums_cancel():
@@ -880,7 +894,7 @@ def test_scalar_product_drops_underflowed_coefficients():
 def test_jetvector_eval_and_compose():
     x, y = jet_variables(2, 3)
     v = JetVector([x + y, x * y])
-    assert v.eval([2, 3]) == [5, 6]
+    assert [c.eval([2, 3]) for c in v] == [5, 6]
     w = v.compose([y, x])
     assert w[0] == x + y and w[1] == x * y
 

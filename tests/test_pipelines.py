@@ -229,16 +229,19 @@ def test_one_eigendecomposition_per_elliptic_row(monkeypatch, point, s):
 
 
 #: Upper bounds on the work of one elliptic SU(2) row: ``Jet`` objects built
-#: (through ``Jet._raw`` and ``Jet.__init__``) and ``np.linalg`` calls.
+#: (through ``Jet._raw`` and ``Jet.__init__``), ``np.linalg`` calls and
+#: degree groupings of a product's right factor (``jets._fitting``).
 SU2_ROW_JETS_MAX = 36
 SU2_ROW_LINALG_MAX = 7
+SU2_ROW_FITTINGS_MAX = 6
 
 
 def test_su2_row_builds_few_jets_and_linalg_calls(monkeypatch):
+    from charvar_kam import jets
     from charvar_kam.jets import Jet
 
-    counts = {"jets": 0, "linalg": 0}
-    raw, init = Jet.__dict__["_raw"].__func__, Jet.__init__
+    counts = {"jets": 0, "linalg": 0, "fittings": 0}
+    raw, init, fitting = Jet.__dict__["_raw"].__func__, Jet.__init__, jets._fitting
 
     def counting_raw(cls, *args):
         counts["jets"] += 1
@@ -247,6 +250,10 @@ def test_su2_row_builds_few_jets_and_linalg_calls(monkeypatch):
     def counting_init(self, *args, **kwargs):
         counts["jets"] += 1
         init(self, *args, **kwargs)
+
+    def counting_fitting(b):
+        counts["fittings"] += 1
+        return fitting(b)
 
     def counting(fn):
         def call(*args, **kwargs):
@@ -258,6 +265,7 @@ def test_su2_row_builds_few_jets_and_linalg_calls(monkeypatch):
     su2_brown_point(Fraction(1, 5))  # fill the code tables first
     monkeypatch.setattr(Jet, "_raw", classmethod(counting_raw))
     monkeypatch.setattr(Jet, "__init__", counting_init)
+    monkeypatch.setattr(jets, "_fitting", counting_fitting)
     for name in np.linalg.__all__:
         fn = getattr(np.linalg, name)
         if callable(fn) and not isinstance(fn, type):
@@ -266,7 +274,8 @@ def test_su2_row_builds_few_jets_and_linalg_calls(monkeypatch):
     assert row["twist_ok"] is True  # elliptic: the row went through the whole chain
     assert counts["jets"] <= SU2_ROW_JETS_MAX
     assert counts["linalg"] <= SU2_ROW_LINALG_MAX
-    assert counts["linalg"] > 0 and counts["jets"] > 0  # the counters saw the row
+    assert counts["fittings"] <= SU2_ROW_FITTINGS_MAX
+    assert counts["linalg"] > 0 and counts["jets"] > 0 and counts["fittings"] > 0  # the counters saw the row
 
 
 def test_twist_changes_sign_between_window_rows():
