@@ -14,11 +14,11 @@ is truncated at the chart's degree, with no jet products.  The expansion's
 keys, binomials and truncation do not depend on s, so each polynomial's
 expansion is recorded once per degree (and pattern of zero center
 coordinates) as a plan of integer steps, and each row replays it with its
-own center powers.  P and Q are recentered and t-substituted once per chart,
-in one substitution call that shares the powers of the t-jet; the z-solve
-and both residual diagnostics read that one result.  The six kept cat-map
-components likewise take one t-call and one z-call.  The chart takes the
-row's exact fixed point, ``fixed_family_su3(s)``.
+own center powers.  P, Q and the six kept cat-map components are recentered
+and t-substituted once per chart, in one substitution call that builds the
+powers of the t-jet once; the z-solve and both residual diagnostics read
+that one P and Q, and the six components then take one z-call.  The chart
+takes the row's exact fixed point, ``fixed_family_su3(s)``.
 
 SU(2): the level set kappa = ell is a surface in (x, y, z); x is eliminated
 from the quadratic kappa = ell (branch from the center) and (y, z) survive.
@@ -336,12 +336,14 @@ def solve_t(spec: ChartSpec) -> Jet:
     return a_jet.map_coefficients(lambda n: n / b2) + root * float(spec.sqrt_branch)
 
 
-def _substituted_pq(spec: ChartSpec, t_jet: Jet) -> tuple[Jet, Jet]:
-    """P and Q recentered at the fixed point with the t-jet substituted (7 variables)."""
+def _substituted_pq(spec: ChartSpec, t_jet: Jet) -> JetVector:
+    """P, Q and the kept cat-map components (less their center coordinates) recentered, t-substituted in one call."""
     t_disp = t_jet - t_jet.constant_term()
-    p_c, q_c = _recentered(spec, p_poly()), _recentered(spec, q_poly())
-    p7, q7 = JetVector([p_c, q_c]).substitute_variable(_T8, t_disp, _MAP_8_TO_7)
-    return p7, q7
+    centers8 = _center8(spec)
+    kept = zip(_KEEP_COMPONENTS, _cat_map_8(spec.trunc_degree))
+    centered = [_recentered(spec, p_poly()), _recentered(spec, q_poly())]
+    centered += [_recentered(spec, poly8, centers8[i]) for i, poly8 in kept]
+    return JetVector(centered).substitute_variable(_T8, t_disp, _MAP_8_TO_7)
 
 
 def _h_tilde(p7: Jet, q7: Jet) -> Jet:
@@ -433,18 +435,13 @@ def _cat_map_8(trunc_degree: int) -> tuple[Jet, ...]:
 
 
 def _chart_map_jet_cached(spec: ChartSpec) -> ChartJet:
-    td = spec.trunc_degree
     t_jet = solve_t(spec)
-    p7, q7 = _substituted_pq(spec, t_jet)
+    p7, q7, *map7 = _substituted_pq(spec, t_jet)
     h7 = _h_tilde(p7, q7)
     z_jet = solve_z_implicit(spec, h7)
     zeta = z_jet - z_jet.constant_term()
-    centers8 = _center8(spec)
-    t7 = t_jet - t_jet.constant_term()
-    kept = zip(_KEEP_COMPONENTS, _cat_map_8(td))
-    centered = JetVector(_recentered(spec, poly8, centers8[i]) for i, poly8 in kept)
-    # substitute t (8 -> 7 variables), then z (7 -> 6): elimination order
-    g6 = centered.substitute_variable(_T8, t7, _MAP_8_TO_7).substitute_variable(_Z7, zeta, _MAP_7_TO_6)
+    # t is substituted (8 -> 7 variables); now z (7 -> 6): elimination order
+    g6 = JetVector(map7).substitute_variable(_Z7, zeta, _MAP_7_TO_6)
     out = []
     for comp in g6:
         const = comp.constant_term()
@@ -454,9 +451,10 @@ def _chart_map_jet_cached(spec: ChartSpec) -> ChartJet:
     return ChartJet(spec=spec, t_jet=t_jet, z_jet=z_jet, map_jet=JetVector(out), p7=p7, h7=h7)
 
 
-# A scan builds each chart once; ``--golden`` looks up the chart at the
-# file's s once more (``cli.compare_golden``, which reads its verdict off that
-# chart), so one entry keyed by the fixed point is enough.
+# A scan builds each chart once; ``--golden`` looks up the degree-3 chart at
+# the file's s once more for its jet checks (``cli.compare_golden``, which
+# takes its verdict from the row at that s when there is one), so one entry
+# keyed by the fixed point is enough: it is a hit when that row was the last.
 @lru_cache(maxsize=1)
 def _chart_cache(fp: FixedPointSample, trunc_degree: int) -> ChartJet:
     return _chart_map_jet_cached(chart_spec(fp, trunc_degree))

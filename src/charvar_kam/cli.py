@@ -27,7 +27,7 @@ from types import GeneratorType
 
 from .charts import chart_map_jet
 from .mcg import fixed_family_su3
-from .pipelines import SCAN_ERRORS, chart_kam_report, su2_brown_point, su3_main_point
+from .pipelines import SCAN_ERRORS, su2_brown_point, su3_kam_report, su3_main_point
 
 __all__ = ["RunConfig", "run", "dump_goldens", "main"]
 
@@ -303,6 +303,9 @@ class _Scan:
         self.cfg = cfg
         self.verdict_found = False
         self.golden = None
+        # a row whose alpha_det the golden diagnostic takes: at the file's s, with the golden chart's degree 3
+        self.golden_s = Fraction(str(cfg.golden_values["s"])) if cfg.golden_values and cfg.trunc_degree == 3 else None
+        self.golden_det = None
 
     def items(self):
         cfg = self.cfg
@@ -317,13 +320,15 @@ class _Scan:
             yield "rows", self._watched(rows, lambda r: r.get("verdict"))
         yield "verdict_found", self.verdict_found
         if cfg.golden and cfg.pipeline == "su3-main":
-            self.golden = compare_golden(Path(cfg.golden), cfg.golden_values)
+            self.golden = compare_golden(Path(cfg.golden), cfg.golden_values, self.golden_det)
             yield "golden", self.golden
 
     def _watched(self, rows, hit):
-        for row in rows:
+        for s, row in zip(self.cfg.s_values, rows):
             if not self.verdict_found and hit(row):
                 self.verdict_found = True
+            if "alpha_det" in row and s == self.golden_s:
+                self.golden_det = row["alpha_det"]
             yield row
 
     def exit_code(self) -> int:
@@ -440,14 +445,14 @@ def _read_golden(path) -> dict:
     return golden
 
 
-def compare_golden(path: Path, golden: dict) -> dict:
+def compare_golden(path: Path, golden: dict, row_det: dict | None = None) -> dict:
     """Compare the computed s = .249 chart against ``golden = _read_golden(path)``.
 
-    Jet coefficients are binding at GOLDEN_REL_TOL; alpha_det, read off the
-    same chart, is a diagnostic because it depends on the eigenvector
-    normalization.  A scan error at the file's s (a pole, a spectrum that is
-    not elliptic, values too large for a double) is recorded as ``error``
-    with ``ok`` false, after the checks that ran.
+    Jet coefficients are binding at GOLDEN_REL_TOL; alpha_det, a degree-3
+    row's ``row_det`` at the file's s or else ``su3_kam_report``'s, is a
+    diagnostic as it depends on the eigenvector normalization.  A scan error
+    at that s (a pole, a spectrum that is not elliptic, values too large for
+    a double) is recorded as ``error`` with ``ok`` false, after the checks.
     """
     s = Fraction(str(golden["s"]))
     checks = []
@@ -482,7 +487,7 @@ def compare_golden(path: Path, golden: dict) -> dict:
         check(f"z_jet[{','.join(map(str, e))}]", got, term["printed"])
     # diagnostic only: normalization-dependent
     try:
-        det = complex(chart_kam_report(chart).alpha_det)
+        det = complex(row_det["re"], row_det["im"]) if row_det is not None else complex(su3_kam_report(s).alpha_det)
     except SCAN_ERRORS as exc:
         result["error"] = f"{type(exc).__name__}: {exc}"
         return result
@@ -492,7 +497,7 @@ def compare_golden(path: Path, golden: dict) -> dict:
             "name": "alpha_det (diagnostic)",
             "got": [det.real, det.imag],
             "want": [want_det.real, want_det.imag],
-            "rel_err": abs(det - want_det) / abs(want_det),
+            "rel_err": abs(det - want_det) / max(abs(want_det), GOLDEN_REL_FLOOR),
             "binding": False,
             "ok": abs(det) > GOLDEN_DET_MIN,
         }
@@ -649,7 +654,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_negative_s(sys.argv[1:] if argv is None else argv))
 
     if args.dump_goldens:
-        for path in dump_goldens(args.dump_goldens):
+        try:
+            paths = dump_goldens(args.dump_goldens)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"config error: cannot write --dump-goldens {args.dump_goldens}: {reason}", file=sys.stderr)
+            return 2
+        for path in paths:
             print(path)
         return 0
     if not args.pipeline:

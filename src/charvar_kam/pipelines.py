@@ -40,7 +40,7 @@ from .spectral import SpectrumReport, build_C0, classify_spectrum
 # not called: the SU(2) level comes from fixed_family_su2; perfbench/tracer.py looks it up here
 from .varieties import kappa_su2  # noqa: F401
 
-__all__ = ["su2_brown_point", "su3_main_point", "su3_kam_report", "chart_kam_report", "SCAN_ERRORS"]
+__all__ = ["su2_brown_point", "su3_main_point", "su3_kam_report", "SCAN_ERRORS"]
 
 #: Everything a scan survives by recording instead of raising.
 SCAN_ERRORS = (
@@ -136,18 +136,14 @@ def _su3_verdicts(
     )
 
 
-def chart_kam_report(chart: ChartJet) -> KamReport:
-    """Twist/non-planarity verdicts from an SU(3) chart; ResonanceError unless its spectrum is elliptic."""
+def su3_kam_report(s, trunc_degree: int = 3) -> KamReport:
+    """Twist/non-planarity verdicts for the SU(3) fixed point at parameter s; ResonanceError unless it is elliptic."""
+    chart = chart_map_jet(fixed_family_su3(s), trunc_degree)
     L = chart_linear_matrix(chart)
     spectrum = classify_spectrum(L)
     if not spectrum.is_elliptic():
         raise ResonanceError(f"spectrum at s = {chart.spec.s} is not elliptic: {spectrum.classification}")
     return _su3_verdicts(chart, L, spectrum)[1]
-
-
-def su3_kam_report(s, trunc_degree: int = 3) -> KamReport:
-    """Twist/non-planarity verdicts for the SU(3) fixed point at parameter s."""
-    return chart_kam_report(chart_map_jet(fixed_family_su3(s), trunc_degree))
 
 
 def su3_main_point(s, trunc_degree: int = 3, dump_jets: bool = False) -> dict:

@@ -231,22 +231,22 @@ def build_C0(m, report: SpectrumReport) -> DiagonalizingBasis:
     n = m.shape[0]
     cols = []
     for j, _ in report.pairing:
-        v = report.eigenvectors[:, j].astype(complex)
+        v = report.eigenvectors[:, j]  # complex: eig of a real matrix with non-real eigenvalues
         v = v / np.linalg.norm(v)
         # deterministic phase: first entry above threshold made real positive
         lead = next(i for i in range(n) if abs(v[i]) > PHASE_LEAD_MIN)
         v = v * (abs(v[lead]) / v[lead])
         cols.append(v)
-        cols.append(np.conj(v))
+        cols.append(v.conj())
     C0 = np.column_stack(cols)
     try:
         inv = np.linalg.inv(C0)
     except np.linalg.LinAlgError as exc:
         raise NonDiagonalizableError(f"eigenvector basis C0 is not invertible: {exc}") from exc
-    diag = inv @ m @ C0
-    off = diag - np.diag(np.diag(diag))
+    off = np.abs(inv @ m @ C0)
+    off.flat[:: n + 1] = 0.0  # the diagonal
     scale = max(1.0, float(np.linalg.norm(m)))
-    res = float(np.max(np.abs(off)))
+    res = float(off.max())
     if res > C0_RESIDUAL_TOL * scale:
         raise NonDiagonalizableError(f"off-diagonal residual {res:.3e} exceeds tolerance")
     return DiagonalizingBasis(

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from charvar_kam import charts
+from charvar_kam import charts, jets
 from charvar_kam.charts import (
     _h_tilde,
     _substituted_pq,
@@ -87,7 +87,7 @@ def test_branch_constant_matches_center_along_scan():
         spec = chart_spec(fixed_family_su3(s))
         tj = solve_t(spec)
         assert tj.constant_term() == pytest.approx(float(spec.center.t), abs=1e-12)
-        zj = solve_z_implicit(spec, _h_tilde(*_substituted_pq(spec, tj)))
+        zj = solve_z_implicit(spec, _h_tilde(*_substituted_pq(spec, tj)[:2]))
         assert zj.constant_term() == pytest.approx(float(spec.center.z), abs=1e-12)
 
 
@@ -294,13 +294,28 @@ def test_chart_build_recenters_p_and_q_once(monkeypatch):
     charts._chart_cache.cache_clear()
     chart = chart_map_jet(fixed_family_su3(S249))
     assert calls == [S249]
-    p7, q7 = real(chart.spec, chart.t_jet)
+    p7, q7 = real(chart.spec, chart.t_jet)[:2]
     zeta = chart.z_jet - chart.z_jet.constant_term()
     r = _h_tilde(p7, q7).substitute_variable(charts._Z7, zeta, charts._MAP_7_TO_6)
     assert chart.residual_h() == max(abs(c) for c in r.coeffs.values())
     diff = p7 * 0.5 - float(chart.spec.level)
     assert chart.residual_level() == max(abs(c) for c in diff.coeffs.values())
     assert calls == [S249]
+
+
+def test_chart_build_substitutes_t_once(monkeypatch):
+    """P, Q and the six kept cat-map components take the t-jet in one substitution, sharing its powers."""
+    calls = []
+    real = jets._substitute
+
+    def counted(outers, var, replacement, var_map):
+        calls.append((outers[0].num_vars, var, len(outers)))
+        return real(outers, var, replacement, var_map)
+
+    monkeypatch.setattr(jets, "_substitute", counted)
+    charts._chart_cache.cache_clear()
+    chart_map_jet(fixed_family_su3(S249))
+    assert [c for c in calls if c[:2] == (8, charts._T8)] == [(8, charts._T8, 8)]
 
 
 _REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"

@@ -454,7 +454,7 @@ def test_golden_reuses_kam_report_not_a_full_row(tmp_path, monkeypatch):
 
 def test_golden_runs_each_step_once(tmp_path, monkeypatch):
     """A row at the file's s with --golden: the file is read once; the row and the comparison each take one
-    fixed point, one chart lookup and one verdict chain."""
+    fixed point and one chart lookup, and the comparison reuses the row's verdict chain."""
     from charvar_kam import pipelines
 
     dump_goldens(tmp_path)
@@ -469,13 +469,58 @@ def test_golden_runs_each_step_once(tmp_path, monkeypatch):
         counted(module, "chart_map_jet")
     counted(cli, "_read_golden")
     counted(pipelines, "_su3_verdicts")
+    counted(pipelines, "classify_spectrum")
+    counted(pipelines, "birkhoff_coefficients")
     out = tmp_path / "rep.json"
     argv = ["--pipeline", "su3-main", "--s", "0.249", "--out", str(out)]
     assert cli.main([*argv, "--golden", str(tmp_path / "su3_chart_s249.json")]) == 0
     assert {name: calls.count(name) for name in calls} == {
-        "_read_golden": 1, "fixed_family_su3": 2, "chart_map_jet": 2, "_su3_verdicts": 2
+        "_read_golden": 1, "fixed_family_su3": 2, "chart_map_jet": 2, "_su3_verdicts": 1,
+        "classify_spectrum": 1, "birkhoff_coefficients": 1,
     }
     assert json.loads(out.read_text())["golden"]["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "s_text, degree, chains",
+    [("0.249", "5", 2), ("0.241,0.245", "3", 3), ("0.249,0.241", "3", 2)],
+    ids=["degree 5", "s absent", "s not last"],
+)
+def test_golden_diagnostic_is_the_degree_3_alpha_det(tmp_path, monkeypatch, s_text, degree, chains):
+    """The diagnostic is su3_kam_report's alpha_det at the file's s: a degree-3 row's, reused, or the golden's own chain."""
+    from charvar_kam import pipelines
+
+    dump_goldens(tmp_path)
+    want = complex(pipelines.su3_kam_report(Fraction(249, 1000)).alpha_det)
+    calls = []
+    real = pipelines._su3_verdicts
+    monkeypatch.setattr(pipelines, "_su3_verdicts", lambda *args: calls.append(1) or real(*args))
+    out = tmp_path / "rep.json"
+    argv = ["--pipeline", "su3-main", "--s", s_text, "--degree", degree, "--out", str(out)]
+    assert cli.main([*argv, "--golden", str(tmp_path / "su3_chart_s249.json")]) == 0
+    assert len(calls) == chains
+    golden = json.loads(out.read_text())["golden"]
+    assert golden["ok"] is True
+    diagnostic = golden["checks"][-1]
+    assert diagnostic["name"] == "alpha_det (diagnostic)"
+    assert diagnostic["got"] == [want.real, want.imag]
+
+
+def test_golden_zero_alpha_det_is_divided_by_the_floor(tmp_path):
+    """A golden alpha.det of 0 gives the diagnostic a relative error over GOLDEN_REL_FLOOR, not a ZeroDivisionError."""
+    dump_goldens(tmp_path)
+    golden_path = tmp_path / "su3_chart_s249.json"
+    data = json.loads(golden_path.read_text())
+    data["alpha"]["det"] = {"re": 0, "im": 0}
+    golden_path.write_text(json.dumps(data))
+    out = tmp_path / "rep.json"
+    assert cli.main(["--pipeline", "su3-main", "--s", "0.249", "--golden", str(golden_path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    diagnostic = report["golden"]["checks"][-1]
+    det = report["rows"][0]["alpha_det"]
+    assert diagnostic["want"] == [0.0, 0.0]
+    assert diagnostic["rel_err"] == abs(complex(det["re"], det["im"])) / cli.GOLDEN_REL_FLOOR
+    assert diagnostic["ok"] is True and report["golden"]["ok"] is True
 
 
 def test_golden_mismatch_detected(tmp_path):
@@ -636,6 +681,18 @@ def test_unwritable_out_is_a_config_error_before_any_row(tmp_path, monkeypatch, 
     assert code == 2
     assert err.startswith(f"config error: cannot write --out {out}: ")
     assert "Traceback" not in err
+
+
+def test_dump_goldens_onto_a_file_exits_2(tmp_path, capsys):
+    """--dump-goldens naming an existing file is a config error that writes nothing, as for --out."""
+    target = tmp_path / "taken"
+    target.write_text("kept")
+    code = cli.main(["--dump-goldens", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"config error: cannot write --dump-goldens {target}: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == [target] and target.read_text() == "kept"
 
 
 def test_unwritable_out_from_the_command_line_exits_2():
