@@ -34,7 +34,6 @@ from .charts import (
 from .jets import (
     Jet,
     JetVector,
-    QQi,
     jet_sqrt,
     jet_variables,
     normalized_coefficient,

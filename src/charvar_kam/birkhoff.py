@@ -100,7 +100,7 @@ class NormalFormInput:
                 for i in range(n):
                     want = diag[j] if i == own else 0.0
                     got = complex(jet._coded.get(weights[i], 0))
-                    if abs(got - want) > LINEAR_PART_TOL:
+                    if not abs(got - want) <= LINEAR_PART_TOL:  # NaN fails
                         raise ShapeMismatchError(
                             f"linear part of {block}_{j + 1} is off by {abs(got - want):.2e} at variable {i}"
                         )
@@ -245,7 +245,7 @@ def _solve_homological(jet: Jet, lam, mu, own: complex) -> Jet:
             continue
         e = table.decode(code)
         denom = _eig_product(lam, mu, e) - own
-        if abs(denom) < RESONANCE_DENOM_TOL:
+        if not abs(denom) >= RESONANCE_DENOM_TOL:  # NaN fails
             raise ResonanceError(
                 f"homological denominator {abs(denom):.2e} at monomial {e} is resonant"
             )

@@ -294,18 +294,19 @@ class _Scan:
     """One scan's report as a stream, with what its exit code needs once the stream is read.
 
     :meth:`items` yields the report's top-level items in order; the rows are
-    made one at a time as they are read, and ``verdict_found`` and, with
-    ``--golden`` on su3-main, ``golden`` are computed once the rows are used
-    up.  Each item must be read in full before the next.
+    made one at a time as they are read, and ``verdict_found`` is computed
+    once the rows are used up.  With ``--golden`` on su3-main, ``golden`` is
+    computed right after a degree-3 row at the golden file's s, whose chart
+    it reuses from the chart cache, or else once the rows are used up.  Each
+    item must be read in full before the next.
     """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.verdict_found = False
         self.golden = None
-        # a row whose alpha_det the golden diagnostic takes: at the file's s, with the golden chart's degree 3
+        # a row whose chart and alpha_det the golden comparison takes: at the file's s, with the golden chart's degree 3
         self.golden_s = Fraction(str(cfg.golden_values["s"])) if cfg.golden_values and cfg.trunc_degree == 3 else None
-        self.golden_det = None
 
     def items(self):
         cfg = self.cfg
@@ -320,15 +321,17 @@ class _Scan:
             yield "rows", self._watched(rows, lambda r: r.get("verdict"))
         yield "verdict_found", self.verdict_found
         if cfg.golden and cfg.pipeline == "su3-main":
-            self.golden = compare_golden(Path(cfg.golden), cfg.golden_values, self.golden_det)
+            if self.golden is None:
+                self.golden = compare_golden(Path(cfg.golden), cfg.golden_values)
             yield "golden", self.golden
 
     def _watched(self, rows, hit):
         for s, row in zip(self.cfg.s_values, rows):
             if not self.verdict_found and hit(row):
                 self.verdict_found = True
-            if "alpha_det" in row and s == self.golden_s:
-                self.golden_det = row["alpha_det"]
+            if self.golden is None and "alpha_det" in row and s == self.golden_s:
+                # now, while the chart cache still holds this row's chart
+                self.golden = compare_golden(Path(self.cfg.golden), self.cfg.golden_values, row["alpha_det"])
             yield row
 
     def exit_code(self) -> int:

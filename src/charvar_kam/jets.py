@@ -1,10 +1,10 @@
 """Sparse multivariate polynomials truncated at a fixed total degree ("jets").
 
 Jets are the carrier for every chart and normal-form computation in this
-package.  Coefficients are duck-typed: exact work uses ``int``/``Fraction``
-(or :class:`QQi` for Gaussian rationals), floating work uses ``float`` /
-``complex``.  A coefficient only needs ``+``, ``*``, unary ``-``, equality
-and truthiness (zero tests as falsy).
+package.  Coefficients are duck-typed: exact work uses ``int`` / ``Fraction``
+(the trace polynomials P and Q are expanded over the integers), floating work
+uses ``float`` / ``complex``.  A coefficient only needs ``+``, ``*``, unary
+``-``, equality and truthiness (zero tests as falsy).
 
 Design notes
 ------------
@@ -68,97 +68,12 @@ from fractions import Fraction
 from .errors import ConstantTermError, ShapeMismatchError
 
 __all__ = [
-    "QQi",
     "Jet",
     "JetVector",
     "jet_sqrt",
     "normalized_coefficient",
     "jet_variables",
 ]
-
-
-class QQi:
-    """Gaussian rational a + b*i with exact parts.
-
-    Used to expand the unitary-coordinate substitution exactly; the final
-    polynomials must come out with identically zero imaginary parts and
-    that cancellation is checked exactly, so floats are not acceptable there.
-    A part given as an ``int`` stays an ``int`` (Gaussian integers then
-    multiply without ``Fraction``'s gcd per operation); any other part is
-    converted to ``Fraction``.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is int else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is int else Fraction(im))
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("QQi is immutable")
-
-    def __add__(self, other):
-        other = _as_qqi(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QQi(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_qqi(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QQi(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = _as_qqi(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QQi(other.re - self.re, other.im - self.im)
-
-    def __mul__(self, other):
-        other = _as_qqi(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QQi(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return QQi(-self.re, -self.im)
-
-    def conjugate(self):
-        return QQi(self.re, -self.im)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other):
-        other = _as_qqi(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-    def __repr__(self):
-        return f"QQi({self.re!r}, {self.im!r})"
-
-
-def _as_qqi(value):
-    if isinstance(value, QQi):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return QQi(value)
-    return NotImplemented
 
 
 class Jet:
@@ -930,7 +845,7 @@ def jet_sqrt(a: Jet) -> Jet:
     eliminations, whose radicand positivity is a precondition.
     """
     c = a.constant_term()
-    if isinstance(c, (complex, QQi)):
+    if isinstance(c, complex):
         raise ValueError("jet_sqrt is defined for real-coefficient jets only")
     c_f = float(c)
     if c_f <= 0.0:
@@ -995,6 +910,4 @@ def normalized_coefficient(a: Jet, upper: Sequence[int], lower: Sequence[int]):
         return stored
     if isinstance(stored, (int, Fraction)):
         return stored * Fraction(1, factor)
-    if isinstance(stored, QQi):
-        return stored * QQi(Fraction(1, factor))
     return stored / factor

@@ -60,12 +60,12 @@ def eigen_small(m):
     # 2-norm condition number s_max / s_min, as np.linalg.cond computes it
     s = np.linalg.svd(vecs, compute_uv=False).tolist()
     cond = s[0] / s[-1] if s[-1] else math.inf
-    if cond > EIGEN_COND_MAX:
+    if not cond <= EIGEN_COND_MAX:  # NaN fails
         raise NonDiagonalizableError(f"eigenvector basis condition number {cond:.3e}: matrix is defective")
     # column k is m v_k - lambda_k v_k
     residuals = np.linalg.norm(m @ vecs - vecs * vals, axis=0)
     for k, res in enumerate(residuals.tolist()):
-        if res > EIGEN_RESIDUAL_TOL * scale:
+        if not res <= EIGEN_RESIDUAL_TOL * scale:  # NaN fails
             raise NonDiagonalizableError(
                 f"eigenpair {k} residual {res:.3e} exceeds {EIGEN_RESIDUAL_TOL:.1e} * ||m||"
             )
@@ -247,7 +247,7 @@ def build_C0(m, report: SpectrumReport) -> DiagonalizingBasis:
     off.flat[:: n + 1] = 0.0  # the diagonal
     scale = max(1.0, float(np.linalg.norm(m)))
     res = float(off.max())
-    if res > C0_RESIDUAL_TOL * scale:
+    if not res <= C0_RESIDUAL_TOL * scale:  # NaN fails
         raise NonDiagonalizableError(f"off-diagonal residual {res:.3e} exceeds tolerance")
     return DiagonalizingBasis(
         C0=C0,

@@ -6,10 +6,12 @@ boundary polynomial kappa.  SU(3) points live in 8 real unitary coordinates
 imaginary part U of the commutator trace; the real part u = P/2 is derived.
 
 The defining polynomials P and Q are entered in the 8 complex trace functions
-(tr_a, tr_b, tr_ab, tr_ab^-1 and their inverse-word partners) and converted
-once, exactly over Gaussian rationals, to real polynomials in the unitary
-coordinates.  The conversion asserts that every imaginary part cancels, which
-doubles as a transcription check on Q's 60-odd monomials.
+(tr_a, tr_b, tr_ab, tr_ab^-1 and their inverse-word partners) with integer
+coefficients and converted once, exactly, to real polynomials in the unitary
+coordinates: the substitution tr = x + iX, tr^-1 = x - iX runs over the
+integers with iX as a variable of its own, and each term's power of i is
+applied afterwards.  The conversion checks that every imaginary part cancels,
+which doubles as a transcription check on Q's 60-odd monomials.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from .errors import ConsistencyError, OffVarietyError, ShapeMismatchError
-from .jets import Jet, QQi, jet_variables
+from .jets import Jet, jet_variables
 
 __all__ = [
     "Su2Point",
@@ -135,56 +137,41 @@ def trace_q_poly() -> Jet:
     return q
 
 
-def _unitary_substitution(trunc_degree: int) -> list[Jet]:
-    """Inner jets sending complex trace variables to unitary coordinates.
+def _unitary_jet(trace_poly: Jet) -> Jet:
+    """A complex trace polynomial as an exact real polynomial in UNITARY_VARS.
 
-    tr_a -> x + iX, tr_a^-1 -> x - iX (inverse traces are conjugates on SU(n)),
-    and likewise for b, ab, ab^-1.  Jets live over Gaussian rationals in the 8
-    real variables, ordered as UNITARY_VARS.
+    tr_a -> x + iX, tr_a^-1 -> x - iX (inverse traces are conjugates on
+    SU(n)), and likewise for b, ab, ab^-1.  The substitution runs over the
+    integers with X standing for iX (and Y, Z, T likewise), so a term of
+    degree w in (X, Y, Z, T) carries i^w: its sign is (-1)^(w/2) for even w,
+    and for odd w it is an imaginary part that must have cancelled.  As i^w is
+    a unit, the terms come out, in order, as an expansion over Gaussian
+    rationals gives them.
     """
-    i = QQi(0, 1)
-    one = QQi(1)
-    v = [Jet.variable(k, 8, trunc_degree, one) for k in range(8)]
-    x, X, y, Y, z, Z, t, T = v
-    return [
-        x + X * i,  # tr_a
-        y + Y * i,  # tr_b
-        z + Z * i,  # tr_ab
-        t + T * i,  # tr_ab^-1
-        x - X * i,  # tr_a^-1
-        y - Y * i,  # tr_b^-1
-        z - Z * i,  # tr_a^-1b^-1
-        t - T * i,  # tr_a^-1b
-    ]
-
-
-def _to_real_fraction_jet(jet: Jet) -> Jet:
-    """Collapse a QQi-coefficient jet whose imaginary parts all vanish."""
+    td = trace_poly.trunc_degree
+    x, X, y, Y, z, Z, t, T = jet_variables(8, td)  # X stands for iX, and so on
+    sub = [x + X, y + Y, z + Z, t + T, x - X, y - Y, z - Z, t - T]
     out = {}
-    for e, c in jet.coeffs.items():
-        if isinstance(c, QQi):
-            if c.im:
-                raise ConsistencyError(f"imaginary part failed to cancel at {e}: {c!r}")
-            out[e] = Fraction(c.re)
-        else:
-            out[e] = Fraction(c)
-    return Jet(jet.num_vars, jet.trunc_degree, out)
+    for e, c in trace_poly.compose(sub, allow_constant=True)._coeffs.items():
+        w = sum(e[1::2])
+        if w % 4 >= 2:  # i^w is -1 or -i
+            c = -c
+        if w % 2:
+            raise ConsistencyError(f"imaginary part failed to cancel at {e}: {c}i")
+        out[e] = Fraction(c)
+    return Jet(8, td, out)
 
 
 @lru_cache(maxsize=None)
 def p_poly() -> Jet:
     """P as an exact real polynomial in the 8 unitary coordinates (degree 4)."""
-    raw = trace_p_poly().map_coefficients(lambda c: QQi(c))
-    sub = _unitary_substitution(4)
-    return _to_real_fraction_jet(raw.compose(sub, allow_constant=True))
+    return _unitary_jet(trace_p_poly())
 
 
 @lru_cache(maxsize=None)
 def q_poly() -> Jet:
     """Q as an exact real polynomial in the 8 unitary coordinates (degree 6)."""
-    raw = trace_q_poly().map_coefficients(lambda c: QQi(c))
-    sub = _unitary_substitution(6)
-    return _to_real_fraction_jet(raw.compose(sub, allow_constant=True))
+    return _unitary_jet(trace_q_poly())
 
 
 @lru_cache(maxsize=None)

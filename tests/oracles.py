@@ -88,7 +88,7 @@ from charvar_kam.errors import (
     SpectrumStructureError,
     UnrealizableError,
 )
-from charvar_kam.jets import QQi, Jet, JetVector, _monomials, jet_sqrt, jet_variables
+from charvar_kam.jets import Jet, JetVector, _monomials, jet_sqrt, jet_variables
 from charvar_kam.mcg import _check_pole
 from charvar_kam.pipelines import SCAN_ERRORS
 from charvar_kam.spectral import (
@@ -555,12 +555,69 @@ def solve_t_items(spec):
     return list((a_jet.map_coefficients(float) + root * float(spec.sqrt_branch))._coeffs.items())
 
 
+class QQi:
+    """Gaussian rational re + im*i with ``Fraction`` parts: the coefficients of ``unitary_expansion_items``.
+
+    Mixes with ``int`` and ``Fraction``; any other operand is refused, so a
+    float meets a ``TypeError``.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def _of(value):
+        if isinstance(value, QQi):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return QQi(value)
+        return None
+
+    def __add__(self, other):
+        other = QQi._of(other)
+        return NotImplemented if other is None else QQi(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = QQi._of(other)
+        if other is None:
+            return NotImplemented
+        return QQi(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return QQi(-self.re, -self.im)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __eq__(self, other):
+        other = QQi._of(other)
+        return NotImplemented if other is None else (self.re, self.im) == (other.re, other.im)
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"QQi({self.re!r}, {self.im!r})"
+
+
 def unitary_expansion_items(trace_poly, trunc_degree):
     """Items of varieties.p_poly / q_poly, expanded over QQi with Fraction parts throughout."""
-    one, i = QQi(Fraction(1)), QQi(Fraction(0), Fraction(1))
+    one, i = QQi(1), QQi(0, 1)
     x, X, y, Y, z, Z, t, T = (Jet.variable(k, 8, trunc_degree, one) for k in range(8))
     sub = [x + X * i, y + Y * i, z + Z * i, t + T * i, x - X * i, y - Y * i, z - Z * i, t - T * i]
-    raw = trace_poly.map_coefficients(lambda c: QQi(Fraction(c)))
+    raw = trace_poly.map_coefficients(QQi)
     out = []
     for e, c in raw.compose(sub, allow_constant=True)._coeffs.items():
         if c.im:
@@ -667,7 +724,7 @@ def jet_times_number(a, x):
 def jet_sqrt_steps(a):
     """``jet_sqrt(a)`` as it was built: every step a whole jet, the powers from the constant-1 jet."""
     c = a.constant_term()
-    if isinstance(c, (complex, QQi)):
+    if isinstance(c, complex):
         raise ValueError("jet_sqrt is defined for real-coefficient jets only")
     c_f = float(c)
     if c_f <= 0.0:

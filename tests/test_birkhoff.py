@@ -149,6 +149,25 @@ def test_phi2_resonance_error():
         phi2_psi2(nf)
 
 
+def test_phi2_nan_denominator_is_resonance_error():
+    """A NaN eigenvalue product is no safe denominator: it fails like a resonant one."""
+    lam, mu = (complex(math.nan, 0.0),), (cmath.exp(-0.3j),)
+    zeta = jet_variables(2, 3, coeff_one=1.0 + 0.0j)
+    nf = NormalFormInput(1, JetVector([zeta[0] * zeta[1]]), JetVector([zeta[1] * mu[0]]), lam, mu)
+    with pytest.raises(ResonanceError, match=r"^homological denominator nan at monomial \(1, 1\) is resonant$"):
+        phi2_psi2(nf)
+
+
+def test_validate_linear_part_rejects_a_nan_coefficient():
+    lam = (cmath.exp(0.3j),)
+    mu = (lam[0].conjugate(),)
+    zeta = jet_variables(2, 3, coeff_one=1.0 + 0.0j)
+    p = zeta[0] * lam[0] + zeta[1] * complex(math.nan, 0.0)
+    nf = NormalFormInput(1, JetVector([p]), JetVector([zeta[1] * mu[0]]), lam, mu)
+    with pytest.raises(ShapeMismatchError, match="^linear part of xi_1 is off by nan at variable 1$"):
+        nf.validate_linear_part()
+
+
 # ------------------------------------------------------------------ alpha
 
 

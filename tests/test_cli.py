@@ -481,6 +481,19 @@ def test_golden_runs_each_step_once(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["golden"]["ok"] is True
 
 
+def test_golden_takes_the_rows_chart_wherever_the_row_sits(tmp_path):
+    """The golden jet checks run right after the row at the file's s, while the one-entry chart cache holds it."""
+    from charvar_kam import charts
+
+    dump_goldens(tmp_path)
+    charts._chart_cache.cache_clear()
+    out = tmp_path / "rep.json"
+    argv = ["--pipeline", "su3-main", "--s", "0.249,0.241", "--out", str(out)]
+    assert cli.main([*argv, "--golden", str(tmp_path / "su3_chart_s249.json")]) == 0
+    assert charts._chart_cache.cache_info().misses == 2
+    assert json.loads(out.read_text())["golden"]["ok"] is True
+
+
 @pytest.mark.parametrize(
     "s_text, degree, chains",
     [("0.249", "5", 2), ("0.241,0.245", "3", 3), ("0.249,0.241", "3", 2)],

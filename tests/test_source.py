@@ -75,3 +75,15 @@ def test_small_float_literals_only_in_module_constants():
                 if isinstance(node, ast.Constant) and type(node.value) is float and 0 < abs(node.value) < 1e-6:
                     found.append(f"{path.name}:{node.lineno} {node.value!r}")
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    """Each name in a module's ``__all__`` is defined there, so no export outlives what it named."""
+    import importlib
+    import pkgutil
+
+    modules = [charvar_kam] + [
+        importlib.import_module(f"charvar_kam.{info.name}") for info in pkgutil.iter_modules(charvar_kam.__path__)
+    ]
+    found = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
+    assert len(modules) > 1 and found == []

@@ -103,6 +103,12 @@ def test_eigen_small_condition_is_numpys_cond(monkeypatch):
                 eigen_small(m)
 
 
+def test_eigen_small_rejects_a_nan_residual():
+    """m @ v overflows to inf - inf = NaN on this finite matrix; a NaN residual is no pass."""
+    with np.errstate(all="ignore"), pytest.raises(NonDiagonalizableError, match="^eigenpair 0 residual nan exceeds"):
+        eigen_small(np.array([[1e308, 1e308], [1e308, 1e308]]))
+
+
 def test_eigen_small_size_guard():
     with pytest.raises(ValueError):
         eigen_small(np.eye(9))
@@ -226,6 +232,19 @@ def test_build_C0_rejects_hyperbolic():
     with pytest.raises(ResonanceError):
         m = np.array([[2.0, 1.0], [1.0, 1.0]])
         build_C0(m, classify_spectrum(m))
+
+
+def test_build_C0_rejects_a_nan_entry():
+    """A NaN in the matrix makes the off-diagonal residual NaN, which fails like a large one."""
+    from charvar_kam import charts
+    from charvar_kam.mcg import fixed_family_su2
+
+    m = charts.chart_linear_matrix(charts.su2_chart_map_jet(fixed_family_su2(Fraction(1, 10))))
+    report = classify_spectrum(m)
+    build_C0(m, report)
+    m[0, 1] = math.nan
+    with pytest.raises(NonDiagonalizableError, match="^off-diagonal residual nan exceeds tolerance$"):
+        build_C0(m, report)
 
 
 def test_eigenvalue_continuity_small_step():

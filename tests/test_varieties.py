@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from charvar_kam.errors import ConsistencyError, OffVarietyError
-from charvar_kam.jets import Jet, QQi, jet_variables
+from charvar_kam.jets import Jet, jet_variables
 from charvar_kam.mcg import fixed_family_su3, level_of_s
 from charvar_kam.varieties import (
     LevelValue,
-    _to_real_fraction_jet,
+    _unitary_jet,
     Su2Point,
     Su3Point,
     boundary_map_su3,
@@ -136,27 +137,41 @@ def test_q_swap_symmetry():
 
 
 def test_imaginary_part_left_after_substitution_is_a_consistency_error():
-    jet = Jet(2, 3, {(1, 0): QQi(1), (0, 1): QQi(0, Fraction(1, 3))})
-    with pytest.raises(ConsistencyError, match="imaginary part failed to cancel"):
-        _to_real_fraction_jet(jet)
+    """tr_a alone is x + iX: conjugation does not fix it, so its X term must be refused."""
+    with pytest.raises(ConsistencyError, match=r"imaginary part failed to cancel at \(0, 1, 0, 0, 0, 0, 0, 0\): 1i"):
+        _unitary_jet(Jet.variable(0, 8, 4))
+    # (tr_a - tr_a^-1)^3 = (2iX)^3 = -8iX^3: the sign of i^3 shows
+    tr_a, _, _, _, tr_a_inv, _, _, _ = jet_variables(8, 4)
+    with pytest.raises(ConsistencyError, match=r"\(0, 3, 0, 0, 0, 0, 0, 0\): -8i"):
+        _unitary_jet((tr_a - tr_a_inv) ** 3)
+
+
+def test_p_and_q_equal_an_independent_sympy_expansion():
+    """Substituting u = x + I*X, u-bar = x - I*X into the trace polynomials in sympy gives P and Q."""
+    real = sympy.symbols("x X y Y z Z t T")
+    x, X, y, Y, z, Z, t, T = real
+    I = sympy.I
+    traces = [x + I * X, y + I * Y, z + I * Z, t + I * T, x - I * X, y - I * Y, z - I * Z, t - I * T]
+    for trace_poly, unitary in ((trace_p_poly(), p_poly()), (trace_q_poly(), q_poly())):
+        expr = sympy.Add(
+            *(sympy.Integer(c) * sympy.Mul(*(u**k for u, k in zip(traces, e))) for e, c in trace_poly.coeffs.items())
+        )
+        want = {}
+        for e, c in sympy.Poly(expr, *real).terms():
+            re, im = c.as_real_imag()
+            assert im == 0, e
+            want[e] = Fraction(int(re.p), int(re.q))
+        assert unitary.coeffs == want
 
 
 def test_p_and_q_equal_the_fraction_part_expansion_items_and_order():
-    """Expanding over Gaussian integers gives the Fraction-part expansion's items, in order."""
+    """Expanding over the integers gives the Gaussian-rational expansion's items, in order."""
     from oracles import unitary_expansion_items
 
     for poly, trace_poly, degree in ((p_poly(), trace_p_poly(), 4), (q_poly(), trace_q_poly(), 6)):
         items = list(poly._coeffs.items())
         assert items == unitary_expansion_items(trace_poly, degree)
         assert all(type(c) is Fraction for _, c in items)
-
-
-def test_qqi_keeps_int_parts_and_mixes_with_fraction():
-    assert type(QQi(3, -2).re) is int and type(QQi(3, -2).im) is int
-    assert type(QQi(Fraction(3)).re) is Fraction and type(QQi(0.5).re) is Fraction
-    assert QQi(1, 2) * QQi(3, -1) == QQi(Fraction(5), Fraction(5))
-    assert hash(QQi(2, 1)) == hash(QQi(Fraction(2), Fraction(1)))
-    assert QQi(1, 1) * QQi(Fraction(1, 2)) == QQi(Fraction(1, 2), Fraction(1, 2))
 
 
 def test_polys_accept_jets():
