@@ -8,7 +8,6 @@ coefficients, and KAM twist / non-planarity diagnostics.
 from .birkhoff import (
     BirkhoffCoefficients,
     BrjunoResult,
-    KamReport,
     NormalFormInput,
     alpha2_closed_form,
     alpha_matrix,
@@ -53,7 +52,7 @@ from .mcg import (
     su3_commutator_trace,
     symmetric_square,
 )
-from .pipelines import su2_brown_point, su3_kam_report, su3_main_point
+from .pipelines import su2_brown_point, su3_main_point
 from .poisson import bivector, bracket, leaf_symplectic_form
 from .spectral import DiagonalizingBasis, SpectrumReport, build_C0, classify_spectrum, eigen_small
 from .varieties import (

@@ -33,7 +33,6 @@ from .spectral import UNIT_CIRCLE_TOL, DiagonalizingBasis
 __all__ = [
     "NormalFormInput",
     "BirkhoffCoefficients",
-    "KamReport",
     "BrjunoResult",
     "diagonalized_jets",
     "nonresonance_check",
@@ -386,26 +385,6 @@ def nonplanarity_check(b) -> bool:
     with a looser tolerance than ``TWIST_DET_TOL``, not an independent check.
     """
     return bool(abs(np.linalg.det(np.asarray(b, dtype=complex).real)) > NONPLANARITY_DET_TOL)
-
-
-@dataclass(frozen=True)
-class KamReport:
-    """Verdicts for one fixed point: twist, non-planarity, resonances, Brjuno diagnostic."""
-
-    alpha_det: complex
-    twist_ok: bool
-    nonplanarity_ok: bool
-    resonance_flags: list
-    brjuno_partial: float
-
-    def to_json(self) -> dict:
-        return {
-            "alpha_det": {"re": self.alpha_det.real, "im": self.alpha_det.imag},
-            "twist_ok": self.twist_ok,
-            "nonplanarity_ok": self.nonplanarity_ok,
-            "resonance_flags": [list(f) for f in self.resonance_flags],
-            "brjuno_partial": self.brjuno_partial,
-        }
 
 
 @dataclass(frozen=True)

@@ -453,8 +453,9 @@ def _chart_map_jet_cached(spec: ChartSpec) -> ChartJet:
 
 # A scan builds each chart once; ``--golden`` looks up the degree-3 chart at
 # the file's s once more for its jet checks (``cli.compare_golden``, which
-# takes its verdict from the row at that s when there is one), so one entry
-# keyed by the fixed point is enough: it is a hit when that row was the last.
+# runs right after the scan's row at that s, or else builds the chart and
+# then makes that row itself), so one entry keyed by the fixed point is
+# enough: the second lookup of that chart is always a hit.
 @lru_cache(maxsize=1)
 def _chart_cache(fp: FixedPointSample, trunc_degree: int) -> ChartJet:
     return _chart_map_jet_cached(chart_spec(fp, trunc_degree))

@@ -27,7 +27,7 @@ from types import GeneratorType
 
 from .charts import chart_map_jet
 from .mcg import fixed_family_su3
-from .pipelines import SCAN_ERRORS, su2_brown_point, su3_kam_report, su3_main_point
+from .pipelines import SCAN_ERRORS, su2_brown_point, su3_main_point
 
 __all__ = ["RunConfig", "run", "dump_goldens", "main"]
 
@@ -296,9 +296,9 @@ class _Scan:
     :meth:`items` yields the report's top-level items in order; the rows are
     made one at a time as they are read, and ``verdict_found`` is computed
     once the rows are used up.  With ``--golden`` on su3-main, ``golden`` is
-    computed right after a degree-3 row at the golden file's s, whose chart
-    it reuses from the chart cache, or else once the rows are used up.  Each
-    item must be read in full before the next.
+    computed from the degree-3 row at the golden file's s right after it is
+    made, while the chart cache holds its chart, or else once the rows are
+    used up.  Each item must be read in full before the next.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -329,9 +329,9 @@ class _Scan:
         for s, row in zip(self.cfg.s_values, rows):
             if not self.verdict_found and hit(row):
                 self.verdict_found = True
-            if self.golden is None and "alpha_det" in row and s == self.golden_s:
+            if self.golden is None and s == self.golden_s:
                 # now, while the chart cache still holds this row's chart
-                self.golden = compare_golden(Path(self.cfg.golden), self.cfg.golden_values, row["alpha_det"])
+                self.golden = compare_golden(Path(self.cfg.golden), self.cfg.golden_values, row)
             yield row
 
     def exit_code(self) -> int:
@@ -448,14 +448,15 @@ def _read_golden(path) -> dict:
     return golden
 
 
-def compare_golden(path: Path, golden: dict, row_det: dict | None = None) -> dict:
+def compare_golden(path: Path, golden: dict, row: dict | None = None) -> dict:
     """Compare the computed s = .249 chart against ``golden = _read_golden(path)``.
 
-    Jet coefficients are binding at GOLDEN_REL_TOL; alpha_det, a degree-3
-    row's ``row_det`` at the file's s or else ``su3_kam_report``'s, is a
-    diagnostic as it depends on the eigenvector normalization.  A scan error
-    at that s (a pole, a spectrum that is not elliptic, values too large for
-    a double) is recorded as ``error`` with ``ok`` false, after the checks.
+    Jet coefficients are binding at GOLDEN_REL_TOL.  alpha_det is a
+    diagnostic, as it depends on the eigenvector normalization: it is read
+    from ``row``, the scan's degree-3 ``su3_main_point`` row at the file's s,
+    or from one made here when the scan has none.  A scan error at that s (a
+    pole, a spectrum that is not elliptic, values too large for a double) is
+    recorded as ``error`` with ``ok`` false, after the checks.
     """
     s = Fraction(str(golden["s"]))
     checks = []
@@ -489,11 +490,13 @@ def compare_golden(path: Path, golden: dict, row_det: dict | None = None) -> dic
         got = zj.coefficient(e) * math.factorial(sum(e))
         check(f"z_jet[{','.join(map(str, e))}]", got, term["printed"])
     # diagnostic only: normalization-dependent
-    try:
-        det = complex(row_det["re"], row_det["im"]) if row_det is not None else complex(su3_kam_report(s).alpha_det)
-    except SCAN_ERRORS as exc:
-        result["error"] = f"{type(exc).__name__}: {exc}"
+    if row is None:
+        row = su3_main_point(s)
+    if "alpha_det" not in row:
+        spectrum = tuple(row.get("spec_class", ()))
+        result["error"] = row.get("error") or f"ResonanceError: spectrum at s = {s} is not elliptic: {spectrum}"
         return result
+    det = complex(row["alpha_det"]["re"], row["alpha_det"]["im"])
     want_det = complex(golden["alpha"]["det"]["re"], golden["alpha"]["det"]["im"])
     checks.append(
         {

@@ -3,6 +3,9 @@
 Each function takes a single s value and returns a JSON-ready dict; scan
 errors (singular charts, resonances, unrealizable parameters) are caught and
 recorded in the row so a sweep never aborts on one bad parameter.
+``su3_main_point`` is the only chain from an SU(3) fixed point to the KAM
+verdicts; the ``--golden`` comparison reads the ``alpha_det`` of its degree-3
+row (``cli.compare_golden``).
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from fractions import Fraction
 import numpy as np
 
 from .birkhoff import (
-    BirkhoffCoefficients,
-    KamReport,
     TWIST_DET_TOL,
     alpha2_closed_form,
     birkhoff_coefficients,
@@ -23,7 +24,7 @@ from .birkhoff import (
     nonresonance_check,
     twist_determinant,
 )
-from .charts import ChartJet, chart_linear_matrix, chart_map_jet, su2_chart_map_jet
+from .charts import chart_linear_matrix, chart_map_jet, su2_chart_map_jet
 from .errors import (
     ConsistencyError,
     DegenerateChartError,
@@ -36,11 +37,11 @@ from .errors import (
     UnrealizableError,
 )
 from .mcg import fixed_family_su2, fixed_family_su3
-from .spectral import SpectrumReport, build_C0, classify_spectrum
+from .spectral import build_C0, classify_spectrum
 # not called: the SU(2) level comes from fixed_family_su2; perfbench/tracer.py looks it up here
 from .varieties import kappa_su2  # noqa: F401
 
-__all__ = ["su2_brown_point", "su3_main_point", "su3_kam_report", "SCAN_ERRORS"]
+__all__ = ["su2_brown_point", "su3_main_point", "SCAN_ERRORS"]
 
 #: Everything a scan survives by recording instead of raising.
 SCAN_ERRORS = (
@@ -114,38 +115,6 @@ def su2_brown_point(s) -> dict:
     return row
 
 
-def _su3_verdicts(
-    chart: ChartJet, L: np.ndarray, spectrum: SpectrumReport
-) -> tuple[BirkhoffCoefficients, KamReport]:
-    """Birkhoff coefficients and KAM verdicts from an SU(3) chart and its elliptic spectrum.
-
-    Kept apart from the spectrum, so a scan row records the spectrum before
-    this runs and a row whose normal form fails still reports it.
-    """
-    nf = diagonalized_jets(chart.map_jet, build_C0(L, spectrum))
-    bc = birkhoff_coefficients(nf)
-    det = twist_determinant(bc.alpha)
-    omega = spectrum.elliptic_frequencies()
-    flags = nonresonance_check([nf.lam[j] for j in range(nf.d)])
-    return bc, KamReport(
-        alpha_det=det,
-        twist_ok=bool(abs(det) > TWIST_DET_TOL),
-        nonplanarity_ok=nonplanarity_check(bc.b),
-        resonance_flags=flags,
-        brjuno_partial=max(brjuno_partial_sum(w).partial_sum for w in omega),
-    )
-
-
-def su3_kam_report(s, trunc_degree: int = 3) -> KamReport:
-    """Twist/non-planarity verdicts for the SU(3) fixed point at parameter s; ResonanceError unless it is elliptic."""
-    chart = chart_map_jet(fixed_family_su3(s), trunc_degree)
-    L = chart_linear_matrix(chart)
-    spectrum = classify_spectrum(L)
-    if not spectrum.is_elliptic():
-        raise ResonanceError(f"spectrum at s = {chart.spec.s} is not elliptic: {spectrum.classification}")
-    return _su3_verdicts(chart, L, spectrum)[1]
-
-
 def su3_main_point(s, trunc_degree: int = 3, dump_jets: bool = False) -> dict:
     """Full per-s row of the SU(3) pipeline: chart, spectrum, alpha matrix, verdicts.
 
@@ -182,15 +151,21 @@ def su3_main_point(s, trunc_degree: int = 3, dump_jets: bool = False) -> dict:
             row["notes"] = "spectrum not elliptic; no KAM verdict claimed"
             return row
         row["omega"] = list(spectrum.elliptic_frequencies())
-        bc, kam = _su3_verdicts(chart, L, spectrum)
+        # all verdicts first: a row whose normal form fails reports the spectrum only
+        nf = diagonalized_jets(chart.map_jet, build_C0(L, spectrum))
+        bc = birkhoff_coefficients(nf)
+        det = twist_determinant(bc.alpha)
+        flags = nonresonance_check([nf.lam[j] for j in range(nf.d)])
+        nonplanar_ok = nonplanarity_check(bc.b)
+        brjuno = max(brjuno_partial_sum(w).partial_sum for w in row["omega"])
         row["alpha"] = [[_c(bc.alpha[j, k]) for k in range(3)] for j in range(3)]
         row["max_im_b"] = float(np.max(np.abs(bc.b.imag)))
-        row["alpha_det"] = _c(kam.alpha_det)
-        row["twist_ok"] = kam.twist_ok
-        row["nonplanar_ok"] = kam.nonplanarity_ok
-        row["resonance_flags"] = [list(f) for f in kam.resonance_flags]
-        row["brjuno_partial"] = kam.brjuno_partial
-        row["verdict"] = kam.twist_ok and kam.nonplanarity_ok and not kam.resonance_flags
+        row["alpha_det"] = _c(det)
+        row["twist_ok"] = bool(abs(det) > TWIST_DET_TOL)
+        row["nonplanar_ok"] = nonplanar_ok
+        row["resonance_flags"] = [list(f) for f in flags]
+        row["brjuno_partial"] = brjuno
+        row["verdict"] = row["twist_ok"] and nonplanar_ok and not flags
     except SCAN_ERRORS as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row

@@ -41,7 +41,8 @@ def eigen_small(m):
 
     Returns (eigenvalues, eigenvectors) with eigenvectors as columns, and
     enforces the residual bound ||m v - lambda v|| <= EIGEN_RESIDUAL_TOL * ||m||
-    for every pair; failing that, the matrix is declared defective.
+    for every pair; failing that, the matrix is declared defective.  A matrix
+    whose norm overflows a double has no such bound and is rejected too.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -69,6 +70,8 @@ def eigen_small(m):
             raise NonDiagonalizableError(
                 f"eigenpair {k} residual {res:.3e} exceeds {EIGEN_RESIDUAL_TOL:.1e} * ||m||"
             )
+    if not math.isfinite(scale):  # the bound above was inf
+        raise NonDiagonalizableError(f"matrix norm {scale} is not finite")
     return vals, vecs
 
 
@@ -221,7 +224,8 @@ def build_C0(m, report: SpectrumReport) -> DiagonalizingBasis:
     The columns of C0 are the eigenvectors of ``report = classify_spectrum(m)``,
     which tags repeated elliptic eigenvalues resonant.  Verifies the
     off-diagonal residual of C0^-1 m C0 against ``C0_RESIDUAL_TOL``, which
-    also rejects a report of another matrix.
+    also rejects a report of another matrix, and rejects a matrix whose norm
+    overflows a double.
     """
     m = np.asarray(m, dtype=float)
     if not report.is_elliptic():
@@ -249,6 +253,8 @@ def build_C0(m, report: SpectrumReport) -> DiagonalizingBasis:
     res = float(off.max())
     if not res <= C0_RESIDUAL_TOL * scale:  # NaN fails
         raise NonDiagonalizableError(f"off-diagonal residual {res:.3e} exceeds tolerance")
+    if math.isinf(scale):  # the bound above was inf
+        raise NonDiagonalizableError(f"matrix norm {scale} is not finite")
     return DiagonalizingBasis(
         C0=C0,
         inverse=inv,

@@ -454,7 +454,7 @@ def test_golden_reuses_kam_report_not_a_full_row(tmp_path, monkeypatch):
 
 def test_golden_runs_each_step_once(tmp_path, monkeypatch):
     """A row at the file's s with --golden: the file is read once; the row and the comparison each take one
-    fixed point and one chart lookup, and the comparison reuses the row's verdict chain."""
+    fixed point and one chart lookup, and the comparison reads the row instead of making another."""
     from charvar_kam import pipelines
 
     dump_goldens(tmp_path)
@@ -468,14 +468,14 @@ def test_golden_runs_each_step_once(tmp_path, monkeypatch):
         counted(module, "fixed_family_su3")
         counted(module, "chart_map_jet")
     counted(cli, "_read_golden")
-    counted(pipelines, "_su3_verdicts")
+    counted(cli, "su3_main_point")
     counted(pipelines, "classify_spectrum")
     counted(pipelines, "birkhoff_coefficients")
     out = tmp_path / "rep.json"
     argv = ["--pipeline", "su3-main", "--s", "0.249", "--out", str(out)]
     assert cli.main([*argv, "--golden", str(tmp_path / "su3_chart_s249.json")]) == 0
     assert {name: calls.count(name) for name in calls} == {
-        "_read_golden": 1, "fixed_family_su3": 2, "chart_map_jet": 2, "_su3_verdicts": 1,
+        "_read_golden": 1, "fixed_family_su3": 2, "chart_map_jet": 2, "su3_main_point": 1,
         "classify_spectrum": 1, "birkhoff_coefficients": 1,
     }
     assert json.loads(out.read_text())["golden"]["ok"] is True
@@ -500,14 +500,13 @@ def test_golden_takes_the_rows_chart_wherever_the_row_sits(tmp_path):
     ids=["degree 5", "s absent", "s not last"],
 )
 def test_golden_diagnostic_is_the_degree_3_alpha_det(tmp_path, monkeypatch, s_text, degree, chains):
-    """The diagnostic is su3_kam_report's alpha_det at the file's s: a degree-3 row's, reused, or the golden's own chain."""
-    from charvar_kam import pipelines
+    """The diagnostic is the alpha_det of the degree-3 row at the file's s: the scan's own, or one the comparison makes."""
+    from charvar_kam.pipelines import su3_main_point
 
     dump_goldens(tmp_path)
-    want = complex(pipelines.su3_kam_report(Fraction(249, 1000)).alpha_det)
+    want = su3_main_point(Fraction(249, 1000))["alpha_det"]
     calls = []
-    real = pipelines._su3_verdicts
-    monkeypatch.setattr(pipelines, "_su3_verdicts", lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(cli, "su3_main_point", lambda *args: calls.append(1) or su3_main_point(*args))
     out = tmp_path / "rep.json"
     argv = ["--pipeline", "su3-main", "--s", s_text, "--degree", degree, "--out", str(out)]
     assert cli.main([*argv, "--golden", str(tmp_path / "su3_chart_s249.json")]) == 0
@@ -516,7 +515,7 @@ def test_golden_diagnostic_is_the_degree_3_alpha_det(tmp_path, monkeypatch, s_te
     assert golden["ok"] is True
     diagnostic = golden["checks"][-1]
     assert diagnostic["name"] == "alpha_det (diagnostic)"
-    assert diagnostic["got"] == [want.real, want.imag]
+    assert diagnostic["got"] == [want["re"], want["im"]]
 
 
 def test_golden_zero_alpha_det_is_divided_by_the_floor(tmp_path):
@@ -572,6 +571,28 @@ def test_golden_s_the_chain_cannot_handle_is_recorded(tmp_path, capsys, s, error
     golden = report["golden"]
     assert golden["ok"] is False and golden["error"].startswith(error)
     assert [c["binding"] for c in golden["checks"]] == [True] * binding_checks
+
+
+def test_golden_reads_the_scans_row_that_is_not_elliptic(tmp_path, monkeypatch):
+    """--s 0.3 with a golden file at s = 0.3: one row, one spectrum, and its tags give the golden error."""
+    from charvar_kam import pipelines
+    from charvar_kam.pipelines import su3_main_point
+
+    dump_goldens(tmp_path)
+    golden_path = tmp_path / "su3_chart_s249.json"
+    data = json.loads(golden_path.read_text())
+    data["s"] = 0.3
+    golden_path.write_text(json.dumps(data))
+    calls = []
+    monkeypatch.setattr(cli, "su3_main_point", lambda *args: calls.append("row") or su3_main_point(*args))
+    spectrum = pipelines.classify_spectrum
+    monkeypatch.setattr(pipelines, "classify_spectrum", lambda m: calls.append("spectrum") or spectrum(m))
+    out = tmp_path / "rep.json"
+    assert cli.main(["--pipeline", "su3-main", "--s", "0.3", "--golden", str(golden_path), "--out", str(out)]) == 1
+    assert calls == ["row", "spectrum"]
+    report = json.loads(out.read_text())
+    assert "alpha_det" not in report["rows"][0]
+    assert report["golden"]["error"].startswith("ResonanceError: spectrum at s = 3/10 is not elliptic")
 
 
 def test_main_requires_pipeline():

@@ -8,13 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from charvar_kam.birkhoff import KamReport, birkhoff_coefficients, diagonalized_jets
-from charvar_kam.charts import ChartJet, chart_linear_matrix, chart_map_jet
-from charvar_kam.errors import ResonanceError
+from charvar_kam.birkhoff import birkhoff_coefficients, diagonalized_jets
+from charvar_kam.charts import chart_linear_matrix, chart_map_jet
 from charvar_kam.mcg import fixed_family_su3
 from charvar_kam import charts, pipelines, spectral
-from charvar_kam.cli import dump_deterministic_json
-from charvar_kam.pipelines import su2_brown_point, su3_kam_report, su3_main_point
+from charvar_kam.cli import dump_deterministic_json, parse_s_values
+from charvar_kam.jets import Jet
+from charvar_kam.pipelines import su2_brown_point, su3_main_point
 from charvar_kam.spectral import build_C0, classify_spectrum
 
 S249 = Fraction(249, 1000)
@@ -137,38 +137,6 @@ def test_su3_row_values_at_249():
     assert row["residual_h"] < 1e-7 and row["residual_level"] < 1e-7
     assert row["max_im_b"] < 1e-6
     assert row["brjuno_partial"] > 0
-
-
-def test_su3_kam_report_round_trip():
-    rep = su3_kam_report(Fraction(24, 100))
-    assert isinstance(rep, KamReport)
-    assert rep.twist_ok and rep.nonplanarity_ok
-    data = rep.to_json()
-    assert set(data) == {"alpha_det", "twist_ok", "nonplanarity_ok", "resonance_flags", "brjuno_partial"}
-
-
-def test_su3_kam_report_matches_main_row():
-    """Both SU(3) entry points run the same chain, so their verdicts agree exactly."""
-    s = Fraction(241, 1000)
-    row = su3_main_point(s)
-    assert su3_kam_report(s).to_json() == {
-        "alpha_det": row["alpha_det"],
-        "twist_ok": row["twist_ok"],
-        "nonplanarity_ok": row["nonplanar_ok"],
-        "resonance_flags": row["resonance_flags"],
-        "brjuno_partial": row["brjuno_partial"],
-    }
-
-
-def test_su3_kam_report_skips_residuals_and_rejects_non_elliptic(monkeypatch):
-    def unexpected(self):
-        raise AssertionError("su3_kam_report must not compute chart residuals")
-
-    monkeypatch.setattr(ChartJet, "residual_h", unexpected)
-    monkeypatch.setattr(ChartJet, "residual_level", unexpected)
-    assert su3_kam_report(Fraction(242, 1000)).twist_ok
-    with pytest.raises(ResonanceError, match="not elliptic"):
-        su3_kam_report(Fraction(3, 10))
 
 
 def test_su3_scan_errors_recorded():
@@ -299,6 +267,39 @@ def test_twist_changes_sign_between_window_rows():
     assert abs(complex(row["alpha_det"]["re"], row["alpha_det"]["im"])) < 1e-9
     assert row["twist_ok"] is False and row["nonplanar_ok"] is False and row["verdict"] is False
     assert row["spec_class"] == ["elliptic"] * 3
+
+
+#: Worst mismatch of F3|even . Phi = Phi . F2 over a component's largest coefficient, on the window's rows at
+#: degree 3: a measured bound, about twice the 1.9e-8 (6.7e-8 absolute) of the float charts at s = .249.
+SU2_CONJUGACY_REL_MAX = 4e-8
+#: Distance from the su2-brown row's omega to the nearest SU(3) omega at the same s (2.1e-15 measured).
+SU2_OMEGA_MATCH_MAX = 1e-13
+
+
+def test_su3_chart_on_the_invariant_plane_is_the_su2_chart():
+    """On X = Y = Z = T = 0 the SU(3) chart map is the SU(2) one through the symmetric square.
+
+    The SU(3) traces there are x = x2^2 - 1 and y = y2^2 - 1, so
+    Phi(y, z) = (x_jet^2 - x0^2, (y0 + y)^2 - y0^2) takes the SU(2) chart
+    variables to the SU(3) chart's x and y, and F3's even components x', y'
+    restricted to the plane satisfy F3|even . Phi = Phi . F2.  The even mode's
+    frequency is the SU(2) frequency.
+    """
+    for s in parse_s_values("0.239:0.249:0.0005"):
+        su2 = charts.su2_chart_map_jet(pipelines.fixed_family_su2(s))
+        su3 = chart_map_jet(fixed_family_su3(s)).map_jet
+        x0 = su2.x_jet.constant_term()
+        y0 = su2.fixed_point.yn / su2.fixed_point.b
+        y = Jet.variable(0, 2, su3.trunc_degree)
+        phi = [su2.x_jet * su2.x_jet - x0 * x0, (y + y0) * (y + y0) - y0 * y0]
+        zero = Jet.zero(2, su3.trunc_degree)
+        on_plane = [phi[0], zero, phi[1], zero, zero, zero]  # (x, X, y, Y, Z, T)
+        for comp, want in zip((su3[0], su3[2]), (p.compose(list(su2.map_jet)) for p in phi)):
+            mismatch = comp.compose(on_plane) - want
+            largest = max(abs(v) for v in want.coeffs.values())
+            assert max(abs(v) for v in mismatch.coeffs.values()) <= SU2_CONJUGACY_REL_MAX * largest, s
+        omega = su2_brown_point(s)["omega"]
+        assert min(abs(w - omega) for w in su3_main_point(s)["omega"]) <= SU2_OMEGA_MATCH_MAX, s
 
 
 def test_one_fixed_point_per_su2_row(monkeypatch):

@@ -87,3 +87,15 @@ def test_every_exported_name_resolves():
     ]
     found = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
     assert len(modules) > 1 and found == []
+
+
+def test_readme_python_examples_run(capsys):
+    """Every ``python`` code block of README.md runs, so the README names no function the package lost."""
+    import re
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), {})
+    assert capsys.readouterr().out

@@ -109,6 +109,12 @@ def test_eigen_small_rejects_a_nan_residual():
         eigen_small(np.array([[1e308, 1e308], [1e308, 1e308]]))
 
 
+def test_eigen_small_rejects_a_norm_that_overflows():
+    """||m|| overflows to inf on this finite matrix, so every residual would pass an inf bound."""
+    with np.errstate(all="ignore"), pytest.raises(NonDiagonalizableError, match="^matrix norm inf is not finite$"):
+        eigen_small(np.array([[1e308, -1e308], [1e308, 1e308]]))
+
+
 def test_eigen_small_size_guard():
     with pytest.raises(ValueError):
         eigen_small(np.eye(9))
@@ -245,6 +251,18 @@ def test_build_C0_rejects_a_nan_entry():
     m[0, 1] = math.nan
     with pytest.raises(NonDiagonalizableError, match="^off-diagonal residual nan exceeds tolerance$"):
         build_C0(m, report)
+
+
+def test_build_C0_rejects_a_norm_that_overflows():
+    """An overflowing ||m|| makes the residual bound inf; the basis is refused, not returned."""
+    from charvar_kam import charts
+    from charvar_kam.mcg import fixed_family_su2
+
+    m = charts.chart_linear_matrix(charts.su2_chart_map_jet(fixed_family_su2(Fraction(1, 10))))
+    report = classify_spectrum(m)
+    huge = np.array([[1e308, -1e308], [1e308, 1e308]])
+    with np.errstate(all="ignore"), pytest.raises(NonDiagonalizableError, match="^matrix norm inf is not finite$"):
+        build_C0(huge, report)
 
 
 def test_eigenvalue_continuity_small_step():
