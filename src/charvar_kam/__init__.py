@@ -39,7 +39,6 @@ from .jets import (
 )
 from .mcg import (
     FixedPointSample,
-    PolyAutomorphism,
     Su2FixedPoint,
     cat_map_su2,
     cat_map_su3,

@@ -16,9 +16,10 @@ expansion is recorded once per degree (and pattern of zero center
 coordinates) as a plan of integer steps, and each row replays it with its
 own center powers.  P, Q and the six kept cat-map components are recentered
 and t-substituted once per chart, in one substitution call that builds the
-powers of the t-jet once; the z-solve and both residual diagnostics read
-that one P and Q, and the six components then take one z-call.  The chart
-takes the row's exact fixed point, ``fixed_family_su3(s)``.
+powers of the t-jet once; the z-solve and the level residual read that one
+P and Q, and H and the six components then take one z-call, which also
+gives the H residual its input.  The chart takes the row's exact fixed
+point, ``fixed_family_su3(s)``.
 
 SU(2): the level set kappa = ell is a surface in (x, y, z); x is eliminated
 from the quadratic kappa = ell (branch from the center) and (y, z) survive.
@@ -386,8 +387,9 @@ def solve_z_implicit(spec: ChartSpec, h: Jet) -> Jet:
 class ChartJet:
     """Jets of the eliminated variables and of the cat map in chart coordinates.
 
-    ``p7`` and ``h7`` are P and H recentered with the t-jet substituted (7
-    variables), kept from the chart build for the residual diagnostics.
+    ``p7`` is P recentered with the t-jet substituted (7 variables) and
+    ``h6`` is H after both eliminations (6 variables), kept from the chart
+    build for the residual diagnostics.
     """
 
     spec: ChartSpec
@@ -395,13 +397,11 @@ class ChartJet:
     z_jet: Jet
     map_jet: JetVector
     p7: Jet
-    h7: Jet
+    h6: Jet
 
     def residual_h(self) -> float:
         """Largest coefficient of H after substituting both eliminations."""
-        zeta = self.z_jet - self.z_jet.constant_term()
-        r = self.h7.substitute_variable(_Z7, zeta, _MAP_7_TO_6)
-        return max((abs(c) for c in r.coeffs.values()), default=0.0)
+        return max((abs(c) for c in self.h6._coded.values()), default=0.0)
 
     def residual_level(self) -> float:
         """Largest coefficient of P/2 - ell after the t-substitution."""
@@ -423,7 +423,7 @@ def _cat_map_8(trunc_degree: int) -> tuple[Jet, ...]:
     cat_map = cat_map_su3_poly(max(trunc_degree, 3))
     out = []
     for i in _KEEP_COMPONENTS:
-        poly9 = cat_map.components[i]
+        poly9 = cat_map[i]
         # the first eight components never involve U: drop that variable
         coeffs = {}
         for e, v in poly9.coeffs.items():
@@ -441,14 +441,14 @@ def _chart_map_jet_cached(spec: ChartSpec) -> ChartJet:
     z_jet = solve_z_implicit(spec, h7)
     zeta = z_jet - z_jet.constant_term()
     # t is substituted (8 -> 7 variables); now z (7 -> 6): elimination order
-    g6 = JetVector(map7).substitute_variable(_Z7, zeta, _MAP_7_TO_6)
+    h6, *g6 = JetVector([h7, *map7]).substitute_variable(_Z7, zeta, _MAP_7_TO_6)
     out = []
     for comp in g6:
         const = comp.constant_term()
         if not abs(complex(const)) < CHART_CONSTANT_TOL:
             raise ConsistencyError(f"s = {spec.s}: chart map constant term {const} should vanish")
         out.append(comp - const)
-    return ChartJet(spec=spec, t_jet=t_jet, z_jet=z_jet, map_jet=JetVector(out), p7=p7, h7=h7)
+    return ChartJet(spec=spec, t_jet=t_jet, z_jet=z_jet, map_jet=JetVector(out), p7=p7, h6=h6)
 
 
 # A scan builds each chart once; ``--golden`` looks up the degree-3 chart at

@@ -25,9 +25,8 @@ Design notes
   exponent-tuple keys.
 * The kernels (``*``, composition and substitution) read and write codes
   only.  Exponent tuples appear at the edges: the constructor and
-  ``coefficient`` encode them, and ``_coeffs`` is a read-only view that
-  decodes the stored dict's keys in its order as they are read (``coeffs``
-  copies it into a dict).  One table per shape caches the bijection.
+  ``coefficient`` encode them, and ``coeffs`` decodes the stored keys into a
+  new dict, in storage order.  One table per shape caches the bijection.
 * Products have one pairwise loop, ``_mul``: ``Jet.__mul__``, the powers
   and monomial products of compositions and substitutions, and the powers
   of ``jet_sqrt`` all run it.  Its right factor comes grouped by degree
@@ -55,6 +54,10 @@ Design notes
   returns: no cache is held by a function that refers to itself, a cycle
   that would keep it until the cyclic garbage collector runs.  The code and
   split tables are the only caches kept across calls.
+* Evaluation and powers run through the same kernels: ``JetVector.eval``
+  is one composition with the constant jets of the point (``Jet.eval`` is
+  its one-component case), and ``a ** n`` is ``1 * a * ... * a``, the
+  x^(k-1) * x order of every power :class:`_Products` builds.
 * Jets are immutable values and safe to share between workers.
 """
 
@@ -134,13 +137,14 @@ class Jet:
 
     # -- basic accessors ----------------------------------------------------
     @property
-    def _coeffs(self) -> "_Decoded":
-        """The coefficients keyed by exponent tuple, in storage order (a read-only view)."""
-        return _Decoded(self._coded, _monomials(self.num_vars, self.trunc_degree))
+    def coeffs(self) -> dict[tuple, object]:
+        """The coefficients keyed by exponent tuple, in storage order (a new dict)."""
+        table = _monomials(self.num_vars, self.trunc_degree)
+        exps_of, decode = table.exps.get, table.decode
+        return {exps_of(k) or decode(k): c for k, c in self._coded.items()}
 
-    @property
-    def coeffs(self) -> Mapping[tuple, object]:
-        return dict(self._coeffs.items())
+    # the name perfbench/tracer.py and the tests read
+    _coeffs = coeffs
 
     def coefficient(self, exps: Sequence[int]):
         """Stored coefficient of the given exponent tuple (0 when absent or not a monomial of the shape)."""
@@ -164,7 +168,7 @@ class Jet:
 
     def sorted_terms(self):
         """Terms in graded-lex order: ascending total degree, then lex on exponents."""
-        return sorted(self._coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def homogeneous_part(self, degree: int) -> "Jet":
         top = _monomials(self.num_vars, self.trunc_degree).top
@@ -178,7 +182,7 @@ class Jet:
             return self
         # codes depend on the truncation degree: re-encode in the new shape
         encode = _monomials(self.num_vars, trunc_degree).encode
-        kept = {encode(e): c for e, c in self._coeffs.items() if sum(e) <= trunc_degree}
+        kept = {encode(e): c for e, c in self.coeffs.items() if sum(e) <= trunc_degree}
         return Jet._raw(self.num_vars, trunc_degree, kept)
 
     def map_coefficients(self, fn) -> "Jet":
@@ -266,13 +270,10 @@ class Jet:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative jet powers are not defined")
+        # x**k is x**(k - 1) times x, as every power in the package is built
         result = Jet.constant(self.num_vars, self.trunc_degree, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        for _ in range(n):
+            result = result * self
         return result
 
     def __eq__(self, other):
@@ -309,14 +310,8 @@ class Jet:
         return Jet._raw(self.num_vars, self.trunc_degree, {k: c for k, c in out.items() if c})
 
     def eval(self, point: Sequence[object]):
-        """Evaluate at a point, with a variable-by-variable Horner recursion."""
-        if len(point) != self.num_vars:
-            raise ShapeMismatchError(
-                f"point has {len(point)} coordinates, jet has {self.num_vars} variables"
-            )
-        if not self._coded:
-            return 0
-        return _horner(self.coeffs, tuple(point), 0, self.num_vars)
+        """The value at a point; the one-component case of :meth:`JetVector.eval`."""
+        return JetVector((self,)).eval(point)[0]
 
     # -- composition --------------------------------------------------------
     def compose(self, inner: Sequence["Jet"], allow_constant: bool = False) -> "Jet":
@@ -374,63 +369,6 @@ _set_num_vars, _set_trunc_degree, _set_coded = (
 )
 
 
-def _horner(coeffs: Mapping[tuple, object], point: tuple, var: int, num_vars: int):
-    if var == num_vars:
-        # only the empty exponent tail remains
-        return next(iter(coeffs.values()))
-    groups: dict[int, dict] = {}
-    for e, c in coeffs.items():
-        groups.setdefault(e[var], {})[e] = c
-    x = point[var]
-    acc = None
-    prev = None
-    for k in sorted(groups, reverse=True):
-        sub = _horner(groups[k], point, var + 1, num_vars)
-        if acc is None:
-            acc = sub
-        else:
-            for _ in range(prev - k):
-                acc = acc * x
-            acc = acc + sub
-        prev = k
-    for _ in range(prev):
-        acc = acc * x
-    return acc
-
-
-class _Decoded(Mapping):
-    """A jet's coded dict read by exponent tuple: keys decode as they are read.
-
-    Iteration follows the stored order; ``values()`` and ``len()`` read the
-    coded dict directly.  Nothing is copied or kept.
-    """
-
-    __slots__ = ("_coded", "_table")
-
-    def __init__(self, coded: dict, table: "_Monomials"):
-        self._coded, self._table = coded, table
-
-    def __len__(self):
-        return len(self._coded)
-
-    def __iter__(self):
-        exps_of, decode = self._table.exps.get, self._table.decode
-        return (exps_of(k) or decode(k) for k in self._coded)
-
-    def __getitem__(self, exps):
-        try:
-            return self._coded[self._table.encode(tuple(exps))]
-        except ShapeMismatchError:
-            raise KeyError(exps) from None
-
-    def values(self):
-        return self._coded.values()
-
-    def items(self):
-        """(exponent tuple, coefficient) pairs in stored order (an iterator)."""
-        return zip(self, self._coded.values())
-
-
 class JetVector:
     """A tuple of jets sharing num_vars and trunc_degree (a polynomial map)."""
 
@@ -468,6 +406,22 @@ class JetVector:
         if not isinstance(other, JetVector):
             return NotImplemented
         return self.components == other.components
+
+    def eval(self, point: Sequence[object]) -> tuple:
+        """The value of every component at a point.
+
+        One composition with the constant jets of the coordinates: each
+        component's constant term is its value, exact for ``int`` and
+        ``Fraction`` points.
+        """
+        inner = [Jet.constant(1, 1, v) for v in point]
+        return tuple(c.constant_term() for c in _compose(self.components, inner, True))
+
+    def then(self, other: "JetVector") -> "JetVector":
+        """The composite map x -> other(self(x)), truncated at the product of the two degrees."""
+        deg = self.trunc_degree * other.trunc_degree
+        outer = JetVector(c.truncated(deg) for c in other)
+        return outer.compose([c.truncated(deg) for c in self], allow_constant=True)
 
     def compose(self, inner: Sequence[Jet], allow_constant: bool = False) -> "JetVector":
         """Every component composed with ``inner``; see :meth:`Jet.compose`.

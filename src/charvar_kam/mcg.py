@@ -1,10 +1,12 @@
 """Mapping-class-group actions on the character varieties and the cat-map fixed families.
 
 The Dehn twists and the cat map act by explicit polynomial automorphisms in
-trace/unitary coordinates; those polynomials are kept exact (integer
-coefficients) so that level preservation and fixed-point identities can be
-verified with zero tolerance.  The s-parameterized fixed families have
-rational trace tuples for rational s, again enabling exact checks.
+trace/unitary coordinates, each a ``JetVector`` with one component per
+coordinate: ``.eval(point)`` applies it and ``a.then(b)`` is the composite
+b after a.  Those polynomials are kept exact (integer coefficients) so that
+level preservation and fixed-point identities can be verified with zero
+tolerance.  The s-parameterized fixed families have rational trace tuples
+for rational s, again enabling exact checks.
 """
 
 from __future__ import annotations
@@ -14,16 +16,14 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConsistencyError, PoleError, ShapeMismatchError, UnrealizableError
-from .jets import Jet, JetVector, jet_variables
+from .jets import JetVector, jet_variables
 from .varieties import LevelValue, Su2Point, Su3Point
 
 __all__ = [
-    "PolyAutomorphism",
     "FixedPointSample",
     "Su2FixedPoint",
     "tau_alpha",
@@ -54,33 +54,6 @@ __all__ = [
 UNITARY_TOL = 1e-12  #: b_matrix's 1 - |u|^2 may dip this far below 0 before B(s) leaves SU(2)
 REALIZABLE_BISECT_TOL = 1e-13  #: the bracket width at which ``realizable_interval_su3`` stops bisecting
 SPHERE_NORM_TOL = 1e-12  #: ``sphere_action`` normalizes, with a warning, a direction whose norm is off 1 by more
-
-
-class PolyAutomorphism:
-    """A polynomial self-map of R^n given componentwise by jets."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: Sequence[Jet]):
-        object.__setattr__(self, "components", JetVector(components))
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("PolyAutomorphism is immutable")
-
-    def __call__(self, point):
-        return tuple(c.eval(list(point)) for c in self.components)
-
-    def then(self, other: "PolyAutomorphism") -> "PolyAutomorphism":
-        """Composite map x -> other(self(x)), with enough truncation headroom."""
-        deg = self.components.trunc_degree * other.components.trunc_degree
-        inner = [c.truncated(deg) for c in self.components]
-        outer = JetVector(c.truncated(deg) for c in other.components)
-        return PolyAutomorphism(outer.compose(inner, allow_constant=True))
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyAutomorphism):
-            return NotImplemented
-        return self.components == other.components
 
 
 # --------------------------------------------------------------------------
@@ -114,28 +87,28 @@ def cat_map_su2(p: Su2Point) -> Su2Point:
 
 
 @lru_cache(maxsize=None)
-def tau_alpha_poly(trunc_degree: int = 2) -> PolyAutomorphism:
+def tau_alpha_poly(trunc_degree: int = 2) -> JetVector:
     x, y, z = jet_variables(3, trunc_degree)
-    return PolyAutomorphism([x, z, x * z - y])
+    return JetVector([x, z, x * z - y])
 
 
 @lru_cache(maxsize=None)
-def tau_beta_poly(trunc_degree: int = 2) -> PolyAutomorphism:
+def tau_beta_poly(trunc_degree: int = 2) -> JetVector:
     x, y, z = jet_variables(3, trunc_degree)
-    return PolyAutomorphism([z, y, z * y - x])
+    return JetVector([z, y, z * y - x])
 
 
 @lru_cache(maxsize=None)
-def tau_beta_inv_poly(trunc_degree: int = 2) -> PolyAutomorphism:
+def tau_beta_inv_poly(trunc_degree: int = 2) -> JetVector:
     x, y, z = jet_variables(3, trunc_degree)
-    return PolyAutomorphism([x * y - z, y, x])
+    return JetVector([x * y - z, y, x])
 
 
 @lru_cache(maxsize=None)
-def cat_map_su2_poly(trunc_degree: int = 3) -> PolyAutomorphism:
+def cat_map_su2_poly(trunc_degree: int = 3) -> JetVector:
     x, y, z = jet_variables(3, trunc_degree)
     w = z * y - x
-    return PolyAutomorphism([z, w, z * w - y])
+    return JetVector([z, w, z * w - y])
 
 
 # --------------------------------------------------------------------------
@@ -144,9 +117,9 @@ def cat_map_su2_poly(trunc_degree: int = 3) -> PolyAutomorphism:
 
 
 @lru_cache(maxsize=None)
-def cat_map_su3_poly(trunc_degree: int = 3) -> PolyAutomorphism:
+def cat_map_su3_poly(trunc_degree: int = 3) -> JetVector:
     x, X, y, Y, z, Z, t, T, U = jet_variables(9, trunc_degree)
-    return PolyAutomorphism(
+    return JetVector(
         [
             z,
             Z,
@@ -166,14 +139,14 @@ def cat_map_su3_poly(trunc_degree: int = 3) -> PolyAutomorphism:
 def cat_map_su3(p):
     """Apply the 9-variable cat map to an Su3Point or a coordinate sequence."""
     if isinstance(p, Su3Point):
-        out = cat_map_su3_poly()(p.coords9())
+        out = cat_map_su3_poly().eval(p.coords9())
         return Su3Point(*out[:8], U=out[8], branch=p.branch)
     p = tuple(p)
     if len(p) == 8:
-        return cat_map_su3_poly()(p + (0,))[:8]
+        return cat_map_su3_poly().eval(p + (0,))[:8]
     if len(p) != 9:
         raise ShapeMismatchError(f"expected 8 or 9 coordinates, got {len(p)}")
-    return cat_map_su3_poly()(p)
+    return cat_map_su3_poly().eval(p)
 
 
 # --------------------------------------------------------------------------

@@ -73,18 +73,13 @@ def su2_brown_point(s) -> dict:
     row: dict = {"s": float(s)}
     try:
         p0 = fixed_family_su2(s)
-    except SCAN_ERRORS as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
-    row["fixed_point"] = list(p0.center())
-    row["ell"] = p0.level_n / p0.b**4
-    if s == 0:
-        # the origin is the blown-up point: the level chart is singular there
-        row["degenerate"] = True
-        row["notes"] = "kappa = -2 origin; sphere-of-directions blow-up point"
-        return row
-    row["degenerate"] = False
-    try:
+        row["fixed_point"] = list(p0.center())
+        row["ell"] = p0.level_n / p0.b**4
+        row["degenerate"] = s == 0
+        if s == 0:
+            # the origin is the blown-up point: the level chart is singular there
+            row["notes"] = "kappa = -2 origin; sphere-of-directions blow-up point"
+            return row
         chart = su2_chart_map_jet(p0)
         L = chart_linear_matrix(chart)
         report = classify_spectrum(L)

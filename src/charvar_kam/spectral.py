@@ -53,7 +53,11 @@ def eigen_small(m):
         vals, vecs = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise NonDiagonalizableError(f"eigendecomposition failed: {exc}") from exc
-    scale = np.linalg.norm(m)
+    # a norm past the double range overflows quietly here: the checks below reject it
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.linalg.norm(m)
+        # column k is m v_k - lambda_k v_k
+        residuals = np.linalg.norm(m @ vecs - vecs * vals, axis=0)
     if scale == 0.0:
         return vals, vecs
     # a Jordan block yields (near-)parallel eigenvectors with tiny residuals,
@@ -63,8 +67,6 @@ def eigen_small(m):
     cond = s[0] / s[-1] if s[-1] else math.inf
     if not cond <= EIGEN_COND_MAX:  # NaN fails
         raise NonDiagonalizableError(f"eigenvector basis condition number {cond:.3e}: matrix is defective")
-    # column k is m v_k - lambda_k v_k
-    residuals = np.linalg.norm(m @ vecs - vecs * vals, axis=0)
     for k, res in enumerate(residuals.tolist()):
         if not res <= EIGEN_RESIDUAL_TOL * scale:  # NaN fails
             raise NonDiagonalizableError(
@@ -247,9 +249,11 @@ def build_C0(m, report: SpectrumReport) -> DiagonalizingBasis:
         inv = np.linalg.inv(C0)
     except np.linalg.LinAlgError as exc:
         raise NonDiagonalizableError(f"eigenvector basis C0 is not invertible: {exc}") from exc
-    off = np.abs(inv @ m @ C0)
+    # a norm past the double range overflows quietly here: the checks below reject it
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = np.abs(inv @ m @ C0)
+        scale = max(1.0, float(np.linalg.norm(m)))
     off.flat[:: n + 1] = 0.0  # the diagonal
-    scale = max(1.0, float(np.linalg.norm(m)))
     res = float(off.max())
     if not res <= C0_RESIDUAL_TOL * scale:  # NaN fails
         raise NonDiagonalizableError(f"off-diagonal residual {res:.3e} exceeds tolerance")

@@ -152,7 +152,7 @@ def _unitary_jet(trace_poly: Jet) -> Jet:
     x, X, y, Y, z, Z, t, T = jet_variables(8, td)  # X stands for iX, and so on
     sub = [x + X, y + Y, z + Z, t + T, x - X, y - Y, z - Z, t - T]
     out = {}
-    for e, c in trace_poly.compose(sub, allow_constant=True)._coeffs.items():
+    for e, c in trace_poly.compose(sub, allow_constant=True).coeffs.items():
         w = sum(e[1::2])
         if w % 4 >= 2:  # i^w is -1 or -i
             c = -c

@@ -318,6 +318,25 @@ def test_chart_build_substitutes_t_once(monkeypatch):
     assert [c for c in calls if c[:2] == (8, charts._T8)] == [(8, charts._T8, 8)]
 
 
+def test_chart_build_substitutes_z_once_after_the_solve(monkeypatch):
+    """After the z-solve's sweeps, H and the six map components take the z-jet in one substitution, which residual_h reads."""
+    calls = []
+    real = jets._substitute
+
+    def counted(outers, var, replacement, var_map):
+        calls.append((outers[0].num_vars, var, len(outers)))
+        return real(outers, var, replacement, var_map)
+
+    monkeypatch.setattr(jets, "_substitute", counted)
+    charts._chart_cache.cache_clear()
+    chart = chart_map_jet(fixed_family_su3(S249))
+    chart.residual_h()
+    sweeps = chart.spec.trunc_degree + 1
+    z_calls = [c for c in calls if c[:2] == (7, charts._Z7)]
+    assert z_calls[:sweeps] == [(7, charts._Z7, 1)] * sweeps
+    assert z_calls[sweeps:] == [(7, charts._Z7, 7)]
+
+
 _REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 #: s -> (stored report, chart degree): sparse and dense eigenbasis C0 at

@@ -99,3 +99,39 @@ def test_readme_python_examples_run(capsys):
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i}", "exec"), {})
     assert capsys.readouterr().out
+
+
+def _tracer_lookups() -> set:
+    """Every string constant of perfbench/tracer.py: the names it looks up in the package's modules."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text())
+    return {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_every_import_is_used():
+    """Each module's imports are used there, exported, or kept (``# noqa: F401``) for a name the tracer looks up."""
+    root = Path(charvar_kam.__file__).parent
+    traced = _tracer_lookups()
+    found = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text, filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in stmt.targets):
+                exported = set(ast.literal_eval(stmt.value))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name in used or name in exported:
+                    continue
+                if "# noqa: F401" in lines[alias.lineno - 1] and name in traced:
+                    continue
+                found.append(f"{path.name}:{alias.lineno} {name}")
+    assert found == []

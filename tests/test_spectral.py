@@ -111,7 +111,8 @@ def test_eigen_small_rejects_a_nan_residual():
 
 def test_eigen_small_rejects_a_norm_that_overflows():
     """||m|| overflows to inf on this finite matrix, so every residual would pass an inf bound."""
-    with np.errstate(all="ignore"), pytest.raises(NonDiagonalizableError, match="^matrix norm inf is not finite$"):
+    with warnings.catch_warnings(), pytest.raises(NonDiagonalizableError, match="^matrix norm inf is not finite$"):
+        warnings.simplefilter("error")
         eigen_small(np.array([[1e308, -1e308], [1e308, 1e308]]))
 
 
@@ -261,7 +262,8 @@ def test_build_C0_rejects_a_norm_that_overflows():
     m = charts.chart_linear_matrix(charts.su2_chart_map_jet(fixed_family_su2(Fraction(1, 10))))
     report = classify_spectrum(m)
     huge = np.array([[1e308, -1e308], [1e308, 1e308]])
-    with np.errstate(all="ignore"), pytest.raises(NonDiagonalizableError, match="^matrix norm inf is not finite$"):
+    with warnings.catch_warnings(), pytest.raises(NonDiagonalizableError, match="^matrix norm inf is not finite$"):
+        warnings.simplefilter("error")
         build_C0(huge, report)
 
 
