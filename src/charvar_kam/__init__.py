@@ -35,7 +35,6 @@ from .jets import (
     JetVector,
     jet_sqrt,
     jet_variables,
-    normalized_coefficient,
 )
 from .mcg import (
     FixedPointSample,

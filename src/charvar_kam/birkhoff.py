@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResonanceError, ShapeMismatchError
-from .jets import Jet, JetVector, _compose, _monomials, _Products, jet_variables
+from .jets import Jet, JetVector, _compose, _monomials, jet_variables
 from .spectral import UNIT_CIRCLE_TOL, DiagonalizingBasis
 
 __all__ = [
@@ -123,7 +123,8 @@ def diagonalized_jets(map_jet: JetVector, basis: DiagonalizingBasis) -> NormalFo
     runs as the full one would, with every other cubic key skipped where it
     would be formed (``jets._Products`` with a set of codes to keep), so each
     kept coefficient is the float the full conjugation gives, in the same
-    relative key order: ``alpha_matrix`` adds p_j's terms in that order.
+    relative key order: ``alpha_matrix`` composes p_j term by term in that
+    order.
     """
     n = len(map_jet)
     if map_jet.num_vars != n or n % 2:
@@ -281,52 +282,27 @@ def alpha_matrix(nf: NormalFormInput, phi2: JetVector, psi2: JetVector) -> np.nd
     cubic correction drops out of the functional equation and alpha_jk is
     what remains.  Below degree 3 there is no such monomial and alpha is 0.
 
-    Only that coefficient is built.  Each inner component is a variable plus
-    a homogeneous quadratic, so a product of inner components reaches degree
-    3 only from a quadratic monomial of p_j, or from the cubic monomial
-    xi_j xi_k eta_k itself.  Those products are built as ``JetVector.compose``
-    builds them (``jets._Products``), keeping at the truncation degree only
-    the d**2 codes xi_j xi_k eta_k, and their contributions add in p_j's term
-    order with the same drop on cancellation, so each alpha_jk is the float
-    the full composition gives.  ``phi2`` and ``psi2`` must therefore be
-    homogeneous quadratic jets of the normal form's shape, as ``phi2_psi2``
-    returns them; anything else raises ``ShapeMismatchError``.
+    One composition (``jets._compose``) that keeps at the truncation degree
+    only the d**2 codes xi_j xi_k eta_k: every key it keeps gets the items of
+    the full composition in the same order, so each alpha_jk is the float
+    the full composition gives, for any zero-constant ``phi2`` and ``psi2``
+    of the normal form's shape (a constant raises ``ConstantTermError``,
+    another shape ``ShapeMismatchError``).
     """
     d = nf.d
-    n = 2 * d
-    td = nf.p_jets.trunc_degree
-    table = _monomials(n, td)
-    quadratic = range(2 * table.top, 3 * table.top)  # the codes of degree 2
-    if len(phi2) != d or len(psi2) != d or any(
-        (part.num_vars, part.trunc_degree) != (n, td) or not all(code in quadratic for code in part._coded)
-        for part in (*phi2, *psi2)
-    ):
-        raise ShapeMismatchError(f"phi2 and psi2 must be {d} homogeneous quadratic jets in {n} variables of degree {td}")
+    if len(phi2) != d or len(psi2) != d:
+        raise ShapeMismatchError(f"phi2 and psi2 must have {d} components")
     alpha = np.zeros((d, d), dtype=complex)
+    td = nf.p_jets.trunc_degree
     if td < 3:
         return alpha
-    w = table.weights
+    w = _monomials(2 * d, td).weights
     resonant = [[w[j] + w[k] + w[d + k] for k in range(d)] for j in range(d)]  # xi_j xi_k eta_k
-    product = _Products(_corrected_identity(nf, phi2, psi2), table, {t for ts in resonant for t in ts}).product
-    for j, comp in enumerate(nf.p_jets):
-        targets = resonant[j]
-        acc: dict[int, complex] = {}
-        get, pop = acc.get, acc.pop
-        for code, c in comp._coded.items():
-            if not c or not (code in quadratic or code in targets):
-                continue
-            coded = product(code)._coded
-            for target in targets:
-                pc = coded.get(target)
-                if pc is None:
-                    continue
-                s = get(target, 0) + pc * c
-                if s:
-                    acc[target] = s
-                else:
-                    pop(target, None)
-        for k, target in enumerate(targets):
-            alpha[j, k] = complex(acc.get(target, 0))
+    keep = {t for ts in resonant for t in ts}
+    composed = _compose(nf.p_jets.components, _corrected_identity(nf, phi2, psi2), False, keep)
+    for j, comp in enumerate(composed):
+        for k, target in enumerate(resonant[j]):
+            alpha[j, k] = complex(comp._coded.get(target, 0))
     return alpha
 
 

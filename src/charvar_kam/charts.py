@@ -130,7 +130,7 @@ def _translate(poly: Jet, centers, trunc_degree: int) -> tuple[Jet, int]:
     only the result truncates.  Sums run in integers over one common
     denominator, and the result is that pair ``(num, den)``: an integer jet
     and a positive integer with poly(center + w) = num / den.  No coefficient
-    is reduced; the float consumers divide ``int / int`` (see ``_float_jet``).
+    is reduced; the float consumers divide ``int / int`` (see ``_recentered``).
 
     With each integer read as ``Fraction(n, den)``, the result equals
     ``poly.compose([w_i + c_i], allow_constant=True)`` item for item,
@@ -167,33 +167,23 @@ def _translate(poly: Jet, centers, trunc_degree: int) -> tuple[Jet, int]:
 
 
 def _recentered(spec: ChartSpec, poly: Jet, minus=0) -> Jet:
-    """``_float_jet`` of ``poly`` recentered at the fixed point, or an OverflowError naming s and the step."""
+    """The float jet of ``poly`` recentered at the fixed point, less ``minus``, or an OverflowError naming s.
+
+    The integer jet of ``_translate`` takes ``minus`` over the common
+    denominator ``lcm``; each coefficient is then one correctly rounded
+    ``int / int``, so the result equals ``(exact - minus).map_coefficients(float)``
+    item for item, with ``exact`` the rational recentered jet: the constant
+    changes in place, is appended when absent or drops when it cancels, and
+    a coefficient that underflows to 0.0 drops.
+    """
+    num, den = _translate(poly, _center8(spec), spec.trunc_degree)
+    lcm = math.lcm(den, minus.denominator)
+    if lcm != den:
+        num = num * (lcm // den)
     try:
-        return _float_jet(*_translate(poly, _center8(spec), spec.trunc_degree), minus)
+        return (num - minus.numerator * (lcm // minus.denominator)).map_coefficients(lambda n: n / lcm)
     except OverflowError:
         raise OverflowError(f"s = {spec.s}: recentering at the fixed point overflows a double") from None
-
-
-def _float_jet(num: Jet, den: int, minus=0) -> Jet:
-    """The float jet of num / den - minus, one correctly rounded ``int / int`` per coefficient.
-
-    Equal item for item to ``(exact - minus).map_coefficients(float)`` with
-    ``exact`` the rational jet num / den: ``int / int`` rounds as
-    ``float(Fraction)`` does, whether or not the quotient is reduced.  The
-    constant is computed in integers over lcm(den, minus's denominator), and
-    as with ``Jet - minus`` it changes in place, is appended when absent, or
-    drops when it cancels; a coefficient that underflows to 0.0 drops.
-    """
-    lcm = math.lcm(den, minus.denominator)
-    const = (num.constant_term() * (lcm // den) - minus.numerator * (lcm // minus.denominator)) / lcm
-    out = {}
-    for key, n in num._coded.items():
-        v = n / den if key else const
-        if v:
-            out[key] = v
-    if const and 0 not in out:
-        out[0] = const
-    return Jet._raw(num.num_vars, num.trunc_degree, out)
 
 
 class _Same:
@@ -406,7 +396,7 @@ class ChartJet:
     def residual_level(self) -> float:
         """Largest coefficient of P/2 - ell after the t-substitution."""
         diff = self.p7 * 0.5 - float(self.spec.level)
-        return max((abs(v) for v in diff.coeffs.values()), default=0.0)
+        return max((abs(v) for v in diff._coded.values()), default=0.0)
 
 
 _KEEP_COMPONENTS = (0, 1, 2, 3, 5, 7)  # x', X', y', Y', Z', T'
@@ -442,13 +432,18 @@ def _chart_map_jet_cached(spec: ChartSpec) -> ChartJet:
     zeta = z_jet - z_jet.constant_term()
     # t is substituted (8 -> 7 variables); now z (7 -> 6): elimination order
     h6, *g6 = JetVector([h7, *map7]).substitute_variable(_Z7, zeta, _MAP_7_TO_6)
+    return ChartJet(spec=spec, t_jet=t_jet, z_jet=z_jet, map_jet=_centered_map(g6, spec.s), p7=p7, h6=h6)
+
+
+def _centered_map(comps, s) -> JetVector:
+    """The chart map's components less their constants, which must be below ``CHART_CONSTANT_TOL`` (NaN fails)."""
     out = []
-    for comp in g6:
+    for comp in comps:
         const = comp.constant_term()
-        if not abs(complex(const)) < CHART_CONSTANT_TOL:
-            raise ConsistencyError(f"s = {spec.s}: chart map constant term {const} should vanish")
+        if not abs(const) < CHART_CONSTANT_TOL:
+            raise ConsistencyError(f"s = {s}: chart map constant term {const} should vanish")
         out.append(comp - const)
-    return ChartJet(spec=spec, t_jet=t_jet, z_jet=z_jet, map_jet=JetVector(out), p7=p7, h6=h6)
+    return JetVector(out)
 
 
 # A scan builds each chart once; ``--golden`` looks up the degree-3 chart at
@@ -543,10 +538,4 @@ def su2_chart_map_jet(p0: Su2FixedPoint, trunc_degree: int = 3) -> Su2ChartJet:
     y_image = zf * yf - x_jet
     out_y = y_image - yn / b
     out_z = zf * y_image - yf - zn / b
-    comps = []
-    for comp in (out_y, out_z):
-        const = comp.constant_term()
-        if not abs(float(const)) < CHART_CONSTANT_TOL:
-            raise ConsistencyError(f"s = {s}: chart map constant term {const} should vanish")
-        comps.append(comp - const)
-    return Su2ChartJet(fixed_point=p0, x_jet=x_jet, map_jet=JetVector(comps))
+    return Su2ChartJet(fixed_point=p0, x_jet=x_jet, map_jet=_centered_map((out_y, out_z), s))

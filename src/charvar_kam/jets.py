@@ -36,12 +36,13 @@ Design notes
   components and the monomial products are built once and shared by all outer
   components, and ``Jet.compose`` is its one-component case.  Each component
   adds its terms in its own order, so it gets the same float sums as when
-  composed alone.  The products come from :class:`_Products`, which
-  ``birkhoff.alpha_matrix`` also uses to build only the products it reads.
-  Given a set of codes at the truncation degree, the products keep only
-  those codes there (and every key below it): ``birkhoff.diagonalized_jets``
-  builds the normal-form input so, since the Birkhoff step reads no other
-  coefficient of that degree.
+  composed alone.  The products come from :class:`_Products`.  Given a set
+  of codes at the truncation degree, the products keep only those codes
+  there (and every key below it): ``birkhoff.diagonalized_jets`` builds the
+  normal-form input so, since the Birkhoff step reads no other coefficient
+  of that degree, and ``birkhoff.alpha_matrix`` reaches :class:`_Products`
+  the same way, through ``_compose``, keeping only the codes
+  xi_j xi_k eta_k it reads.
 * Substitution of one variable has one routine too,
   ``JetVector.substitute_variable``: the replacement's powers are built once
   for all components, by the same :class:`_Products` that builds a
@@ -74,7 +75,6 @@ __all__ = [
     "Jet",
     "JetVector",
     "jet_sqrt",
-    "normalized_coefficient",
     "jet_variables",
 ]
 
@@ -828,40 +828,3 @@ def jet_sqrt(a: Jet) -> Jet:
                 else:
                     pop(key, None)
     return Jet._raw(a.num_vars, a.trunc_degree, acc) * math.sqrt(c_f)
-
-
-def normalized_coefficient(a: Jet, upper: Sequence[int], lower: Sequence[int]):
-    """Ordered-monomial coefficient of ``xi_{a_1}...xi_{a_n} eta_{b_1}...eta_{b_m}``.
-
-    The jet's variables are interpreted as (xi_1..xi_d, eta_1..eta_d), indices
-    in ``upper``/``lower`` are 1-based.  The stored coefficient of the
-    corresponding unordered monomial is divided by the multiplicity factor
-    n! m! / (prod of multiplicity factorials), so that ordered-monomial
-    normal-form formulas apply verbatim.
-    """
-    if a.num_vars % 2 != 0:
-        raise ShapeMismatchError("normalized_coefficient needs an (xi, eta) jet with 2d variables")
-    d = a.num_vars // 2
-    exps = [0] * a.num_vars
-    for i in upper:
-        if not 1 <= i <= d:
-            raise ShapeMismatchError(f"xi index {i} out of range 1..{d}")
-        exps[i - 1] += 1
-    for i in lower:
-        if not 1 <= i <= d:
-            raise ShapeMismatchError(f"eta index {i} out of range 1..{d}")
-        exps[d + i - 1] += 1
-    if sum(exps) > a.trunc_degree:
-        raise ShapeMismatchError("requested monomial exceeds the truncation degree")
-    stored = a.coefficient(exps)
-    if not stored:
-        return 0
-    factor = math.factorial(len(upper)) * math.factorial(len(lower))
-    for mult_source in (exps[:d], exps[d:]):
-        for m in mult_source:
-            factor //= math.factorial(m)
-    if factor == 1:
-        return stored
-    if isinstance(stored, (int, Fraction)):
-        return stored * Fraction(1, factor)
-    return stored / factor

@@ -16,7 +16,7 @@ from oracles import (
 )
 
 from charvar_kam import birkhoff, charts
-from charvar_kam.errors import ResonanceError, ShapeMismatchError
+from charvar_kam.errors import ConstantTermError, ResonanceError, ShapeMismatchError
 from charvar_kam.jets import Jet, JetVector, jet_variables
 from charvar_kam.mcg import fixed_family_su2, fixed_family_su3
 from charvar_kam.birkhoff import (
@@ -373,23 +373,29 @@ def test_diagonalized_jets_keep_the_full_conjugation_on_random_maps(d):
     assert 0 < _cubic_terms(got) < _cubic_terms(full)
 
 
-def test_alpha_rejects_corrections_that_are_not_homogeneous_quadratic():
+def test_alpha_is_the_full_composition_for_any_zero_constant_correction():
+    """Linear, cubic and zero corrections give the full composition's floats; constants and bad shapes raise."""
     rng = random.Random(11)
     nf = random_nf(rng, 2)
     phi2, psi2 = phi2_psi2(nf)
     zeta = jet_variables(4, 3, coeff_one=1.0 + 0.0j)
-    bad = [
+    zero = JetVector([Jet.zero(4, 3)] * 2)
+    accepted = [
         (JetVector([phi2[0] + zeta[1], phi2[1]]), psi2),  # a linear term
-        (phi2, JetVector([psi2[0], psi2[1] + zeta[0] * zeta[1] * zeta[2]])),  # a cubic term
-        (phi2, JetVector([psi2[0], psi2[1] + 0.5])),  # a constant
+        (JetVector([phi2[0] + zeta[0] * zeta[0] * zeta[2], phi2[1]]), psi2),  # a cubic term at xi_1^2 eta_1
+        (zero, zero),
+    ]
+    for phi, psi in accepted:
+        _assert_alpha_bitwise(nf, phi, psi)
+    with pytest.raises(ConstantTermError):
+        alpha_matrix(nf, phi2, JetVector([psi2[0], psi2[1] + 0.5]))
+    rejected = [
         (JetVector([phi2[0]]), psi2),  # too few components
         (JetVector(p.truncated(2) for p in phi2), psi2),  # another shape
     ]
-    for phi, psi in bad:
-        with pytest.raises(ShapeMismatchError, match="homogeneous quadratic"):
+    for phi, psi in rejected:
+        with pytest.raises(ShapeMismatchError):
             alpha_matrix(nf, phi, psi)
-    zero = JetVector([Jet.zero(4, 3)] * 2)
-    assert alpha_matrix(nf, zero, zero).tobytes() == alpha_matrix_compose(nf, zero, zero).tobytes()
 
 
 def test_alpha2_closed_form_trivial_cases():

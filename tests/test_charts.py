@@ -261,8 +261,14 @@ def test_solve_t_matches_the_fraction_built_t_jet(s, trunc_degree):
     assert all(type(c) is float for _, c in got)
 
 
-def test_float_jet_matches_subtracting_then_rounding_a_fraction_jet():
-    """``_float_jet`` equals ``(num / den - minus).map_coefficients(float)`` item for item."""
+def test_float_jet_matches_subtracting_then_rounding_a_fraction_jet(monkeypatch):
+    """``_recentered`` of a ``_translate`` result (num, den) is ``(num / den - minus).map_coefficients(float)``."""
+    spec = chart_spec(fixed_family_su3(S249))
+
+    def recentered(num, den, minus=0):
+        monkeypatch.setattr(charts, "_translate", lambda *args: (num, den))
+        return charts._recentered(spec, None, minus)
+
     x, y = (1, 0), (0, 1)
     cases = [
         ({(0, 0): 3, x: 5}, 7, Fraction(3, 7)),  # the constant cancels and drops
@@ -272,14 +278,15 @@ def test_float_jet_matches_subtracting_then_rounding_a_fraction_jet():
         ({x: 5, (0, 0): 2}, 6, Fraction(0)),
         ({x: 1, y: 3 * 10**400, (0, 0): 1}, 10**400, Fraction(1, 10**400)),  # underflow to 0.0 drops
         ({x: 10**30 + 1, (2, 0): -(3**200)}, 3**199 * 10**25, Fraction(-(5**300), 7**90)),
+        ({x: 5, (0, 0): 1}, 2, Fraction(1, 3)),  # float(1/2) - float(1/3) is not float(1/6)
     ]
     for items, den, minus in cases:
         num = Jet(2, 3, items)
         exact = Jet(2, 3, {e: Fraction(n, den) for e, n in items.items()})
         want = (exact - minus).map_coefficients(float)
-        got = charts._float_jet(num, den, minus)
+        got = recentered(num, den, minus)
         assert list(got._coeffs.items()) == list(want._coeffs.items())
-    assert list(charts._float_jet(Jet(2, 3, {x: 2, (0, 0): 1}), 3)._coeffs.items()) == [(x, 2 / 3), ((0, 0), 1 / 3)]
+    assert list(recentered(Jet(2, 3, {x: 2, (0, 0): 1}), 3)._coeffs.items()) == [(x, 2 / 3), ((0, 0), 1 / 3)]
 
 
 def test_chart_build_recenters_p_and_q_once(monkeypatch):

@@ -16,7 +16,6 @@ from charvar_kam.jets import (
     _mul,
     jet_sqrt,
     jet_variables,
-    normalized_coefficient,
 )
 from oracles import QQi
 
@@ -784,50 +783,6 @@ def test_jet_sqrt_matches_whole_jet_steps(kind):
         jet_sqrt(Jet(2, 3, {(0, 0): 1, (1, 0): QQi(0, 1)}))
     with pytest.raises(TypeError):
         jet_sqrt_steps(Jet(2, 3, {(0, 0): 1, (1, 0): QQi(0, 1)}))
-
-
-# ---------------------------------------------------------------- normalized coefficients
-
-
-def test_normalized_coefficient_footnote_factor():
-    # term xi1*xi2*eta1 with stored coefficient c, query (1,2|1) -> c/2
-    d = 2
-    jet = Jet(2 * d, 3, {(1, 1, 1, 0): Fraction(5)})
-    got = normalized_coefficient(jet, (1, 2), (1,))
-    assert got == Fraction(5, 2)
-
-
-def test_normalized_coefficient_absent_monomial():
-    jet = Jet.zero(4, 3)
-    assert normalized_coefficient(jet, (1,), (2,)) == 0
-
-
-def test_normalized_coefficient_reconstructs_symmetric_tensor():
-    rng = random.Random(41)
-    d = 3
-    S = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            S[i][j] = S[j][i] = Fraction(rng.randint(-9, 9))
-    # f(xi) = sum_{i,j} S_ij xi_i xi_j via direct multinomial expansion
-    coeffs = {}
-    for i in range(d):
-        for j in range(d):
-            e = [0] * (2 * d)
-            e[i] += 1
-            e[j] += 1
-            key = tuple(e)
-            coeffs[key] = coeffs.get(key, 0) + S[i][j]
-    f = Jet(2 * d, 3, coeffs)
-    for i in range(d):
-        for j in range(d):
-            assert normalized_coefficient(f, (i + 1, j + 1), ()) == S[i][j]
-
-
-def test_normalized_coefficient_degree_overflow():
-    jet = Jet.zero(4, 2)
-    with pytest.raises(ShapeMismatchError):
-        normalized_coefficient(jet, (1, 1, 2), ())
 
 
 # ---------------------------------------------------------------- structure

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from charvar_kam.errors import PoleError, UnrealizableError
-from charvar_kam.jets import Jet, jet_variables
+from charvar_kam.jets import Jet, JetVector, jet_variables
 from charvar_kam.mcg import (
     a_matrix,
     b_matrix,
@@ -27,6 +27,7 @@ from charvar_kam.mcg import (
     tau_alpha_poly,
     tau_beta,
     tau_beta_inv,
+    tau_beta_inv_poly,
     tau_beta_poly,
 )
 from charvar_kam.varieties import Su2Point, kappa_poly, kappa_su2, p_poly, poly_P, poly_Q, q_poly
@@ -46,6 +47,19 @@ def test_tau_beta_inverse_pair():
         p = Su2Point(*(Fraction(rng.randint(-20, 20), 10) for _ in range(3)))
         assert tau_beta_inv(tau_beta(p)).coords() == p.coords()
         assert tau_beta(tau_beta_inv(p)).coords() == p.coords()
+
+
+def test_tau_beta_inv_poly_inverts_tau_beta_poly():
+    """Both composites of the twist polynomials are the identity, and .eval is tau_beta_inv."""
+    identity = JetVector(jet_variables(3, 4))
+    assert tau_beta_inv_poly().then(tau_beta_poly()) == identity
+    assert tau_beta_poly().then(tau_beta_inv_poly()) == identity
+    rng = random.Random(3)
+    for _ in range(20):
+        p = Su2Point(*(Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(3)))
+        assert tau_beta_inv_poly().eval(p.coords()) == tau_beta_inv(p).coords()
+        q = Su2Point(*(rng.randint(-20, 20) for _ in range(3)))
+        assert tau_beta_inv_poly().eval(q.coords()) == tau_beta_inv(q).coords()
 
 
 def test_cat_map_su2_values():
