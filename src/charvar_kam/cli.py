@@ -34,7 +34,10 @@ __all__ = ["RunConfig", "run", "dump_goldens", "main"]
 SCHEMA = "kam-report/1"
 
 #: Most s values one --s may ask for; checked before any s value is built.
-MAX_S_VALUES = 10**6
+#: The s values and the header's s list are held for the whole scan, about
+#: 230 bytes per s, so a full grid takes 23 MB before its first row; the
+#: largest grid the README, tests and benchmark run has 12,201 s.
+MAX_S_VALUES = 10**5
 
 #: Highest chart truncation degree; checked before any chart is built.  One
 #: su3 row costs about 1.2 s and 44 MB at degree 8, and 33 s and 152 MB at 12.
@@ -226,27 +229,14 @@ _LEAF_TEXT = {float: _format_float, str: _json_escape}
 def _put_json(obj, depth: int, emit, keys: dict):
     """Append the pieces of ``obj``'s JSON text at nesting ``depth``; ``keys`` caches escaped keys.
 
-    Items whose exact type has an entry in ``_LEAF_TEXT`` are written in
-    place, anything else (containers, subclasses) through this function.  A
-    generator is written as the list of what it yields, read one item at a
-    time: that is how a scan's rows reach the writer.
+    Containers go through :func:`_put_items`.  A generator is written as the
+    list of what it yields, read one item at a time: that is how a scan's
+    rows reach the writer.
     """
-    leaf_text = _LEAF_TEXT.get
     if isinstance(obj, dict):
         _put_items(obj.items(), depth, emit, keys)
     elif isinstance(obj, (list, tuple, GeneratorType)):
-        pad = "  " * (depth + 1)
-        opener = first = "[\n" + pad
-        sep = ",\n" + pad
-        for v in obj:
-            emit(opener)
-            leaf = leaf_text(type(v))
-            if leaf is None:
-                _put_json(v, depth + 1, emit, keys)
-            else:
-                emit(leaf(v))
-            opener = sep
-        emit("[]" if opener is first else "\n" + "  " * depth + "]")
+        _put_items(obj, depth, emit, keys, "[]")
     elif isinstance(obj, bool):
         emit("true" if obj else "false")
     elif isinstance(obj, int):
@@ -259,26 +249,33 @@ def _put_json(obj, depth: int, emit, keys: dict):
         emit(_json_escape(str(obj)))
 
 
-def _put_items(items, depth: int, emit, keys: dict):
-    """Append the JSON text of a dict with these ``(key, value)`` items, as :func:`_put_json` does."""
+def _put_items(items, depth: int, emit, keys: dict, brackets: str = "{}"):
+    """Append the JSON text of a dict with these ``(key, value)`` items or, with ``"[]"``, of a list of these values.
+
+    Values whose exact type has an entry in ``_LEAF_TEXT`` are written in
+    place, anything else (containers, subclasses) through :func:`_put_json`.
+    """
     leaf_text = _LEAF_TEXT.get
+    keyed = brackets == "{}"
     pad = "  " * (depth + 1)
-    opener = first = "{\n" + pad
+    opener = first = brackets[0] + "\n" + pad
     sep = ",\n" + pad
-    for k, v in items:
-        text = str(k)
-        key = keys.get(text)
-        if key is None:
-            key = keys[text] = _json_escape(text) + ": "
+    for v in items:
         emit(opener)
-        emit(key)
+        if keyed:
+            k, v = v
+            text = str(k)
+            key = keys.get(text)
+            if key is None:
+                key = keys[text] = _json_escape(text) + ": "
+            emit(key)
         leaf = leaf_text(type(v))
         if leaf is None:
             _put_json(v, depth + 1, emit, keys)
         else:
             emit(leaf(v))
         opener = sep
-    emit("{}" if opener is first else "\n" + "  " * depth + "}")
+    emit(brackets if opener is first else "\n" + "  " * depth + brackets[1])
 
 
 def _worker_count(n_jobs: int) -> int:

@@ -59,7 +59,7 @@ Design notes
   is one composition with the constant jets of the point (``Jet.eval`` is
   its one-component case), and ``a ** n`` is ``1 * a * ... * a``, the
   x^(k-1) * x order of every power :class:`_Products` builds.
-* Jets are immutable values and safe to share between workers.
+* Jets are immutable values.
 """
 
 from __future__ import annotations
@@ -351,16 +351,6 @@ class Jet:
             z = complex(c)
             terms.append({"exps": list(e), "re": z.real, "im": z.imag})
         return {"num_vars": self.num_vars, "trunc_degree": self.trunc_degree, "terms": terms}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "Jet":
-        coeffs = {}
-        for t in data["terms"]:
-            c = complex(t["re"], t["im"])
-            if c.imag == 0.0:
-                c = c.real
-            coeffs[tuple(t["exps"])] = c
-        return cls(data["num_vars"], data["trunc_degree"], coeffs)
 
 
 _new = object.__new__

@@ -86,8 +86,8 @@ class SpectrumReport:
     hyperbolic, parabolic or resonant; omega holds arg(lambda)/2pi in
     (0, 1/2) for each elliptic pair (NaN placeholder otherwise).
     eigenvalues holds Python ``complex`` numbers, not numpy scalars.
-    eigenvectors (columns, read by ``build_C0``) stays out of equality,
-    hashing and the JSON form.
+    eigenvectors (columns, read by ``build_C0``) stays out of equality
+    and hashing.
     """
 
     eigenvalues: tuple
@@ -101,14 +101,6 @@ class SpectrumReport:
 
     def elliptic_frequencies(self) -> tuple:
         return tuple(w for w, t in zip(self.omega, self.classification) if t == "elliptic")
-
-    def to_json(self) -> dict:
-        return {
-            "eigs": [{"re": v.real, "im": v.imag} for v in self.eigenvalues],
-            "pairs": [list(p) for p in self.pairing],
-            "tags": list(self.classification),
-            "omega": [w for w in self.omega],
-        }
 
 
 def _partner(vals, used, j, target, real: bool = False) -> tuple:

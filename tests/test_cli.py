@@ -63,6 +63,12 @@ def test_parse_s_cap_is_inclusive(monkeypatch):
         parse_s_values("1,2,3,4,5,6")
 
 
+def test_parse_s_cap_is_ten_to_the_fifth():
+    """0:1:0.00001 asks for 100,001 values, one more than the cap allows."""
+    with pytest.raises(ValueError, match=r"^100001 s values requested, more than the cap of 100000$"):
+        parse_s_values("0:1:0.00001")
+
+
 def test_cli_rejects_huge_grid_before_building_it():
     """About 2.5e8 rows: rejected from start, stop and step alone.
 
