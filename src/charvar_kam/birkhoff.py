@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResonanceError, ShapeMismatchError
-from .jets import Jet, JetVector, _compose, _monomials, jet_variables
+from .jets import Jet, JetVector, Lanes, _compose, _monomials, jet_variables, stack_lanes, unstack_lanes
 from .spectral import UNIT_CIRCLE_TOL, DiagonalizingBasis
 
 __all__ = [
@@ -105,7 +105,7 @@ class NormalFormInput:
                         )
 
 
-def diagonalized_jets(map_jet: JetVector, basis: DiagonalizingBasis) -> NormalFormInput:
+def diagonalized_jets(map_jet, basis):
     """Conjugate a real 2d-component map jet by C0 into normal-form variables.
 
     ``map_jet`` has 2d components in 2d real variables, zero constant terms.
@@ -125,14 +125,25 @@ def diagonalized_jets(map_jet: JetVector, basis: DiagonalizingBasis) -> NormalFo
     kept coefficient is the float the full conjugation gives, in the same
     relative key order: ``alpha_matrix`` composes p_j term by term in that
     order.
+
+    ``map_jet`` and ``basis`` may also be lists, one map jet and one basis
+    per row, whose map jets share their keys.  The conjugation then runs
+    once for all rows, each coefficient a :class:`jets.Lanes` of one number
+    per row, and the list of the rows' inputs returns, each validated and
+    equal to the row's input alone.  Rows that disagree on a zero test
+    whose value is used again raise ``jets.LanesDisagree``.
     """
+    if isinstance(basis, DiagonalizingBasis):
+        return diagonalized_jets([map_jet], [basis])[0]
+    bases = basis
+    map_jet = JetVector(map(stack_lanes, zip(*map_jet)))
     n = len(map_jet)
     if map_jet.num_vars != n or n % 2:
         raise ShapeMismatchError("map jet must be square with an even number of variables")
     if map_jet.trunc_degree > NORMAL_FORM_DEGREE:
         map_jet = JetVector(c.truncated(NORMAL_FORM_DEGREE) for c in map_jet)
     d = n // 2
-    C0, inv = basis.C0.tolist(), basis.inverse.tolist()
+    C0s, invs = [b.C0.tolist() for b in bases], [b.inverse.tolist() for b in bases]
     # block index -> interleaved index
     perm = [2 * j for j in range(d)] + [2 * j + 1 for j in range(d)]
     td = map_jet.trunc_degree
@@ -140,28 +151,36 @@ def diagonalized_jets(map_jet: JetVector, basis: DiagonalizingBasis) -> NormalFo
     w = table.weights
     zeta = [{w[k]: 1.0 + 0.0j} for k in range(n)]
     cut = NORMAL_FORM_DEGREE * table.top  # the codes from here on are cubic
+
+    def entry(matrices, i, k):
+        """The (i, k) entries of the rows' matrices, as the lanes of Python complex numbers."""
+        return Lanes.of([complex(m[i][k]) for m in matrices])
+
     inner = [
-        Jet._raw(n, td, _combination(zeta, [complex(C0[i][perm[k]]) for k in range(n)], cut, ())) for i in range(n)
+        Jet._raw(n, td, _combination(zeta, [entry(C0s, i, perm[k]) for k in range(n)], cut, ())) for i in range(n)
     ]
     # the cubic codes each output keeps: xi_j xi_k eta_k in p_j, eta_j xi_k eta_k in q_j
     resonant = [{w[r] + w[k] + w[d + k] for k in range(d)} for r in range(n)]
     keep = set().union(*resonant) if td == NORMAL_FORM_DEGREE else None  # a 2-jet has no cubic keys
     composed = [c._coded for c in _compose(map_jet.components, inner, False, keep)]
     out = [
-        Jet._raw(n, td, _combination(composed, [complex(inv[perm[r]][i]) for i in range(n)], cut, resonant[r]))
+        Jet._raw(n, td, _combination(composed, [entry(invs, perm[r], i) for i in range(n)], cut, resonant[r]))
         for r in range(n)
     ]
-    lam = tuple(complex(basis.normalization["eigenvalues"][j]) for j in range(d))
-    mu = tuple(l.conjugate() for l in lam)
-    nf = NormalFormInput(
-        d=d,
-        p_jets=JetVector(out[:d]),
-        q_jets=JetVector(out[d:]),
-        lam=lam,
-        mu=mu,
-    )
-    nf.validate_linear_part()
-    return nf
+    nfs = []
+    for b, jets in zip(bases, zip(*(unstack_lanes(jet, len(bases)) for jet in out))):
+        lam = tuple(complex(b.normalization["eigenvalues"][j]) for j in range(d))
+        mu = tuple(l.conjugate() for l in lam)
+        nf = NormalFormInput(
+            d=d,
+            p_jets=JetVector(jets[:d]),
+            q_jets=JetVector(jets[d:]),
+            lam=lam,
+            mu=mu,
+        )
+        nf.validate_linear_part()
+        nfs.append(nf)
+    return nfs
 
 
 def _combination(parts: Sequence[dict], coefs: Sequence[complex], cut: int, kept) -> dict:

@@ -24,6 +24,8 @@ point, ``fixed_family_su3(s)``.
 SU(2): the level set kappa = ell is a surface in (x, y, z); x is eliminated
 from the quadratic kappa = ell (branch from the center) and (y, z) survive.
 The chart takes the row's fixed point, already over one integer denominator.
+An su2 scan makes the charts of up to ``pipelines.SU2_LANES`` rows together:
+the float tail runs once on ``jets.Lanes`` coefficients, one float per row.
 
 Everything stays exact until the square roots; chart jets have float
 coefficients.  The exact parts run in integers, each jet scaled by one
@@ -46,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateChartError, SingularChartError
-from .jets import Jet, JetVector, _monomials, jet_sqrt, jet_variables
+from .jets import Jet, JetVector, Lanes, _isfinite, _monomials, jet_sqrt, jet_variables, unstack_lanes
 # the fixed families are not called here (each chart takes its row's result), but
 # perfbench/tracer.py looks them up in this module
 from .mcg import FixedPointSample, Su2FixedPoint, cat_map_su3_poly, fixed_family_su2, fixed_family_su3  # noqa: F401
@@ -279,7 +281,7 @@ def _p_no_t_7() -> Jet:
 def _finite_sqrt(radicand: Jet, s) -> Jet:
     """``jet_sqrt(radicand)``, or SingularChartError when a constant term too small for 1 / it makes the root not finite."""
     root = jet_sqrt(radicand)
-    if not all(map(math.isfinite, root._coded.values())):
+    if not all(map(_isfinite, root._coded.values())):
         raise SingularChartError(f"s = {s}: radicand at the center is too small for double precision")
     return root
 
@@ -435,14 +437,21 @@ def _chart_map_jet_cached(spec: ChartSpec) -> ChartJet:
     return ChartJet(spec=spec, t_jet=t_jet, z_jet=z_jet, map_jet=_centered_map(g6, spec.s), p7=p7, h6=h6)
 
 
-def _centered_map(comps, s) -> JetVector:
-    """The chart map's components less their constants, which must be below ``CHART_CONSTANT_TOL`` (NaN fails)."""
+def _centered_map(comps, s, centers=None) -> JetVector:
+    """The chart map's components without their constants.
+
+    Each constant, less its ``centers`` entry when given, must be below
+    ``CHART_CONSTANT_TOL`` (NaN fails).  Dropping key 0 leaves the items, in
+    order, that subtracting the constant leaves.
+    """
     out = []
-    for comp in comps:
-        const = comp.constant_term()
+    for i, comp in enumerate(comps):
+        const = comp.constant_term() if centers is None else comp.constant_term() - centers[i]
         if not abs(const) < CHART_CONSTANT_TOL:
             raise ConsistencyError(f"s = {s}: chart map constant term {const} should vanish")
-        out.append(comp - const)
+        coded = dict(comp._coded)
+        coded.pop(0, None)
+        out.append(Jet._raw(comp.num_vars, comp.trunc_degree, coded))
     return JetVector(out)
 
 
@@ -481,22 +490,50 @@ class Su2ChartJet:
     map_jet: JetVector
 
 
-def _float_jet2(trunc_degree: int, terms, den: int) -> Jet:
-    """The (y, z) jet of the ``int / int`` quotients n / den at the terms (e, n) up to the degree, in order.
+def _float_jet2(trunc_degree: int, exps, rows) -> Jet:
+    """The (y, z) jet of the ``int / int`` quotients ``nums[i] / den`` at the monomials ``exps[i]`` up to the degree.
 
+    ``rows`` holds one ``(nums, den)`` per row; each coefficient is the
+    :class:`Lanes` of the rows' quotients (the quotient itself for one row).
     A quotient of 0.0 drops, as in ``map_coefficients``.
     """
     encode = _monomials(2, trunc_degree).encode
     coded = {}
-    for e, n in terms:
+    for i, e in enumerate(exps):
         if sum(e) <= trunc_degree:
-            v = n / den
+            v = Lanes.of([nums[i] / den for nums, den in rows])
             if v:
                 coded[encode(e)] = v
     return Jet._raw(2, trunc_degree, coded)
 
 
-def su2_chart_map_jet(p0: Su2FixedPoint, trunc_degree: int = 3) -> Su2ChartJet:
+# the monomials of the integer terms of b^4 disc, b^2 yz, b y and b z, in the key
+# order the jet products of the rational computation give
+_DISC_EXPS = ((2, 2), (2, 1), (1, 2), (1, 1), (2, 0), (1, 0), (0, 2), (0, 1), (0, 0))
+_YZ_EXPS = ((1, 1), (1, 0), (0, 1), (0, 0))
+_Y_EXPS = ((1, 0), (0, 0))
+_Z_EXPS = ((0, 1), (0, 0))
+
+
+def _su2_chart_integers(p0: Su2FixedPoint) -> tuple:
+    """The exact part of one SU(2) chart: its branch, and ``(nums, den)`` of disc, yz, y and z at the ``_*_EXPS``."""
+    s, b, xn, yn, zn = p0.s, p0.b, p0.xn, p0.yn, p0.zn
+    gap_n = 2 * xn * b - yn * zn  # b^2 * (2 x0 - y0 z0)
+    if gap_n == 0:
+        raise SingularChartError(
+            f"s = {s}: 2x - yz = 0 at the fixed point (origin blow-up), chart is singular"
+        )
+    b2, b3, b4 = b * b, b**3, b**4
+    ys, zs = yn * yn - 4 * b2, zn * zn - 4 * b2
+    disc0 = yn * yn * zn * zn - 4 * b2 * (yn * yn + zn * zn - 2 * b2) + 4 * p0.level_n
+    if disc0 != gap_n * gap_n:
+        raise ConsistencyError(f"s = {s}: discriminant at the center must be (2x - yz)^2")
+    disc = [b4, 2 * b3 * zn, 2 * b3 * yn, 4 * b2 * yn * zn, b2 * zs, 2 * b * yn * zs, b2 * ys, 2 * b * zn * ys, disc0]
+    branch = 1.0 if gap_n > 0 else -1.0
+    return branch, (disc, b4), ([b2, b * zn, b * yn, yn * zn], b2), ([b, yn], b), ([b, zn], b)
+
+
+def su2_chart_map_jet(p0, trunc_degree: int = 3):
     """Chart of the SU(2) cat map on kappa = ell at the fixed point ``p0 = fixed_family_su2(s)``.
 
     kappa = ell is quadratic in x: x^2 - yz x + (y^2 + z^2 - 2 - ell) = 0, so
@@ -512,30 +549,32 @@ def su2_chart_map_jet(p0: Su2FixedPoint, trunc_degree: int = 3) -> Su2ChartJet:
     coefficient is one ``int / int``, which rounds as ``float(Fraction)``
     does, so every float is unchanged.  The float tail (square root,
     products and constant checks) is jet arithmetic.
+
+    ``p0`` may also be a list of fixed points.  The exact part runs per
+    point; the float tail runs once for all of them, each coefficient a
+    :class:`jets.Lanes` of one float per point, and the list of their
+    charts returns, each the chart of its point alone.  Points that
+    disagree on a zero test whose value is used again raise
+    ``jets.LanesDisagree``.
     """
-    s, b, xn, yn, zn = p0.s, p0.b, p0.xn, p0.yn, p0.zn
-    gap_n = 2 * xn * b - yn * zn  # b^2 * (2 x0 - y0 z0)
-    if gap_n == 0:
-        raise SingularChartError(
-            f"s = {s}: 2x - yz = 0 at the fixed point (origin blow-up), chart is singular"
-        )
-    branch = 1 if gap_n > 0 else -1
-    b2, b3, b4 = b * b, b**3, b**4
-    ys, zs = yn * yn - 4 * b2, zn * zn - 4 * b2
-    disc0 = yn * yn * zn * zn - 4 * b2 * (yn * yn + zn * zn - 2 * b2) + 4 * p0.level_n
-    if disc0 != gap_n * gap_n:
-        raise ConsistencyError(f"s = {s}: discriminant at the center must be (2x - yz)^2")
-    disc_terms = [((2, 2), b4), ((2, 1), 2 * b3 * zn), ((1, 2), 2 * b3 * yn), ((1, 1), 4 * b2 * yn * zn)]
-    disc_terms += [((2, 0), b2 * zs), ((1, 0), 2 * b * yn * zs), ((0, 2), b2 * ys), ((0, 1), 2 * b * zn * ys)]
-    disc = _float_jet2(trunc_degree, disc_terms + [((0, 0), disc0)], b4)
+    points = [p0] if isinstance(p0, Su2FixedPoint) else p0
+    s = points[0].s if len(points) == 1 else [p.s for p in points]
+    branch, disc, yz, y, z = zip(*map(_su2_chart_integers, points))
+    disc = _float_jet2(trunc_degree, _DISC_EXPS, disc)
     if not disc.constant_term():
         raise SingularChartError(f"s = {s}: discriminant at the center underflows to 0.0")
-    yz = _float_jet2(trunc_degree, (((1, 1), b2), ((1, 0), b * zn), ((0, 1), b * yn), ((0, 0), yn * zn)), b2)
-    x_jet = yz + _finite_sqrt(disc, s) * float(branch)
+    yz = _float_jet2(trunc_degree, _YZ_EXPS, yz)
+    x_jet = yz + _finite_sqrt(disc, s) * Lanes.of(branch)
     x_jet = x_jet * 0.5
-    yf = _float_jet2(trunc_degree, (((1, 0), b), ((0, 0), yn)), b)
-    zf = _float_jet2(trunc_degree, (((0, 1), b), ((0, 0), zn)), b)
+    yf = _float_jet2(trunc_degree, _Y_EXPS, y)
+    zf = _float_jet2(trunc_degree, _Z_EXPS, z)
     y_image = zf * yf - x_jet
-    out_y = y_image - yn / b
-    out_z = zf * y_image - yf - zn / b
-    return Su2ChartJet(fixed_point=p0, x_jet=x_jet, map_jet=_centered_map((out_y, out_z), s))
+    # the fixed point's y0 and z0, less which the images' constants must vanish
+    centers = [Lanes.of([p.yn / p.b for p in points]), Lanes.of([p.zn / p.b for p in points])]
+    map_jet = _centered_map((y_image, zf * y_image - yf), s, centers)
+    n = len(points)
+    charts = [
+        Su2ChartJet(fixed_point=p, x_jet=x, map_jet=JetVector((u, v)))
+        for p, x, u, v in zip(points, unstack_lanes(x_jet, n), *(unstack_lanes(c, n) for c in map_jet))
+    ]
+    return charts[0] if isinstance(p0, Su2FixedPoint) else charts

@@ -3,7 +3,9 @@
 Reports are deterministic: rows run one after another in input order, dict
 keys are fixed, and floats print with 17 significant digits so identical
 configs produce byte-identical JSON.  Each row is written as soon as it is
-made, and no row is kept after that.
+read, and no row is kept after that.  An su2 scan reads its rows inside
+``pipelines.su2_lookahead``: the stages of up to ``pipelines.SU2_LANES``
+rows are made together and held until those rows are written.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from types import GeneratorType
 
 from .charts import chart_map_jet
 from .mcg import fixed_family_su3
-from .pipelines import SCAN_ERRORS, su2_brown_point, su3_main_point
+from .pipelines import SCAN_ERRORS, su2_brown_point, su2_lookahead, su3_main_point
 
 __all__ = ["RunConfig", "run", "dump_goldens", "main"]
 
@@ -311,8 +313,9 @@ class _Scan:
         yield "pipeline", cfg.pipeline
         yield "config", _config_dict(cfg)
         if cfg.pipeline == "su2-brown":
-            rows = _scan(su2_brown_point, cfg.s_values)
-            yield "rows", self._watched(rows, lambda r: r.get("spec_class") == "elliptic" and r.get("twist_ok"))
+            with su2_lookahead(cfg.s_values):
+                rows = _scan(su2_brown_point, cfg.s_values)
+                yield "rows", self._watched(rows, lambda r: r.get("spec_class") == "elliptic" and r.get("twist_ok"))
         else:
             rows = _scan(lambda s: su3_main_point(s, cfg.trunc_degree, cfg.dump_jets), cfg.s_values)
             yield "rows", self._watched(rows, lambda r: r.get("verdict"))

@@ -4,7 +4,10 @@ Jets are the carrier for every chart and normal-form computation in this
 package.  Coefficients are duck-typed: exact work uses ``int`` / ``Fraction``
 (the trace polynomials P and Q are expanded over the integers), floating work
 uses ``float`` / ``complex``.  A coefficient only needs ``+``, ``*``, unary
-``-``, equality and truthiness (zero tests as falsy).
+``-``, equality and truthiness (zero tests as falsy).  A :class:`Lanes`
+coefficient holds one float or complex per row of a batch, so the kernels
+run many rows of one computation in one pass, each lane with the bits that
+row's own Python floats give.
 
 Design notes
 ------------
@@ -60,6 +63,15 @@ Design notes
   its one-component case), and ``a ** n`` is ``1 * a * ... * a``, the
   x^(k-1) * x order of every power :class:`_Products` builds.
 * Jets are immutable values.
+* Lanes: a jet whose coefficients are :class:`Lanes` is the jet of every row
+  of a batch at once.  Its keys are those every row's jet has.  A value
+  that a zero test finds zero in some lanes only keeps its key for the
+  other lanes; any later use of it raises :class:`LanesDisagree` with the
+  lanes' mask, and the caller runs the two groups apart.  So each lane gets
+  the items, in the same order, that its row's jet gets alone.
+  :func:`stack_lanes` and :func:`unstack_lanes` convert between the rows'
+  jets and the lane jet; unstacking drops such a value from the lanes where
+  it is zero.
 """
 
 from __future__ import annotations
@@ -69,13 +81,19 @@ import operator
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ConstantTermError, ShapeMismatchError
 
 __all__ = [
     "Jet",
     "JetVector",
+    "Lanes",
+    "LanesDisagree",
     "jet_sqrt",
     "jet_variables",
+    "stack_lanes",
+    "unstack_lanes",
 ]
 
 
@@ -776,6 +794,241 @@ def _monomials(num_vars: int, trunc_degree: int) -> _Monomials:
     return got
 
 
+class LanesDisagree(Exception):
+    """A test of :class:`Lanes` that holds in some lanes only; ``mask`` marks where it holds.
+
+    A comparison raises it at once; a zero test raises it when its value is
+    next used (see :class:`Lanes`).
+    """
+
+    def __init__(self, mask: np.ndarray):
+        super().__init__(f"holds in {np.count_nonzero(mask)} of {mask.size} lanes")
+        self.mask = mask
+
+
+def _agree(holds: np.ndarray) -> bool:
+    """Whether a test holds (``holds`` nonzero) in every lane; LanesDisagree when it holds in some only."""
+    held = np.count_nonzero(holds)
+    if held == holds.size:
+        return True
+    if not held:
+        return False
+    raise LanesDisagree(holds.astype(bool))
+
+
+class Lanes:
+    """A coefficient with one value per row of a batch: a float64 array, or two for a complex one.
+
+    ``+``, ``-`` and ``*`` follow CPython's formulas lane by lane.  An
+    ``int`` operand is promoted to a float, and a real operand of a complex
+    one to ``complex(x, 0.0)``, as CPython promotes them, so ``0 + v`` and
+    a float times a complex give each lane the bits Python gives.  A product
+    with a complex factor is ``(ac - bd, ad + bc)``, CPython's product;
+    numpy's complex128 product differs from it in the last bit on some
+    inputs.  ``==`` and ``<`` / ``<=`` give a bool only when every lane
+    agrees, and raise :class:`LanesDisagree` otherwise.
+
+    A zero test that holds in some lanes only is True, and the value keeps
+    the mask of its nonzero lanes in ``kept``: a jet that stores it keeps
+    the key for those lanes, :func:`unstack_lanes` drops it from the others,
+    as each row's own zero test would, and any other use of the value raises
+    :class:`LanesDisagree` with that mask.  So a sum that cancels in some
+    lanes at its key's last step, and is not read again, costs no rerun.
+    """
+
+    __slots__ = ("re", "im", "kept")
+
+    def __init__(self, re: np.ndarray, im: np.ndarray | None = None):
+        self.re, self.im = re, im  # im None: real lanes
+        self.kept = None  # every lane nonzero, or none, or not yet tested
+
+    @staticmethod
+    def of(values: Sequence):
+        """The lanes of one Python number per row, or the number itself for one row.
+
+        Complex and real values do not share lanes: LanesDisagree marks the complex ones.
+        """
+        if len(values) == 1:
+            return values[0]
+        types = set(map(type, values))
+        if complex not in types:
+            return Lanes(np.array(values, dtype=float))
+        if len(types) > 1:
+            raise LanesDisagree(np.array([type(v) is complex for v in values]))
+        z = np.array(values, dtype=complex)
+        return Lanes(z.real.copy(), z.imag.copy())
+
+    def values(self) -> list:
+        """The Python number of each lane."""
+        if self.im is None:
+            return self.re.tolist()
+        return list(map(complex, self.re.tolist(), self.im.tolist()))
+
+    def __add__(self, other):
+        o = _parts(other)
+        return NotImplemented if o is None else _linear(operator.add, *_parts(self), *o)
+
+    def __radd__(self, other):
+        o = _parts(other)
+        return NotImplemented if o is None else _linear(operator.add, *o, *_parts(self))
+
+    def __sub__(self, other):
+        o = _parts(other)
+        return NotImplemented if o is None else _linear(operator.sub, *_parts(self), *o)
+
+    def __rsub__(self, other):
+        o = _parts(other)
+        return NotImplemented if o is None else _linear(operator.sub, *o, *_parts(self))
+
+    def __mul__(self, other):
+        o = _parts(other)
+        return NotImplemented if o is None else _product(*_parts(self), *o)
+
+    def __rmul__(self, other):
+        o = _parts(other)
+        return NotImplemented if o is None else _product(*o, *_parts(self))
+
+    def __rtruediv__(self, other):
+        re, im = _parts(self)
+        if im is not None or type(other) not in (float, int):
+            return NotImplemented
+        if np.count_nonzero(re) < re.size:
+            raise ZeroDivisionError("float division by zero")
+        return Lanes(other / re)
+
+    def __neg__(self):
+        re, im = _parts(self)
+        return Lanes(-re, None if im is None else -im)
+
+    def __abs__(self):
+        re, im = _parts(self)
+        if im is not None:
+            raise TypeError("abs of complex lanes is not supported")
+        return Lanes(np.abs(re))
+
+    def __bool__(self):
+        re, im = _parts(self)
+        if np.count_nonzero(re) == re.size:
+            return True
+        holds = re.astype(bool) if im is None else (re != 0) | (im != 0)
+        held = np.count_nonzero(holds)
+        if held < holds.size and held:
+            self.kept = holds
+        return bool(held)
+
+    def __eq__(self, other):
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        (re, im), (re2, im2) = _parts(self), o
+        if im is None and im2 is None:
+            return _agree(re == re2)
+        return _agree((re == re2) & ((0.0 if im is None else im) == (0.0 if im2 is None else im2)))
+
+    __hash__ = None
+
+    def __lt__(self, other):
+        re, im = _parts(self)
+        if im is not None or type(other) not in (float, int):
+            return NotImplemented
+        return _agree(re < other)
+
+    def __le__(self, other):
+        re, im = _parts(self)
+        if im is not None or type(other) not in (float, int):
+            return NotImplemented
+        return _agree(re <= other)
+
+
+def _parts(x):
+    """``(re, im)`` of an operand as CPython promotes it (im None when real), or None for another type.
+
+    Lanes zero in some lanes only by a zero test raise LanesDisagree with their ``kept`` mask.
+    """
+    t = type(x)
+    if t is Lanes:
+        if x.kept is not None:
+            raise LanesDisagree(x.kept)
+        return x.re, x.im
+    if t is float:
+        return x, None
+    if t is complex:
+        return x.real, x.imag
+    if t is int:
+        return float(x), None
+    return None
+
+
+def _linear(op, ar, ai, br, bi) -> Lanes:
+    """``a + b`` or ``a - b`` (``op``) of the parts of two operands."""
+    re = op(ar, br)
+    if ai is None and bi is None:
+        return Lanes(re)
+    im = op(0.0 if ai is None else ai, 0.0 if bi is None else bi)
+    # a real lane and a Python complex: every lane's imaginary part is the same float
+    return Lanes(re, im if type(im) is np.ndarray else np.full(re.shape, im))
+
+
+def _product(ar, ai, br, bi) -> Lanes:
+    if ai is None and bi is None:
+        return Lanes(ar * br)
+    ai = 0.0 if ai is None else ai
+    bi = 0.0 if bi is None else bi
+    return Lanes(ar * br - ai * bi, ar * bi + ai * br)
+
+
+def _float(c):
+    """``float(c)``; real lanes are already floats."""
+    return c if type(c) is Lanes else float(c)
+
+
+def _sqrt(c):
+    """``math.sqrt(c)`` of a positive number or lanes."""
+    return Lanes(np.sqrt(_parts(c)[0])) if type(c) is Lanes else math.sqrt(c)
+
+
+def _isfinite(c) -> bool:
+    """``math.isfinite(c)``; for real lanes, whether every lane is finite (LanesDisagree when only some are)."""
+    return _agree(np.isfinite(_parts(c)[0])) if type(c) is Lanes else math.isfinite(c)
+
+
+def stack_lanes(jets: Sequence[Jet]) -> Jet:
+    """The rows' jets as one jet of :class:`Lanes` coefficients; the jet itself for one row.
+
+    The jets share a shape, from one computation per row.  They must also
+    share their keys, in order: otherwise LanesDisagree marks the rows whose
+    keys are the first row's.
+    """
+    first = jets[0]
+    if len(jets) == 1:
+        return first
+    keys = list(first._coded)
+    same = np.array([list(j._coded) == keys for j in jets])
+    if not same.all():
+        raise LanesDisagree(same)
+    columns = zip(*(j._coded.values() for j in jets))
+    return Jet._raw(first.num_vars, first.trunc_degree, dict(zip(keys, map(Lanes.of, columns))))
+
+
+def unstack_lanes(jet: Jet, rows: int) -> list[Jet]:
+    """The rows' jets of a jet of :class:`Lanes` coefficients, in its key order; ``[jet]`` for one row.
+
+    A coefficient that a zero test found zero in some lanes (``Lanes.kept``)
+    is left out of those rows' jets.
+    """
+    if rows == 1:
+        return [jet]
+    keys = list(jet._coded)
+    columns = [c.values() if type(c) is Lanes else [c] * rows for c in jet._coded.values()]
+    coded = [dict(zip(keys, row)) for row in (zip(*columns) if columns else [()] * rows)]
+    for key, c in jet._coded.items():
+        if type(c) is Lanes and c.kept is not None:
+            for row, kept in zip(coded, c.kept.tolist()):
+                if not kept:
+                    del row[key]
+    return [Jet._raw(jet.num_vars, jet.trunc_degree, row) for row in coded]
+
+
 def jet_variables(num_vars: int, trunc_degree: int, coeff_one=1) -> tuple[Jet, ...]:
     """The coordinate jets (x_0, ..., x_{n-1}) of a given shape."""
     return tuple(Jet.variable(i, num_vars, trunc_degree, coeff_one) for i in range(num_vars))
@@ -786,12 +1039,13 @@ def jet_sqrt(a: Jet) -> Jet:
 
     The constant term must be strictly positive (real); the result has float
     (or complex, if ``a`` does) coefficients.  Used for the explicit chart
-    eliminations, whose radicand positivity is a precondition.
+    eliminations, whose radicand positivity is a precondition.  Real
+    :class:`Lanes` coefficients take every row's root in one pass.
     """
     c = a.constant_term()
-    if isinstance(c, complex):
+    if isinstance(c, complex) or (type(c) is Lanes and c.im is not None):
         raise ValueError("jet_sqrt is defined for real-coefficient jets only")
-    c_f = float(c)
+    c_f = _float(c)
     if c_f <= 0.0:
         raise ValueError(f"jet_sqrt needs a positive constant term, got {c_f}")
     w = (a - c) * (1.0 / c_f)  # zero constant term
@@ -817,4 +1071,4 @@ def jet_sqrt(a: Jet) -> Jet:
                     acc[key] = s
                 else:
                     pop(key, None)
-    return Jet._raw(a.num_vars, a.trunc_degree, acc) * math.sqrt(c_f)
+    return Jet._raw(a.num_vars, a.trunc_degree, acc) * _sqrt(c_f)

@@ -1,20 +1,24 @@
 """Property tests of jet evaluation, powers, composition and coefficient reads, in exact arithmetic.
 
 Random jets have ``int`` and ``Fraction`` coefficients and points have
-``Fraction`` coordinates, so every check is an exact equality.  Examples are
-derandomized and no example database is kept, so each run checks the same
-cases.
+``Fraction`` coordinates, so every check is an exact equality.  The lane
+coefficient type is checked against Python's own float and complex
+arithmetic, bit for bit.  Examples are derandomized and no example database
+is kept, so each run checks the same cases.
 """
 
 import functools
 import math
 import operator
+import struct
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charvar_kam.jets import Jet, JetVector
+from charvar_kam.jets import Jet, JetVector, Lanes, LanesDisagree, unstack_lanes
 
 _SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -112,3 +116,75 @@ def test_then_evaluates_as_the_composite(case):
 def test_a_jet_rebuilt_from_its_coefficients_is_equal(case):
     a = case[0]
     assert Jet(a.num_vars, a.trunc_degree, a.coeffs) == a
+
+
+# ------------------------------------------------------------------ lanes
+
+_LANE_FLOATS = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1.7976931348623157e308]),
+)
+_LANE_COMPLEX = st.builds(complex, _LANE_FLOATS, _LANE_FLOATS)
+
+
+def _bits(x) -> tuple:
+    """The bits of a float or complex; any NaN reads as one value, as the report prints every NaN alike."""
+    parts = (x.real, x.imag) if isinstance(x, complex) else (x,)
+    return (type(x),) + tuple("nan" if v != v else struct.pack("<d", v) for v in parts)
+
+
+@st.composite
+def _lanes_and_operand(draw):
+    """Lane values of one kind, and an operand: a Python float, complex or int 0, or lanes of either kind."""
+    n = draw(st.integers(2, 5))
+    values = draw(st.lists(draw(st.sampled_from([_LANE_FLOATS, _LANE_COMPLEX])), min_size=n, max_size=n))
+    lanes_of = st.sampled_from([_LANE_FLOATS, _LANE_COMPLEX]).flatmap(lambda k: st.lists(k, min_size=n, max_size=n))
+    operand = draw(st.one_of(_LANE_FLOATS, _LANE_COMPLEX, st.just(0), lanes_of))
+    return values, operand
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_lanes_and_operand())
+def test_lane_arithmetic_is_pythons_lane_by_lane(case):
+    values, operand = case
+    lanes = Lanes.of(values)
+    if isinstance(operand, list):
+        other, others = Lanes.of(operand), operand
+    else:
+        other, others = operand, [operand] * len(values)
+    with np.errstate(all="ignore"):  # Python floats overflow without a warning
+        for op in (operator.add, operator.sub, operator.mul):
+            got = op(lanes, other).values()
+            assert list(map(_bits, got)) == [_bits(op(v, o)) for v, o in zip(values, others)], op
+            got = op(other, lanes).values()
+            assert list(map(_bits, got)) == [_bits(op(o, v)) for v, o in zip(values, others)], op
+        assert list(map(_bits, (-lanes).values())) == [_bits(-v) for v in values]
+
+
+_NEAR_ZERO = st.sampled_from([0.0, -0.0, 5e-324, -1.5, complex(0.0, -0.0), complex(-0.0, 5e-324), complex(2.0, 0.0)])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(_NEAR_ZERO, min_size=2, max_size=6))
+def test_lane_zero_tests_are_pythons_or_raise_with_the_mask(values):
+    """``== 0`` raises at once when the lanes disagree.  A disagreeing zero test is True; the value then
+    raises on its next use, and a jet that stores it loses the key in the lanes where it is zero."""
+    if len(set(map(type, values))) > 1:
+        values = [complex(v) for v in values]  # one kind per lanes
+    nonzero, zero = [bool(v) for v in values], [v == 0 for v in values]
+    if len(set(zero)) == 1:
+        assert (Lanes.of(values) == 0) is zero[0]
+    else:
+        with pytest.raises(LanesDisagree) as caught:
+            Lanes.of(values) == 0
+        assert caught.value.mask.tolist() == zero
+    lanes = Lanes.of(values)
+    stored = bool(lanes)
+    assert stored is any(nonzero)
+    jet = Jet._raw(1, 1, {1: lanes} if stored else {})
+    assert [j._coded for j in unstack_lanes(jet, len(values))] == [{1: v} if v else {} for v in values]
+    if len(set(nonzero)) > 1:
+        for use in (bool, operator.neg, lambda x: x + 0, lambda x: 1.0 * x):
+            with pytest.raises(LanesDisagree) as caught:
+                use(lanes)
+            assert caught.value.mask.tolist() == nonzero

@@ -7,11 +7,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_report_properties import _S
 
 from charvar_kam.birkhoff import birkhoff_coefficients, diagonalized_jets
 from charvar_kam.charts import chart_linear_matrix, chart_map_jet
 from charvar_kam.mcg import fixed_family_su3
-from charvar_kam import charts, pipelines, spectral
+from charvar_kam import charts, cli, pipelines, spectral
 from charvar_kam.cli import dump_deterministic_json, parse_s_values
 from charvar_kam.jets import Jet
 from charvar_kam.pipelines import su2_brown_point, su3_main_point
@@ -405,3 +408,61 @@ def test_su2_rows_equal_fraction_oracle():
         "NonDiagonalizableError",
         "ResonanceError",
     }
+
+
+#: Rows that end early or in a scan error, and a row whose chart lanes split: the origin, ResonanceError (1e-9),
+#: SingularChartError (1e-320 and 1), UnrealizableError (+-0.9), a hyperbolic spectrum (0.3), and 1/5, where an
+#: intermediate product of the chart cancels to 0.0 in its lane alone.
+_SU2_EDGE_S = [Fraction(0), Fraction(1, 10**9), Fraction(1, 10**320), Fraction(1), Fraction(9, 10), Fraction(-9, 10)]
+_SU2_EDGE_S += [Fraction(3, 10), Fraction(1, 5)]
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.lists(_S, min_size=1, max_size=16))
+def test_su2_lookahead_rows_equal_rows_made_alone(drawn):
+    """Rows a scan takes from batches are byte for byte the rows made alone, on Python floats.
+
+    An s asked for out of the scan's order gets its own row, and the scan goes on.
+    """
+    s_values = [drawn[0], *_SU2_EDGE_S, *drawn[1:], drawn[0]]  # the edge rows mid-batch, and a duplicated s
+    alone = [_row_bytes(su2_brown_point(s)) for s in s_values]
+    stray = Fraction(1, 7)
+    stray_alone = _row_bytes(su2_brown_point(stray))
+    with pipelines.su2_lookahead(s_values):
+        batched = [_row_bytes(su2_brown_point(s_values[0]))]
+        assert _row_bytes(su2_brown_point(stray)) == stray_alone
+        batched += [_row_bytes(su2_brown_point(s)) for s in s_values[1:]]
+    assert batched == alone
+
+
+def test_su2_scan_across_a_batch_boundary_equals_rows_made_alone(monkeypatch):
+    chart = pipelines.su2_chart_map_jet
+    batches = []
+
+    def counting_chart(points):
+        batches.append(len(points))
+        return chart(points)
+
+    monkeypatch.setattr(pipelines, "su2_chart_map_jet", counting_chart)
+    s_values = [Fraction(k, 1000) for k in range(5, 6 + pipelines.SU2_LANES)]
+    report, _ = cli.run(cli.RunConfig(pipeline="su2-brown", s_values=s_values))
+    assert batches[0] == pipelines.SU2_LANES and batches[-1] == 1 and len(batches) < 10  # the charts ran in lanes
+    assert [_row_bytes(row) for row in report["rows"]] == [_row_bytes(su2_brown_point(s)) for s in s_values]
+
+
+def test_a_row_error_outside_scan_errors_is_raised_when_the_scan_reaches_that_row(monkeypatch):
+    chart = pipelines.su2_chart_map_jet
+    bad = Fraction(3, 20)
+
+    def failing_chart(points):
+        if any(p.s == bad for p in points):
+            raise RuntimeError("boom")
+        return chart(points)
+
+    monkeypatch.setattr(pipelines, "su2_chart_map_jet", failing_chart)
+    s_values = [Fraction(1, 10), bad, Fraction(1, 5)]
+    with pipelines.su2_lookahead(s_values):
+        assert su2_brown_point(s_values[0])["twist_ok"] is True
+        with pytest.raises(RuntimeError, match="boom"):
+            su2_brown_point(bad)
+        assert su2_brown_point(s_values[2])["twist_ok"] is True
