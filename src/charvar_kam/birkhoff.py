@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResonanceError, ShapeMismatchError
-from .jets import Jet, JetVector, Lanes, _compose, _monomials, jet_variables, stack_lanes, unstack_lanes
+from .jets import Jet, JetVector, Lanes, _combination, _compose, _monomials, jet_variables, stack_lanes, unstack_lanes
 from .spectral import UNIT_CIRCLE_TOL, DiagonalizingBasis
 
 __all__ = [
@@ -181,32 +181,6 @@ def diagonalized_jets(map_jet, basis):
         nf.validate_linear_part()
         nfs.append(nf)
     return nfs
-
-
-def _combination(parts: Sequence[dict], coefs: Sequence[complex], cut: int, kept) -> dict:
-    """``sum_i parts[i] * coefs[i]`` of coded dicts, with only the codes in ``kept`` from ``cut`` on.
-
-    The steps of ``acc = acc + jet * c`` over the nonzero ``c``, one dict pass
-    per part: multiply, drop a zero product, then get, add and drop a key
-    whose sum cancels.  Every key below ``cut`` is kept.
-    """
-    acc: dict = {}
-    get, pop = acc.get, acc.pop
-    for part, c in zip(parts, coefs):
-        if c == 0:
-            continue
-        for key, v in part.items():
-            if key >= cut and key not in kept:
-                continue
-            v = v * c
-            if not v:
-                continue
-            s = get(key, 0) + v
-            if s:
-                acc[key] = s
-            else:
-                pop(key, None)
-    return acc
 
 
 def _eig_product(lam, mu, exps) -> complex:

@@ -5,9 +5,9 @@ package.  Coefficients are duck-typed: exact work uses ``int`` / ``Fraction``
 (the trace polynomials P and Q are expanded over the integers), floating work
 uses ``float`` / ``complex``.  A coefficient only needs ``+``, ``*``, unary
 ``-``, equality and truthiness (zero tests as falsy).  A :class:`Lanes`
-coefficient holds one float or complex per row of a batch, so the kernels
-run many rows of one computation in one pass, each lane with the bits that
-row's own Python floats give.
+coefficient is one numpy array, a float64 or complex128 lane per row of a
+batch, so the kernels run many rows of one computation in one pass, each
+lane with the bits that row's own Python floats give.
 
 Design notes
 ------------
@@ -64,11 +64,14 @@ Design notes
   x^(k-1) * x order of every power :class:`_Products` builds.
 * Jets are immutable values.
 * Lanes: a jet whose coefficients are :class:`Lanes` is the jet of every row
-  of a batch at once.  Its keys are those every row's jet has.  A value
-  that a zero test finds zero in some lanes only keeps its key for the
-  other lanes; any later use of it raises :class:`LanesDisagree` with the
-  lanes' mask, and the caller runs the two groups apart.  So each lane gets
-  the items, in the same order, that its row's jet gets alone.
+  of a batch at once, each coefficient one numpy array.  Sums, differences
+  and real products are numpy's own, which give CPython's bits; only a
+  complex product is written out, as CPython's formula.  Its keys are those
+  every row's jet has.  A value that a zero test finds zero in some lanes
+  only keeps its key for the other lanes; any later use of it raises
+  :class:`LanesDisagree` with the lanes' mask, and the caller runs the two
+  groups apart.  So each lane gets the items, in the same order, that its
+  row's jet gets alone.
   :func:`stack_lanes` and :func:`unstack_lanes` convert between the rows'
   jets and the lane jet; unstacking drops such a value from the lanes where
   it is zero.
@@ -617,6 +620,34 @@ def _mul(a: Jet, within: list, keep=None) -> Jet:
     return Jet._raw(a.num_vars, td, out)
 
 
+def _combination(parts: Sequence[dict], coefs: Sequence, cut: float, kept) -> dict:
+    """``sum_i parts[i] * coefs[i]`` of coded dicts, with only the codes in ``kept`` from ``cut`` on.
+
+    The one linear-combination loop (``jet_sqrt``'s series and
+    ``birkhoff.diagonalized_jets``): the steps of ``acc = acc + jet * c``
+    over the nonzero ``c``, one dict pass per part: multiply, drop a zero
+    product, then get, add and drop a key whose sum cancels.  Every key
+    below ``cut`` is kept.
+    """
+    acc: dict = {}
+    get, pop = acc.get, acc.pop
+    for part, c in zip(parts, coefs):
+        if c == 0:
+            continue
+        for key, v in part.items():
+            if key >= cut and key not in kept:
+                continue
+            v = v * c
+            if not v:
+                continue
+            s = get(key, 0) + v
+            if s:
+                acc[key] = s
+            else:
+                pop(key, None)
+    return acc
+
+
 def _substitute(outers: Sequence[Jet], var: int, replacement: Jet, var_map: Mapping[int, int]) -> list[Jet]:
     """``[outer.substitute_variable(var, replacement, var_map) for outer in outers]``.
 
@@ -817,15 +848,14 @@ def _agree(holds: np.ndarray) -> bool:
 
 
 class Lanes:
-    """A coefficient with one value per row of a batch: a float64 array, or two for a complex one.
+    """A coefficient with one value per row of a batch: one float64 array, or one complex128 array.
 
-    ``+``, ``-`` and ``*`` follow CPython's formulas lane by lane.  An
-    ``int`` operand is promoted to a float, and a real operand of a complex
-    one to ``complex(x, 0.0)``, as CPython promotes them, so ``0 + v`` and
-    a float times a complex give each lane the bits Python gives.  A product
-    with a complex factor is ``(ac - bd, ad + bc)``, CPython's product;
-    numpy's complex128 product differs from it in the last bit on some
-    inputs.  ``==`` and ``<`` / ``<=`` give a bool only when every lane
+    ``+``, ``-``, negation and ``==`` are numpy's own on that array and the
+    Python operand, which promote an ``int`` or a real operand beside a
+    complex one as CPython does and give each lane the bits Python gives.
+    A product with a complex factor is ``(ac - bd, ad + bc)``, CPython's
+    product; numpy's complex128 product differs from it in the last bit on
+    some inputs.  ``==`` and ``<`` / ``<=`` give a bool only when every lane
     agrees, and raise :class:`LanesDisagree` otherwise.
 
     A zero test that holds in some lanes only is True, and the value keeps
@@ -836,10 +866,10 @@ class Lanes:
     lanes at its key's last step, and is not read again, costs no rerun.
     """
 
-    __slots__ = ("re", "im", "kept")
+    __slots__ = ("v", "kept")
 
-    def __init__(self, re: np.ndarray, im: np.ndarray | None = None):
-        self.re, self.im = re, im  # im None: real lanes
+    def __init__(self, v: np.ndarray):
+        self.v = v
         self.kept = None  # every lane nonzero, or none, or not yet tested
 
     @staticmethod
@@ -851,130 +881,99 @@ class Lanes:
         if len(values) == 1:
             return values[0]
         types = set(map(type, values))
-        if complex not in types:
-            return Lanes(np.array(values, dtype=float))
-        if len(types) > 1:
+        if complex in types and len(types) > 1:
             raise LanesDisagree(np.array([type(v) is complex for v in values]))
-        z = np.array(values, dtype=complex)
-        return Lanes(z.real.copy(), z.imag.copy())
+        return Lanes(np.array(values, dtype=complex if complex in types else float))
 
     def values(self) -> list:
         """The Python number of each lane."""
-        if self.im is None:
-            return self.re.tolist()
-        return list(map(complex, self.re.tolist(), self.im.tolist()))
+        return self.v.tolist()
 
     def __add__(self, other):
-        o = _parts(other)
-        return NotImplemented if o is None else _linear(operator.add, *_parts(self), *o)
+        o = _operand(other)
+        return NotImplemented if o is None else Lanes(_operand(self) + o)
 
     def __radd__(self, other):
-        o = _parts(other)
-        return NotImplemented if o is None else _linear(operator.add, *o, *_parts(self))
+        o = _operand(other)
+        return NotImplemented if o is None else Lanes(o + _operand(self))
 
     def __sub__(self, other):
-        o = _parts(other)
-        return NotImplemented if o is None else _linear(operator.sub, *_parts(self), *o)
+        o = _operand(other)
+        return NotImplemented if o is None else Lanes(_operand(self) - o)
 
     def __rsub__(self, other):
-        o = _parts(other)
-        return NotImplemented if o is None else _linear(operator.sub, *o, *_parts(self))
+        o = _operand(other)
+        return NotImplemented if o is None else Lanes(o - _operand(self))
 
     def __mul__(self, other):
-        o = _parts(other)
-        return NotImplemented if o is None else _product(*_parts(self), *o)
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        a = _operand(self)
+        if a.dtype.kind == "c" or type(o) is complex or (type(o) is np.ndarray and o.dtype.kind == "c"):
+            # CPython's product, with a real factor promoted to complex(x, 0.0) as CPython promotes it
+            ar, ai, br, bi = a.real, a.imag, o.real, o.imag
+            out = np.empty(a.shape, complex)
+            out.real = ar * br - ai * bi
+            out.imag = ar * bi + ai * br
+            return Lanes(out)
+        return Lanes(a * o)
 
-    def __rmul__(self, other):
-        o = _parts(other)
-        return NotImplemented if o is None else _product(*o, *_parts(self))
+    __rmul__ = __mul__  # (ac - bd, ad + bc) has the same bits with the factors swapped
 
     def __rtruediv__(self, other):
-        re, im = _parts(self)
-        if im is not None or type(other) not in (float, int):
+        v = _operand(self)
+        if v.dtype.kind == "c" or type(other) not in (float, int):
             return NotImplemented
-        if np.count_nonzero(re) < re.size:
+        if np.count_nonzero(v) < v.size:
             raise ZeroDivisionError("float division by zero")
-        return Lanes(other / re)
+        return Lanes(other / v)
 
     def __neg__(self):
-        re, im = _parts(self)
-        return Lanes(-re, None if im is None else -im)
+        return Lanes(-_operand(self))
 
     def __abs__(self):
-        re, im = _parts(self)
-        if im is not None:
+        v = _operand(self)
+        if v.dtype.kind == "c":
             raise TypeError("abs of complex lanes is not supported")
-        return Lanes(np.abs(re))
+        return Lanes(np.abs(v))
 
     def __bool__(self):
-        re, im = _parts(self)
-        if np.count_nonzero(re) == re.size:
-            return True
-        holds = re.astype(bool) if im is None else (re != 0) | (im != 0)
-        held = np.count_nonzero(holds)
-        if held < holds.size and held:
-            self.kept = holds
+        v = _operand(self)
+        held = np.count_nonzero(v)  # a complex lane is nonzero when either part is
+        if held < v.size and held:
+            self.kept = v.astype(bool)
         return bool(held)
 
     def __eq__(self, other):
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        (re, im), (re2, im2) = _parts(self), o
-        if im is None and im2 is None:
-            return _agree(re == re2)
-        return _agree((re == re2) & ((0.0 if im is None else im) == (0.0 if im2 is None else im2)))
+        o = _operand(other)
+        return NotImplemented if o is None else _agree(_operand(self) == o)
 
     __hash__ = None
 
     def __lt__(self, other):
-        re, im = _parts(self)
-        if im is not None or type(other) not in (float, int):
+        v = _operand(self)
+        if v.dtype.kind == "c" or type(other) not in (float, int):
             return NotImplemented
-        return _agree(re < other)
+        return _agree(v < other)
 
     def __le__(self, other):
-        re, im = _parts(self)
-        if im is not None or type(other) not in (float, int):
+        v = _operand(self)
+        if v.dtype.kind == "c" or type(other) not in (float, int):
             return NotImplemented
-        return _agree(re <= other)
+        return _agree(v <= other)
 
 
-def _parts(x):
-    """``(re, im)`` of an operand as CPython promotes it (im None when real), or None for another type.
+def _operand(x):
+    """The array of lanes, the Python number itself, or None for another type.
 
     Lanes zero in some lanes only by a zero test raise LanesDisagree with their ``kept`` mask.
     """
-    t = type(x)
-    if t is Lanes:
+    if type(x) is Lanes:
         if x.kept is not None:
             raise LanesDisagree(x.kept)
-        return x.re, x.im
-    if t is float:
-        return x, None
-    if t is complex:
-        return x.real, x.imag
-    if t is int:
-        return float(x), None
-    return None
-
-
-def _linear(op, ar, ai, br, bi) -> Lanes:
-    """``a + b`` or ``a - b`` (``op``) of the parts of two operands."""
-    re = op(ar, br)
-    if ai is None and bi is None:
-        return Lanes(re)
-    im = op(0.0 if ai is None else ai, 0.0 if bi is None else bi)
-    # a real lane and a Python complex: every lane's imaginary part is the same float
-    return Lanes(re, im if type(im) is np.ndarray else np.full(re.shape, im))
-
-
-def _product(ar, ai, br, bi) -> Lanes:
-    if ai is None and bi is None:
-        return Lanes(ar * br)
-    ai = 0.0 if ai is None else ai
-    bi = 0.0 if bi is None else bi
-    return Lanes(ar * br - ai * bi, ar * bi + ai * br)
+        return x.v
+    return x if type(x) in (float, complex, int) else None
 
 
 def _float(c):
@@ -983,13 +982,13 @@ def _float(c):
 
 
 def _sqrt(c):
-    """``math.sqrt(c)`` of a positive number or lanes."""
-    return Lanes(np.sqrt(_parts(c)[0])) if type(c) is Lanes else math.sqrt(c)
+    """``math.sqrt(c)`` of a positive number or real lanes."""
+    return Lanes(np.sqrt(_operand(c))) if type(c) is Lanes else math.sqrt(c)
 
 
 def _isfinite(c) -> bool:
-    """``math.isfinite(c)``; for real lanes, whether every lane is finite (LanesDisagree when only some are)."""
-    return _agree(np.isfinite(_parts(c)[0])) if type(c) is Lanes else math.isfinite(c)
+    """``math.isfinite(c)``; for lanes, whether every lane is finite (LanesDisagree when only some are)."""
+    return _agree(np.isfinite(_operand(c))) if type(c) is Lanes else math.isfinite(c)
 
 
 def stack_lanes(jets: Sequence[Jet]) -> Jet:
@@ -1043,17 +1042,16 @@ def jet_sqrt(a: Jet) -> Jet:
     :class:`Lanes` coefficients take every row's root in one pass.
     """
     c = a.constant_term()
-    if isinstance(c, complex) or (type(c) is Lanes and c.im is not None):
+    if isinstance(c, complex) or (type(c) is Lanes and c.v.dtype.kind == "c"):
         raise ValueError("jet_sqrt is defined for real-coefficient jets only")
     c_f = _float(c)
     if c_f <= 0.0:
         raise ValueError(f"jet_sqrt needs a positive constant term, got {c_f}")
     w = (a - c) * (1.0 / c_f)  # zero constant term
     within = _fitting(w)
-    # sqrt(c(1+w)) = sqrt(c) * sum binom(1/2, k) w^k; the powers start at w,
-    # which is the constant-1 jet times w bit for bit
-    acc = {0: 1.0}
-    get, pop = acc.get, acc.pop
+    # sqrt(c(1+w)) = sqrt(c) * sum binom(1/2, k) w^k, summed from the constant
+    # 1.0; the powers start at w, which is the constant-1 jet times w bit for bit
+    parts, coefs = [{0: 1.0}], [1.0]
     coeff = 1.0
     w_pow = w
     for k in range(1, a.trunc_degree + 1):
@@ -1062,13 +1060,6 @@ def jet_sqrt(a: Jet) -> Jet:
             w_pow = _mul(w_pow, within)
         if w_pow.is_zero():
             break
-        # the steps of acc + w_pow * coeff
-        for key, v in w_pow._coded.items():
-            v = v * coeff
-            if v:
-                s = get(key, 0) + v
-                if s:
-                    acc[key] = s
-                else:
-                    pop(key, None)
-    return Jet._raw(a.num_vars, a.trunc_degree, acc) * _sqrt(c_f)
+        parts.append(w_pow._coded)
+        coefs.append(coeff)
+    return Jet._raw(a.num_vars, a.trunc_degree, _combination(parts, coefs, math.inf, ())) * _sqrt(c_f)

@@ -7,6 +7,7 @@ arithmetic, bit for bit.  Examples are derandomized and no example database
 is kept, so each run checks the same cases.
 """
 
+import cmath
 import functools
 import math
 import operator
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charvar_kam.jets import Jet, JetVector, Lanes, LanesDisagree, unstack_lanes
+from charvar_kam.jets import Jet, JetVector, Lanes, LanesDisagree, _isfinite, _sqrt, stack_lanes, unstack_lanes
 
 _SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -188,3 +189,92 @@ def test_lane_zero_tests_are_pythons_or_raise_with_the_mask(values):
             with pytest.raises(LanesDisagree) as caught:
                 use(lanes)
             assert caught.value.mask.tolist() == nonzero
+
+
+def _per_lane(held, lanes_test):
+    """``lanes_test()`` is the lanes' answer to a test Python answers ``held`` lane by lane: a bool when every lane
+    agrees, else LanesDisagree with the lanes where it holds."""
+    if len(set(held)) == 1:
+        assert lanes_test() is held[0]
+    else:
+        with pytest.raises(LanesDisagree) as caught:
+            lanes_test()
+        assert caught.value.mask.tolist() == held
+
+
+_REAL_LANES = st.lists(_LANE_FLOATS, min_size=2, max_size=5)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_REAL_LANES, st.one_of(_LANE_FLOATS, st.integers(-3, 3)))
+def test_lane_order_abs_and_division_are_pythons_lane_by_lane(values, x):
+    lanes = Lanes.of(values)
+    _per_lane([v < x for v in values], lambda: lanes < x)
+    _per_lane([v <= x for v in values], lambda: lanes <= x)
+    assert list(map(_bits, abs(lanes).values())) == [_bits(abs(v)) for v in values]
+    if 0.0 in values:
+        with pytest.raises(ZeroDivisionError):
+            x / lanes
+    else:
+        with np.errstate(all="ignore"):  # Python floats overflow without a warning
+            got = (x / lanes).values()
+        assert list(map(_bits, got)) == [_bits(x / v) for v in values]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_LANE_FLOATS, st.sampled_from([math.inf, -math.inf, math.nan])), min_size=2, max_size=5))
+def test_lane_sqrt_and_isfinite_are_maths_lane_by_lane(values):
+    _per_lane([math.isfinite(v) for v in values], lambda: _isfinite(Lanes.of(values)))
+    z = [complex(v, 1.0) for v in values]
+    _per_lane([cmath.isfinite(v) for v in z], lambda: _isfinite(Lanes.of(z)))
+    roots = [abs(v) for v in values if v == v]
+    if len(roots) > 1:
+        assert list(map(_bits, _sqrt(Lanes.of(roots)).values())) == [_bits(math.sqrt(v)) for v in roots]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_LANE_FLOATS, _LANE_COMPLEX, st.integers(-3, 3)), min_size=1, max_size=5))
+def test_lanes_of_mixed_values_hold_one_kind_or_mark_the_complex_ones(values):
+    """A complex value shares lanes with complex values only; ints and floats share float lanes."""
+    if len(values) == 1:
+        assert Lanes.of(values) is values[0]
+        return
+    is_complex = [type(v) is complex for v in values]
+    if len(set(is_complex)) > 1:
+        with pytest.raises(LanesDisagree) as caught:
+            Lanes.of(values)
+        assert caught.value.mask.tolist() == is_complex
+    else:
+        kind = complex if is_complex[0] else float
+        assert list(map(_bits, Lanes.of(values).values())) == [_bits(kind(v)) for v in values]
+
+
+@st.composite
+def _jets_with_some_keys(draw):
+    """Float jets of one shape, whose key lists (in storage order) may differ."""
+    nv, td = draw(_SHAPES)
+    monomials = st.sampled_from(_exponents(nv, td))
+    n = draw(st.integers(1, 4))
+    base = draw(st.lists(monomials, unique=True, max_size=5))
+    jets = []
+    for _ in range(n):
+        keys = draw(st.one_of(st.just(base), st.permutations(base), st.lists(monomials, unique=True, max_size=5)))
+        coeffs = draw(st.lists(st.floats(allow_nan=False).filter(bool), min_size=len(keys), max_size=len(keys)))
+        jets.append(Jet(nv, td, dict(zip(keys, coeffs))))
+    return jets
+
+
+@_SETTINGS
+@given(_jets_with_some_keys())
+def test_stack_lanes_takes_jets_with_the_first_ones_keys_or_marks_them(jets):
+    if len(jets) == 1:
+        assert stack_lanes(jets) is jets[0]
+        return
+    same = [list(j._coded) == list(jets[0]._coded) for j in jets]
+    if not all(same):
+        with pytest.raises(LanesDisagree) as caught:
+            stack_lanes(jets)
+        assert caught.value.mask.tolist() == same
+        return
+    rows = unstack_lanes(stack_lanes(jets), len(jets))
+    assert [list(r._coded.items()) for r in rows] == [list(j._coded.items()) for j in jets]
