@@ -3,9 +3,10 @@
 Reports are deterministic: rows run one after another in input order, dict
 keys are fixed, and floats print with 17 significant digits so identical
 configs produce byte-identical JSON.  Each row is written as soon as it is
-read, and no row is kept after that.  An su2 scan reads its rows inside
-``pipelines.su2_lookahead``: the stages of up to ``pipelines.SU2_LANES``
-rows are made together and held until those rows are written.
+read, and no row is kept after that.  An su2 scan reads its rows from
+``pipelines.su2_rows``: the stages of up to ``pipelines.SU2_LANES`` rows are
+made together when the first of them is read, and held until those rows
+are written.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from types import GeneratorType
 
 from .charts import chart_map_jet
 from .mcg import fixed_family_su3
-from .pipelines import SCAN_ERRORS, su2_brown_point, su2_lookahead, su3_main_point
+from .pipelines import SCAN_ERRORS, su2_brown_point, su2_rows, su3_main_point
 
 __all__ = ["RunConfig", "run", "dump_goldens", "main"]
 
@@ -40,6 +41,17 @@ SCHEMA = "kam-report/1"
 #: 230 bytes per s, so a full grid takes 23 MB before its first row; the
 #: largest grid the README, tests and benchmark run has 12,201 s.
 MAX_S_VALUES = 10**5
+
+#: Most decimal digits an s or a range step may have: in its text, in its
+#: text's exponent, and in its exact numerator and denominator.  A text is
+#: checked before its Fraction is built, which for ``1e-10000000`` alone
+#: takes seconds, and a row's exact arithmetic grows with these digits (an
+#: su3 row at s = 1e-1999 takes about 1.6 s, against 5 ms at 0.24).  The
+#: exact value of a double needs about 1077 bits (its exact decimal text up
+#: to 1075 digits), so the cap leaves every useful s alone, and no message
+#: formats an integer past CPython's 4300-digit limit.
+MAX_S_DIGITS = 2000
+_S_DIGITS_LIMIT = 10**MAX_S_DIGITS  # the least integer of more than MAX_S_DIGITS digits
 
 #: Highest chart truncation degree; checked before any chart is built.  One
 #: su3 row costs about 1.2 s and 44 MB at degree 8, and 33 s and 152 MB at 12.
@@ -169,7 +181,7 @@ def parse_s_values(text: str) -> list:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError("range syntax is start:stop:step")
-        start, stop, step = _in_double_range(parts[0]), _in_double_range(parts[1]), Fraction(parts[2])
+        start, stop, step = _in_double_range(parts[0]), _in_double_range(parts[1]), _exact(parts[2], "range step")
         if step <= 0:
             raise ValueError("range step must be positive")
         count = max(0, (stop - start) // step + 1)
@@ -181,8 +193,8 @@ def parse_s_values(text: str) -> list:
 
 
 def _in_double_range(value) -> Fraction:
-    """``Fraction(value)``, or a ValueError naming it unless it fits a double, as the report prints s."""
-    s = Fraction(value)
+    """``_exact(value)``, or a ValueError naming it unless it fits a double, as the report prints s."""
+    s = _exact(value)
     try:
         float(s)
     except OverflowError:
@@ -190,9 +202,26 @@ def _in_double_range(value) -> Fraction:
     return s
 
 
+def _exact(value, name: str = "s") -> Fraction:
+    """``Fraction(value)``, or a ValueError naming it when it is past ``MAX_S_DIGITS``.
+
+    A text's digits and exponent are checked before the Fraction is built,
+    and the Fraction's numerator and denominator after.
+    """
+    text = value.strip() if isinstance(value, str) else ""
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)$", text, re.IGNORECASE)
+    if sum(map(str.isdigit, text)) <= MAX_S_DIGITS and not (exponent and abs(int(exponent[1])) > MAX_S_DIGITS):
+        s = Fraction(value)
+        if max(abs(s.numerator), s.denominator) < _S_DIGITS_LIMIT:
+            return s
+    shown = f"{name} = {text if len(text) <= 40 else text[:37] + '...'}" if text else name
+    raise ValueError(f"{shown} is past the cap of {MAX_S_DIGITS} digits")
+
+
 def _check_count(count: int):
     if count > MAX_S_VALUES:
-        raise ValueError(f"{count} s values requested, more than the cap of {MAX_S_VALUES}")
+        asked = count if count < 10**9 else "over 10^9"  # a range of tiny steps counts thousands of digits
+        raise ValueError(f"{asked} s values requested, more than the cap of {MAX_S_VALUES}")
 
 
 #: The JSON string of a str (what ``json.dumps`` gives for one, without its set-up).
@@ -284,9 +313,9 @@ def _worker_count(n_jobs: int) -> int:
     return 1  # scans are serial; the benchmark in perfbench/ records this as its pool width
 
 
-def _scan(fn, s_values):
-    """The rows ``fn(s)``, each made when it is read."""
-    return map(fn, s_values)
+def _scan(fn, *columns):
+    """The rows ``fn(s, ...)``, one per item of the columns, each made when it is read."""
+    return map(fn, *columns)
 
 
 class _Scan:
@@ -313,9 +342,8 @@ class _Scan:
         yield "pipeline", cfg.pipeline
         yield "config", _config_dict(cfg)
         if cfg.pipeline == "su2-brown":
-            with su2_lookahead(cfg.s_values):
-                rows = _scan(su2_brown_point, cfg.s_values)
-                yield "rows", self._watched(rows, lambda r: r.get("spec_class") == "elliptic" and r.get("twist_ok"))
+            rows = _scan(su2_brown_point, cfg.s_values, su2_rows(cfg.s_values))
+            yield "rows", self._watched(rows, lambda r: r.get("spec_class") == "elliptic" and r.get("twist_ok"))
         else:
             rows = _scan(lambda s: su3_main_point(s, cfg.trunc_degree, cfg.dump_jets), cfg.s_values)
             yield "rows", self._watched(rows, lambda r: r.get("verdict"))

@@ -11,15 +11,14 @@ row (``cli.compare_golden``).
 ``SU2_LANES`` at a time: the fixed point, the spectrum, C0 and the verdicts
 run per row, and the chart and the normal-form input run once for all rows
 of a batch, on ``jets.Lanes`` coefficients that give each row the bits of
-its own Python floats.  An su2 scan (``su2_lookahead``) makes the stages of
-up to ``SU2_LANES`` rows together and holds them until those rows are
-written; ``su2_brown_point(s)`` called alone is a batch of one, on Python
-floats.
+its own Python floats.  An su2 scan reads its rows from :func:`su2_rows`,
+which makes a batch when the batch's first row is read and holds its rows
+until each is read; ``su2_brown_point(s)`` called alone is a batch of one,
+on Python floats.
 """
 
 from __future__ import annotations
 
-import contextlib
 from fractions import Fraction
 
 import numpy as np
@@ -52,7 +51,7 @@ from .spectral import build_C0, classify_spectrum
 # not called: the SU(2) level comes from fixed_family_su2; perfbench/tracer.py looks it up here
 from .varieties import kappa_su2  # noqa: F401
 
-__all__ = ["su2_brown_point", "su2_lookahead", "su3_main_point", "SCAN_ERRORS", "SU2_LANES"]
+__all__ = ["su2_brown_point", "su2_rows", "su3_main_point", "SCAN_ERRORS", "SU2_LANES"]
 
 #: Everything a scan survives by recording instead of raising.
 SCAN_ERRORS = (
@@ -80,88 +79,53 @@ def _c(z) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def su2_brown_point(s) -> dict:
+def su2_brown_point(s, row=None) -> dict:
     """Fixed point, level, multiplier, and first Birkhoff coefficient on the SU(2) side.
 
     One ``fixed_family_su2`` call gives the fixed point and its level in
-    integers; the row's floats and the chart are taken from it.  Inside
-    :func:`su2_lookahead`, the row comes from the batch of up to
-    ``SU2_LANES`` rows made when the scan reached the batch's first s;
-    called alone, it makes a batch of one, which runs on Python floats.
+    integers; the row's floats and the chart are taken from it.  ``row`` is
+    what :func:`su2_rows` yields for ``s``, which an su2 scan hands in: it is
+    returned, or raised when it is an exception.  Called alone, the row is
+    ``su2_rows([s])``, a batch of one, which runs on Python floats.
     """
-    row = _lookahead.take(s) if _lookahead is not None else None
     if row is None:
-        (row,) = _su2_rows([s])
+        (row,) = su2_rows([s])
     if isinstance(row, Exception):
         raise row
     return row
 
 
-class _Lookahead:
-    """The rows of one scan's s values, made ``SU2_LANES`` at a time as the scan reaches each batch."""
+def su2_rows(s_values):
+    """The rows of ``s_values`` in order, ``SU2_LANES`` at a time, each batch made when its first row is read.
 
-    def __init__(self, s_values):
-        self.s_values = s_values
-        self.next = 0  # the place of the s the scan asks for next
-        self.start = 0  # the place of the batch's first s
-        self.rows: list = []  # the batch's rows, each dropped once taken
-
-    def take(self, s):
-        """The row of ``s`` when it is the scan's next s, else None."""
-        i = self.next
-        if i >= len(self.s_values) or self.s_values[i] != s:
-            return None
-        if i == self.start + len(self.rows):
-            self.start, self.rows = i, _su2_rows(self.s_values[i : i + SU2_LANES])
-        self.next = i + 1
-        row, self.rows[i - self.start] = self.rows[i - self.start], None
-        return row
-
-
-_lookahead: _Lookahead | None = None
-
-
-@contextlib.contextmanager
-def su2_lookahead(s_values):
-    """Within the block, ``su2_brown_point`` called on ``s_values`` in order takes its rows from batches made ahead.
-
-    A batch holds its rows until they are taken.  An s out of that order
-    makes its row alone.
+    Each row of a batch is the generator :func:`_su2_row`; every stage the
+    rows yield runs once for all rows waiting on it (:func:`_in_lanes`), and
+    its result, or the error the row raised there, goes back into each row.
+    A row is its dict, or the exception outside ``SCAN_ERRORS`` it raised,
+    which ``su2_brown_point`` raises again.  A batch holds its rows until
+    each is read.
     """
-    global _lookahead
-    outer, _lookahead = _lookahead, _Lookahead(s_values)
-    try:
-        yield
-    finally:
-        _lookahead = outer
-
-
-def _su2_rows(s_values) -> list:
-    """The rows of ``s_values``, each row's chart and normal-form input made together with the others'.
-
-    Each row is the generator :func:`_su2_row`; every stage the rows yield
-    runs once for all rows waiting on it (:func:`_in_lanes`), and its result,
-    or the error the row raised there, goes back into each row.  A row is
-    its dict, or the exception outside ``SCAN_ERRORS`` it raised, which
-    ``su2_brown_point`` raises again when it reaches that row.
-    """
-    out: list = [None] * len(s_values)
-    sends = [(i, _su2_row(s), None) for i, s in enumerate(s_values)]
-    while sends:
-        asked = []
-        for i, row, value in sends:
-            try:
-                asked.append((i, row, row.throw(value) if isinstance(value, Exception) else row.send(value)))
-            except StopIteration as done:
-                out[i] = done.value
-            except Exception as exc:  # raised again when the scan reaches this row
-                out[i] = exc
-        sends = []
-        for stage in dict.fromkeys(fn for _, _, (fn, _) in asked):
-            waiting = [(i, row, args) for i, row, (fn, args) in asked if fn is stage]
-            results = _in_lanes(stage, [args for _, _, args in waiting])
-            sends += [(i, row, result) for (i, row, _), result in zip(waiting, results)]
-    return out
+    for start in range(0, len(s_values), SU2_LANES):
+        batch = s_values[start : start + SU2_LANES]
+        out: list = [None] * len(batch)
+        sends = [(i, _su2_row(s), None) for i, s in enumerate(batch)]
+        while sends:
+            asked = []
+            for i, row, value in sends:
+                try:
+                    asked.append((i, row, row.throw(value) if isinstance(value, Exception) else row.send(value)))
+                except StopIteration as done:
+                    out[i] = done.value
+                except Exception as exc:  # raised again when the scan reaches this row
+                    out[i] = exc
+            sends = []
+            for stage in dict.fromkeys(fn for _, _, (fn, _) in asked):
+                waiting = [(i, row, args) for i, row, (fn, args) in asked if fn is stage]
+                results = _in_lanes(stage, [args for _, _, args in waiting])
+                sends += [(i, row, result) for (i, row, _), result in zip(waiting, results)]
+        out.reverse()  # each row is dropped once read
+        while out:
+            yield out.pop()
 
 
 def _in_lanes(stage, rows: list) -> list:
@@ -190,7 +154,7 @@ def _su2_row(s):
     """The stages of one ``su2_brown_point`` row, returning the row.
 
     The chart and the normal-form input are yielded as ``(stage, args)``,
-    each made in lanes with the other rows' (see :func:`_su2_rows`).
+    each made in lanes with the other rows' of its batch (see :func:`su2_rows`).
     """
     s = s if isinstance(s, Fraction) else Fraction(s)
     row: dict = {"s": float(s)}

@@ -1,10 +1,12 @@
 import io
+import itertools
 import json
 import math
 import os
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -126,6 +128,42 @@ def test_s_outside_the_double_range_is_a_config_error_before_any_row(monkeypatch
     out = capsys.readouterr()
     assert (code, rows, out.out) == (2, [], "")
     assert out.err == f"config error: s = {bad} is outside the double range\n"
+
+
+@pytest.mark.parametrize(
+    "pipeline, s_text, named",
+    [
+        ("su2-brown", "1e-100000", "s = 1e-100000"),
+        ("su2-brown", "1e-1000000", "s = 1e-1000000"),
+        ("su2-brown", "1e-10000000", "s = 1e-10000000"),
+        ("su3-main", "1e-5000", "s = 1e-5000"),
+        ("su2-brown", "0:1:1e-100000", "range step = 1e-100000"),
+    ],
+)
+def test_s_past_the_digit_cap_is_a_config_error_before_any_row(monkeypatch, capsys, pipeline, s_text, named):
+    """Such an s exits 2 at once: ``Fraction("1e-10000000")`` alone takes seconds to build."""
+    rows = []
+    monkeypatch.setattr(cli, "su3_main_point", lambda *args: rows.append(args) or {})
+    monkeypatch.setattr(cli, "su2_brown_point", lambda *args: rows.append(args) or {})
+    start = time.perf_counter()
+    code = cli.main(["--pipeline", pipeline, "--s", s_text])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr()
+    assert (code, rows, out.out) == (2, [], "")
+    assert out.err == f"config error: {named} is past the cap of {cli.MAX_S_DIGITS} digits\n"
+    assert elapsed < 0.5
+
+
+def test_the_digit_cap_counts_the_exact_value_and_names_no_long_integer():
+    assert parse_s_values("1e-1999") == [Fraction(1, 10**1999)]
+    with pytest.raises(ValueError, match=r"^s = 1e-2000 is past the cap of 2000 digits$"):
+        parse_s_values("1e-2000")  # its denominator has 2001 digits
+    with pytest.raises(ValueError, match=r"^s = 3333333333333333333333333333333333333\.\.\. is past the cap"):
+        parse_s_values("3" * 5000)  # past CPython's 4300-digit limit on int()
+    with pytest.raises(ValueError, match=r"^s is past the cap of 2000 digits$"):
+        RunConfig(pipeline="su2-brown", s_values=[Fraction(1, 10**100000)])
+    with pytest.raises(ValueError, match=r"^over 10\^9 s values requested, more than the cap of 100000$"):
+        parse_s_values("0:1:1e-1999")
 
 
 def test_cli_s_takes_a_negative_start_as_its_own_argument():
@@ -770,11 +808,11 @@ def test_a_scan_that_dies_leaves_no_partial_report(tmp_path, monkeypatch, fmt, e
         out.write_bytes(existing)
     calls = []
 
-    def third_fails(s):
+    def third_fails(s, row=None):
         calls.append(s)
         if len(calls) == 3:
             raise RuntimeError("boom")
-        return su2_brown_point(s)
+        return su2_brown_point(s, row)
 
     monkeypatch.setattr(cli, "su2_brown_point", third_fails)
     with pytest.raises(RuntimeError, match="boom"):
@@ -810,8 +848,9 @@ def test_scan_memory_does_not_grow_with_the_number_of_rows(tmp_path, monkeypatch
     are built and written before the first row (about 230 bytes per s at
     their peak, by design), so the peak is taken above what is in use when
     the first row starts.  Rows are
-    fresh copies of one real su2 row, which keeps the test quick under
-    tracemalloc; what keeps or drops rows is the scan loop and the writer.
+    fresh copies of one real su2 row, and no batch is made, which keeps the
+    test quick under tracemalloc; what keeps or drops rows is the scan loop
+    and the writer.
     """
     import tracemalloc
 
@@ -822,13 +861,14 @@ def test_scan_memory_does_not_grow_with_the_number_of_rows(tmp_path, monkeypatch
     def peak_above_start(n):
         base = []
 
-        def row(s):
+        def row(s, row=None):
             if not base:
                 tracemalloc.reset_peak()
                 base.append(tracemalloc.get_traced_memory()[0])
             return {**json.loads(row_text), "s": float(s)}
 
         monkeypatch.setattr(cli, "su2_brown_point", row)
+        monkeypatch.setattr(cli, "su2_rows", lambda s_values: itertools.repeat(None))
         argv = ["--pipeline", "su2-brown", "--s", f"0.0001:{n / 10000}:0.0001", "--format", fmt]
         tracemalloc.start()
         try:

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from test_report_properties import _S
 
 from charvar_kam.birkhoff import birkhoff_coefficients, diagonalized_jets
-from charvar_kam.charts import chart_linear_matrix, chart_map_jet
-from charvar_kam.mcg import fixed_family_su3
+from charvar_kam.charts import chart_linear_matrix, chart_map_jet, su2_chart_map_jet
+from charvar_kam.mcg import fixed_family_su2, fixed_family_su3
 from charvar_kam import charts, cli, pipelines, spectral
 from charvar_kam.cli import dump_deterministic_json, parse_s_values
 from charvar_kam.jets import Jet
@@ -419,20 +419,43 @@ _SU2_EDGE_S += [Fraction(3, 10), Fraction(1, 5)]
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(st.lists(_S, min_size=1, max_size=16))
-def test_su2_lookahead_rows_equal_rows_made_alone(drawn):
-    """Rows a scan takes from batches are byte for byte the rows made alone, on Python floats.
-
-    An s asked for out of the scan's order gets its own row, and the scan goes on.
-    """
+def test_su2_rows_read_in_a_scan_equal_rows_made_alone(drawn):
+    """Rows a scan reads from ``su2_rows`` batches are byte for byte the rows made alone, on Python floats."""
     s_values = [drawn[0], *_SU2_EDGE_S, *drawn[1:], drawn[0]]  # the edge rows mid-batch, and a duplicated s
     alone = [_row_bytes(su2_brown_point(s)) for s in s_values]
-    stray = Fraction(1, 7)
-    stray_alone = _row_bytes(su2_brown_point(stray))
-    with pipelines.su2_lookahead(s_values):
-        batched = [_row_bytes(su2_brown_point(s_values[0]))]
-        assert _row_bytes(su2_brown_point(stray)) == stray_alone
-        batched += [_row_bytes(su2_brown_point(s)) for s in s_values[1:]]
+    batched = [_row_bytes(su2_brown_point(s, row)) for s, row in zip(s_values, pipelines.su2_rows(s_values))]
     assert batched == alone
+
+
+def _mu(s):
+    """The trace of the SU(2) chart's linear part at the fixed point of s, exactly."""
+    return (8 * s * s - 2 * s + 1) / (2 * s - 1)
+
+
+def _twist_factor(s):
+    """G(s), exactly: the first Birkhoff coefficient in the eigenvector basis (L12, lambda - L11) is G(s) sqrt(4 - mu(s)^2)."""
+    return 16 * (s - 1) ** 2 * (4 * s * s + 2 * s - 1) / ((2 * s + 1) * (8 * s * s - 6 * s + 3) ** 2)
+
+
+#: Worst relative error of the float twist against its closed form on the rows s = k/1000, k = 5..249:
+#: 1.67e-12 measured, at s = .008, near the lambda^3 = 1 point.
+_TWIST_REL_TOL = 4e-12
+
+
+def test_su2_twist_equals_its_closed_form_on_the_scan_rows():
+    """Each row's ``gamma1``, times |v|^2 to undo C0's unit norm, is G(s) sqrt(4 - mu^2) with v = (L12, lambda - L11).
+
+    The rows come from a scan, so they are made in batches.
+    """
+    s_values = [Fraction(k, 1000) for k in range(5, 250)]
+    report, _ = cli.run(cli.RunConfig(pipeline="su2-brown", s_values=s_values))
+    for s, row in zip(s_values, report["rows"]):
+        L = chart_linear_matrix(su2_chart_map_jet(fixed_family_su2(s)))
+        lam = complex(row["multiplier"]["re"], row["multiplier"]["im"])
+        norm2 = abs(L[0, 1]) ** 2 + abs(lam - L[0, 0]) ** 2
+        gamma1 = complex(row["gamma1"]["re"], row["gamma1"]["im"])
+        want = float(_twist_factor(s)) * math.sqrt(4 - _mu(s) ** 2)
+        assert abs(gamma1 * norm2 - want) <= _TWIST_REL_TOL * abs(want), s
 
 
 def test_su2_scan_across_a_batch_boundary_equals_rows_made_alone(monkeypatch):
@@ -461,8 +484,8 @@ def test_a_row_error_outside_scan_errors_is_raised_when_the_scan_reaches_that_ro
 
     monkeypatch.setattr(pipelines, "su2_chart_map_jet", failing_chart)
     s_values = [Fraction(1, 10), bad, Fraction(1, 5)]
-    with pipelines.su2_lookahead(s_values):
-        assert su2_brown_point(s_values[0])["twist_ok"] is True
-        with pytest.raises(RuntimeError, match="boom"):
-            su2_brown_point(bad)
-        assert su2_brown_point(s_values[2])["twist_ok"] is True
+    rows = pipelines.su2_rows(s_values)
+    assert su2_brown_point(s_values[0], next(rows))["twist_ok"] is True
+    with pytest.raises(RuntimeError, match="boom"):
+        su2_brown_point(bad, next(rows))
+    assert su2_brown_point(s_values[2], next(rows))["twist_ok"] is True

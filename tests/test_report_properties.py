@@ -164,14 +164,21 @@ _RATIO = re.compile(r"([+-]?\d+)/(\d+)")
 def _number(text, in_double_range=True):
     """The value of one number of an ``--s`` text, or None where the CLI must reject it."""
     text = text.strip()
+    if sum(c.isdigit() for c in text) > cli.MAX_S_DIGITS:
+        return None
     if _RATIO.fullmatch(text):
         num, den = map(int, text.split("/"))
         if not den:
             return None
         value = Fraction(num, den)
     elif _DECIMAL.fullmatch(text):
+        exponent = text.lower().partition("e")[2]
+        if exponent and abs(int(exponent)) > cli.MAX_S_DIGITS:
+            return None  # rejected before its value is built
         value = Fraction(decimal.Decimal(text))
     else:
+        return None
+    if max(abs(value.numerator), value.denominator) >= 10**cli.MAX_S_DIGITS:
         return None
     return None if in_double_range and abs(value) >= _DOUBLE_OVERFLOW else value
 
@@ -213,7 +220,7 @@ def _number_texts(draw):
     if kind == 0:
         text = draw(_SIGN) + draw(_DIGITS) + draw(st.sampled_from(["", "."])) + draw(_DIGITS)
         if draw(st.booleans()):
-            text += draw(st.sampled_from("eE")) + draw(_SIGN) + draw(st.text("0123456789", min_size=1, max_size=3))
+            text += draw(st.sampled_from("eE")) + draw(_SIGN) + draw(st.text("0123456789", min_size=1, max_size=7))
     elif kind == 1:
         text = draw(_SIGN) + draw(_DIGITS) + "/" + draw(_DIGITS)
     else:
@@ -258,6 +265,10 @@ def _caps_and_s_texts(draw):
 @example((3, "0.1, 1/2"))
 @example((3, "0:1.8e308:1e308"))
 @example((3, "-1.8e308:0:1e308"))
+@example((3, "1e-1999"))
+@example((3, "1e-2000"))
+@example((3, "1e-10000000"))
+@example((3, "0:1:1e-100000"))
 def test_s_text_parses_to_the_independent_values_or_exits_2_before_any_row(case):
     """An ``--s`` text either parses to the values an independent parser gives, or the CLI exits 2 with a
     config error before any row runs; so does a text that names the pole s = 1/2."""

@@ -32,6 +32,12 @@ def test_no_raised_assertion_error_in_package():
     assert found == []
 
 
+def test_no_global_statements_in_package():
+    """A scan's state lives in the objects the scan holds, not in module globals that a second scan would share."""
+    found = [where for where, node in _package_nodes() if isinstance(node, ast.Global)]
+    assert found == []
+
+
 #: The on-variety checks take their tolerance as an argument: float points
 #: built from random SU(3) matrices need a looser one than exact points.
 _TOLERANCE_ARGUMENTS = {
