@@ -507,16 +507,14 @@ def _float_jet2(trunc_degree: int, exps, rows) -> Jet:
     return Jet._raw(2, trunc_degree, coded)
 
 
-# the monomials of the integer terms of b^4 disc, b^2 yz, b y and b z, in the key
-# order the jet products of the rational computation give
+# the monomials of the integer terms of b^4 disc and b^2 yz, in the key order the
+# jet products of the rational computation give
 _DISC_EXPS = ((2, 2), (2, 1), (1, 2), (1, 1), (2, 0), (1, 0), (0, 2), (0, 1), (0, 0))
 _YZ_EXPS = ((1, 1), (1, 0), (0, 1), (0, 0))
-_Y_EXPS = ((1, 0), (0, 0))
-_Z_EXPS = ((0, 1), (0, 0))
 
 
 def _su2_chart_integers(p0: Su2FixedPoint) -> tuple:
-    """The exact part of one SU(2) chart: its branch, and ``(nums, den)`` of disc, yz, y and z at the ``_*_EXPS``."""
+    """The exact part of one SU(2) chart: its branch, and ``(nums, den)`` of disc and yz at the ``_*_EXPS``."""
     s, b, xn, yn, zn = p0.s, p0.b, p0.xn, p0.yn, p0.zn
     gap_n = 2 * xn * b - yn * zn  # b^2 * (2 x0 - y0 z0)
     if gap_n == 0:
@@ -530,7 +528,7 @@ def _su2_chart_integers(p0: Su2FixedPoint) -> tuple:
         raise ConsistencyError(f"s = {s}: discriminant at the center must be (2x - yz)^2")
     disc = [b4, 2 * b3 * zn, 2 * b3 * yn, 4 * b2 * yn * zn, b2 * zs, 2 * b * yn * zs, b2 * ys, 2 * b * zn * ys, disc0]
     branch = 1.0 if gap_n > 0 else -1.0
-    return branch, (disc, b4), ([b2, b * zn, b * yn, yn * zn], b2), ([b, yn], b), ([b, zn], b)
+    return branch, (disc, b4), ([b2, b * zn, b * yn, yn * zn], b2)
 
 
 def su2_chart_map_jet(p0, trunc_degree: int = 3):
@@ -543,12 +541,13 @@ def su2_chart_map_jet(p0, trunc_degree: int = 3):
 
     The exact part runs in integers, from the fixed point's b, xn, yn, zn and
     level_n (see ``Su2FixedPoint``): at (y, z) = (yn + b u, zn + b v) / b,
-    b^4 disc, b^2 yz, b y and b z are polynomials in the displacements (u, v)
-    with integer coefficients, written out monomial by monomial in the key
-    order the jet products of the rational computation give.  Each float
-    coefficient is one ``int / int``, which rounds as ``float(Fraction)``
-    does, so every float is unchanged.  The float tail (square root,
-    products and constant checks) is jet arithmetic.
+    b^4 disc and b^2 yz are polynomials in the displacements (u, v) with
+    integer coefficients, written out monomial by monomial in the key order
+    the jet products of the rational computation give, and y and z are u
+    and v plus y0 = yn / b and z0 = zn / b.  Each float coefficient is one
+    ``int / int``, which rounds as ``float(Fraction)`` does, so every float
+    is unchanged.  The float tail (square root, products and constant
+    checks) is jet arithmetic.
 
     ``p0`` may also be a list of fixed points.  The exact part runs per
     point; the float tail runs once for all of them, each coefficient a
@@ -559,18 +558,17 @@ def su2_chart_map_jet(p0, trunc_degree: int = 3):
     """
     points = [p0] if isinstance(p0, Su2FixedPoint) else p0
     s = points[0].s if len(points) == 1 else [p.s for p in points]
-    branch, disc, yz, y, z = zip(*map(_su2_chart_integers, points))
+    branch, disc, yz = zip(*map(_su2_chart_integers, points))
     disc = _float_jet2(trunc_degree, _DISC_EXPS, disc)
     if not disc.constant_term():
         raise SingularChartError(f"s = {s}: discriminant at the center underflows to 0.0")
     yz = _float_jet2(trunc_degree, _YZ_EXPS, yz)
     x_jet = yz + _finite_sqrt(disc, s) * Lanes.of(branch)
     x_jet = x_jet * 0.5
-    yf = _float_jet2(trunc_degree, _Y_EXPS, y)
-    zf = _float_jet2(trunc_degree, _Z_EXPS, z)
-    y_image = zf * yf - x_jet
-    # the fixed point's y0 and z0, less which the images' constants must vanish
+    # the fixed point's y0 and z0: the constants of y and z, less which the images' constants must vanish
     centers = [Lanes.of([p.yn / p.b for p in points]), Lanes.of([p.zn / p.b for p in points])]
+    yf, zf = (Jet.variable(i, 2, trunc_degree, 1.0) + c for i, c in enumerate(centers))
+    y_image = zf * yf - x_jet
     map_jet = _centered_map((y_image, zf * y_image - yf), s, centers)
     n = len(points)
     charts = [

@@ -386,7 +386,8 @@ def _config_dict(cfg: RunConfig) -> dict:
     return {
         "pipeline": cfg.pipeline,
         "s_values": [float(s) for s in cfg.s_values],
-        "trunc_degree": cfg.trunc_degree,
+        # an su2 row always charts at degree 3 (``su2_chart_map_jet``'s default): --degree is ignored there
+        "trunc_degree": 3 if cfg.pipeline == "su2-brown" else cfg.trunc_degree,
         "format": cfg.format,
     }
 
@@ -502,21 +503,18 @@ def compare_golden(path: Path, golden: dict, row: dict | None = None) -> dict:
     except SCAN_ERRORS as exc:
         result["error"] = f"{type(exc).__name__}: {exc}"
         return result
-    tj = chart.t_jet
-    check("t_jet.constant", tj.constant_term(), golden["t_jet"]["constant"])
-    for term in golden["t_jet"]["terms"]:
-        e = tuple(term["exps"])
-        got = tj.coefficient(e) * math.factorial(sum(e))
-        check(f"t_jet[{','.join(map(str, e))}]", got, term["printed"])
-    zj = chart.z_jet
-    z0 = zj.constant_term()
-    check("z_jet.value_at_center", z0, golden["z_jet"]["value_at_center"])
-    x0 = -golden["fixed_point_shifts"]["x"]
-    check("z_jet.constant_printed", z0 + x0, golden["z_jet"]["constant_printed"])
-    for term in golden["z_jet"]["terms"]:
-        e = tuple(term["exps"])
-        got = zj.coefficient(e) * math.factorial(sum(e))
-        check(f"z_jet[{','.join(map(str, e))}]", got, term["printed"])
+    z0 = chart.z_jet.constant_term()
+    # each jet's constants, by golden key, then its terms; the printed z constant keeps a raw "-x" term
+    for name, jet, constants in (
+        ("t_jet", chart.t_jet, {"constant": chart.t_jet.constant_term()}),
+        ("z_jet", chart.z_jet, {"value_at_center": z0, "constant_printed": z0 - golden["fixed_point_shifts"]["x"]}),
+    ):
+        for key, got in constants.items():
+            check(f"{name}.{key}", got, golden[name][key])
+        for term in golden[name]["terms"]:
+            e = tuple(term["exps"])
+            got = jet.coefficient(e) * math.factorial(sum(e))
+            check(f"{name}[{','.join(map(str, e))}]", got, term["printed"])
     # diagnostic only: normalization-dependent
     if row is None:
         row = su3_main_point(s)
@@ -582,21 +580,16 @@ def _write_csv(report, pipeline: str, stream):
 
 
 def _csv_row(pipeline: str, row: dict) -> list:
-    if pipeline == "su2-brown":
-        alpha = row.get("alpha2", {})
-        spec_class = row.get("spec_class", "")
-        twist = row.get("twist_ok", "")
-        nonplanar = twist  # d = 1: the frequency map is non-planar iff it twists
-    else:
-        alpha = row.get("alpha_det", {})
-        spec_class = ";".join(row.get("spec_class", []))
-        twist = row.get("twist_ok", "")
-        nonplanar = row.get("nonplanar_ok", "")
+    su2 = pipeline == "su2-brown"
+    alpha = row.get("alpha2" if su2 else "alpha_det", {})
+    spec_class = row.get("spec_class", "")
+    twist = row.get("twist_ok", "")
+    nonplanar = twist if su2 else row.get("nonplanar_ok", "")  # d = 1: the frequency map is non-planar iff it twists
     notes = row.get("error") or row.get("notes") or ""
     return [
         _format_float(row["s"]),
         _format_float(row["ell"]) if "ell" in row else "",
-        spec_class,
+        spec_class if su2 else ";".join(spec_class),
         _format_float(alpha["re"]) if alpha else "",
         _format_float(alpha["im"]) if alpha else "",
         twist,

@@ -142,45 +142,37 @@ def classify_spectrum(m) -> SpectrumReport:
         if used[j]:
             continue
         lam = vals[j]
+        lam_r = lam.real
         if abs(lam.imag) > REAL_AXIS_TOL:
             best, best_err = _partner(vals, used, j, lam.conjugate())
             if best is None:
                 raise SpectrumStructureError(
                     f"eigenvalue {lam} has no conjugate partner (best residual {best_err:.3e})"
                 )
-            jj = j if lam.imag > 0 else best
-            kk = best if lam.imag > 0 else j
-            used[j] = used[best] = True
-            lam_pos = vals[jj]
-            pairing.append((jj, kk))
+            pair = (j, best) if lam.imag > 0 else (best, j)
+            lam_pos = vals[pair[0]]
             if abs(abs(lam_pos) - 1.0) < UNIT_CIRCLE_TOL:
-                tags.append("elliptic")
-                omegas.append(cmath.phase(lam_pos) / (2 * math.pi))
+                tag, omega = "elliptic", cmath.phase(lam_pos) / (2 * math.pi)
             else:
                 # complex off-circle quadruple partner handling is out of scope
-                tags.append("hyperbolic")
-                omegas.append(math.nan)
+                tag, omega = "hyperbolic", math.nan
+        elif abs(lam_r - 1.0) < _PARABOLIC_TOL or abs(lam_r + 1.0) < _PARABOLIC_TOL:
+            best = _partner(vals, used, j, lam)[0]
+            if best is None:
+                raise SpectrumStructureError(f"unpaired parabolic eigenvalue {lam_r}")
+            pair, tag, omega = (j, best), "parabolic", math.nan
         else:
-            lam_r = lam.real
-            if abs(lam_r - 1.0) < _PARABOLIC_TOL or abs(lam_r + 1.0) < _PARABOLIC_TOL:
-                best = _partner(vals, used, j, lam)[0]
-                if best is None:
-                    raise SpectrumStructureError(f"unpaired parabolic eigenvalue {lam_r}")
-                used[j] = used[best] = True
-                pairing.append((j, best))
-                tags.append("parabolic")
-                omegas.append(math.nan)
-                continue
             # 0 has no reciprocal
             best = _partner(vals, used, j, 1.0 / lam_r if lam_r else math.inf, real=True)[0]
             if best is None:
                 raise SpectrumStructureError(f"real eigenvalue {lam_r} has no reciprocal partner")
-            used[j] = used[best] = True
-            big = j if abs(vals[j]) >= abs(vals[best]) else best
-            small = best if big == j else j
-            pairing.append((big, small))
-            tags.append("hyperbolic")
-            omegas.append(math.nan)
+            # the larger modulus first
+            pair = (j, best) if abs(vals[j]) >= abs(vals[best]) else (best, j)
+            tag, omega = "hyperbolic", math.nan
+        used[j] = used[best] = True
+        pairing.append(pair)
+        tags.append(tag)
+        omegas.append(omega)
     # repeated elliptic eigenvalues are resonant for the normal form
     ell = [vals[p[0]] for p, t in zip(pairing, tags) if t == "elliptic"]
     for a in range(len(ell)):

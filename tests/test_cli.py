@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import charvar_kam
 from charvar_kam import charts, cli
@@ -197,6 +199,17 @@ def test_degree_above_the_cap_is_a_config_error_before_any_chart(monkeypatch, ca
     assert (code, built, out.out) == (2, [], "")
     assert out.err == f"config error: truncation degree {degree} is above the cap of {cli.MAX_DEGREE}\n"
     assert RunConfig(pipeline=pipeline, trunc_degree=cli.MAX_DEGREE).trunc_degree == cli.MAX_DEGREE
+
+
+def test_su2_report_records_the_degree_its_rows_ran_at(tmp_path):
+    """An su2 row always charts at degree 3, so ``--degree 5`` changes neither its rows nor its recorded degree."""
+    reports = {}
+    for degree in ("3", "5"):
+        out = tmp_path / f"d{degree}.json"
+        assert cli.main(["--pipeline", "su2-brown", "--s", "0.1,0.249,0.9", "--degree", degree, "--out", str(out)]) == 0
+        reports[degree] = out.read_bytes()
+    assert json.loads(reports["5"])["config"]["trunc_degree"] == 3
+    assert reports["5"] == reports["3"]
 
 
 # ------------------------------------------------------------------ reports
@@ -717,6 +730,31 @@ def test_streamed_report_equals_the_collected_report(tmp_path, capsys, argv, to_
         assert code == 3
     if str(bad) in argv:
         assert code == 1
+
+
+#: The s values the streaming property draws from: good rows, degenerate, error and overflowing ones.
+_STREAM_S = {
+    "su2-brown": (["0", "0.1", "0.2", "0.3", "0.9", "1e-170", "1", "-0.3", "0.249"], 6),
+    "su3-main": (["0.2411", "0.4", "0", "1e40", "0.249", "0.3"], 3),
+}
+
+
+@st.composite
+def _stream_argvs(draw):
+    pipeline = draw(st.sampled_from(sorted(_STREAM_S)))
+    pool, most = _STREAM_S[pipeline]
+    argv = ["--pipeline", pipeline, "--s", ",".join(draw(st.lists(st.sampled_from(pool), max_size=most)))]
+    argv += ["--format", draw(st.sampled_from(["json", "csv"]))]
+    return argv + ["--require-verdict"] * draw(st.booleans())
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(_stream_argvs())
+def test_streamed_report_equals_the_collected_report_on_drawn_scans(tmp_path_factory, argv):
+    """Over drawn scans that mix good and failing rows, ``cli.main`` writes the bytes and exit code of ``cli.run``."""
+    out = tmp_path_factory.getbasetemp() / "drawn-scan.out"
+    code = cli.main([*argv, "--out", str(out)])
+    assert (out.read_bytes(), code) == _collected_bytes(argv)
 
 
 def test_reference_reports_stream_to_their_stored_bytes(tmp_path):

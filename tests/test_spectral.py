@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from charvar_kam.errors import NonDiagonalizableError, ResonanceError, SpectrumStructureError
 from charvar_kam.spectral import build_C0, classify_spectrum, eigen_small
@@ -332,3 +334,54 @@ def test_classify_spectrum_pairs_as_on_numpy_scalars():
         assert [w.hex() for w in rep.omega] == [w.hex() for w in want[3]]
         kinds.update(rep.classification)
     assert kinds == {"elliptic", "hyperbolic", "parabolic", "resonant", "error"}
+
+
+# the angle of a rotation block, and the eigenvalue of modulus above 1 of a reciprocal one
+_ANGLES = st.floats(0.01, math.pi - 0.01)
+_HYPERBOLIC = st.builds(lambda lam, sign: sign * lam, st.floats(1.01, 10.0), st.sampled_from([1.0, -1.0]))
+
+
+@st.composite
+def _block_spectra(draw):
+    """1-3 blocks: rotations by angles at least 1e-6 apart, or, with a drawn repeat, all by the first angle;
+    ``diag(lam, 1 / lam)``; and +-I.  The seed picks the orthogonal matrix that conjugates them."""
+    repeat = draw(st.booleans())
+    blocks, angles = [], []
+    for kind in draw(st.lists(st.sampled_from(["elliptic", "hyperbolic", "parabolic"]), min_size=1, max_size=3)):
+        if kind == "elliptic":
+            if not (repeat and angles):
+                angles.append(draw(_ANGLES.filter(lambda a: all(abs(a - b) >= 1e-6 for b in angles))))
+            blocks.append((kind, angles[0] if repeat else angles[-1]))
+        else:
+            blocks.append((kind, draw(_HYPERBOLIC if kind == "hyperbolic" else st.sampled_from([1.0, -1.0]))))
+    return blocks, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_block_spectra())
+@example(([("elliptic", 0.5), ("elliptic", 0.5), ("hyperbolic", -2.0)], 1))
+@example(([("elliptic", 0.01), ("elliptic", math.pi - 0.01), ("parabolic", -1.0)], 2))
+@example(([("elliptic", 1.0), ("elliptic", 1.0 + 1e-6), ("elliptic", 1.0)], 3))
+@example(([("parabolic", 1.0), ("parabolic", 1.0), ("hyperbolic", 1.01)], 4))
+def test_classify_spectrum_returns_the_tags_of_its_blocks(case):
+    """On conjugated rotation, reciprocal and +-I blocks: the construction's tags, omegas and pair orientations."""
+    spec, seed = case
+    blocks = {
+        "elliptic": rotation,
+        "hyperbolic": lambda lam: np.diag([lam, 1 / lam]),
+        "parabolic": lambda sign: sign * np.eye(2),
+    }
+    q = np.linalg.qr(np.random.default_rng(seed).normal(size=(2 * len(spec),) * 2))[0]
+    rep = classify_spectrum(q @ block_diag(*(blocks[kind](v) for kind, v in spec)) @ q.T)
+    angles = [v for kind, v in spec if kind == "elliptic"]
+    resonant = len(set(angles)) < len(angles)
+    tags = ["resonant" if kind == "elliptic" and resonant else kind for kind, _ in spec]
+    assert sorted(rep.classification) == sorted(tags)
+    lams = rep.eigenvalues
+    elliptic = [(p, w) for p, w, t in zip(rep.pairing, rep.omega, rep.classification) if t in ("elliptic", "resonant")]
+    assert all(lams[j].imag > 0 and abs(lams[j] - lams[k].conjugate()) < 1e-9 for (j, k), _ in elliptic)
+    omegas = sorted(w for _, w in elliptic)
+    assert max((abs(w - a / (2 * math.pi)) for w, a in zip(omegas, sorted(angles))), default=0.0) < 1e-12
+    for (j, k), t in zip(rep.pairing, rep.classification):
+        if t == "hyperbolic":
+            assert abs(lams[j]) > abs(lams[k]) and abs(lams[j] * lams[k] - 1) < 1e-9
