@@ -8,13 +8,14 @@ verdicts; the ``--golden`` comparison reads the ``alpha_det`` of its degree-3
 row (``cli.compare_golden``).
 
 ``_su2_row`` is the only SU(2) chain.  Rows run it together, up to
-``SU2_LANES`` at a time: the fixed point, the spectrum, C0 and the verdicts
-run per row, and the chart and the normal-form input run once for all rows
-of a batch, on ``jets.Lanes`` coefficients that give each row the bits of
-its own Python floats.  An su2 scan reads its rows from :func:`su2_rows`,
-which makes a batch when the batch's first row is read and holds its rows
-until each is read; ``su2_brown_point(s)`` called alone is a batch of one,
-on Python floats.
+``SU2_LANES`` at a time: the fixed point and the verdicts run per row, and
+the chart, the spectrum, C0 and the normal-form input run once for all rows
+of a batch.  The chart and the normal-form input run on ``jets.Lanes``
+coefficients, and the spectrum and C0 as stacked numpy calls; either gives
+each row the bits it gets alone.  An su2 scan reads its rows from
+:func:`su2_rows`, which makes a batch when the batch's first row is read
+and holds its rows until each is read; ``su2_brown_point(s)`` called alone
+is a batch of one, on Python floats.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ SCAN_ERRORS = (
     OverflowError,  # values too large for a double
 )
 
-#: Most SU(2) rows whose chart and normal-form input run together, in lanes.
+#: Most SU(2) rows whose chart, spectrum, C0 and normal-form input run together.
 #: A batch holds its rows' charts, spectra and normal-form inputs, about 7 kB
 #: a row: 64 rows hold about 0.5 MB, and 256 rows made the rows of an su2
 #: scan about 10% faster for 1.9 MB.
@@ -131,10 +132,11 @@ def su2_rows(s_values):
 def _in_lanes(stage, rows: list) -> list:
     """``stage`` on each row's arguments, all rows in one call; per row its result, or the exception it raises alone.
 
-    ``stage`` takes one list per argument and returns one result per row.
-    Rows whose lanes disagree on a zero test split by the lanes' mask and
-    run again; a batch that raises anything else splits in halves.  A single
-    row runs on Python floats.
+    ``stage`` takes one list per argument and returns one result per row, or
+    the exception that row raises (the spectrum and C0 stages).  Rows whose
+    lanes disagree on a zero test split by the lanes' mask and run again; a
+    batch that raises anything else splits in halves.  A single row runs on
+    Python floats.
     """
     args = [list(column) for column in zip(*rows)]
     try:
@@ -153,8 +155,10 @@ def _in_lanes(stage, rows: list) -> list:
 def _su2_row(s):
     """The stages of one ``su2_brown_point`` row, returning the row.
 
-    The chart and the normal-form input are yielded as ``(stage, args)``,
-    each made in lanes with the other rows' of its batch (see :func:`su2_rows`).
+    The chart, the spectrum, C0 and the normal-form input are yielded as
+    ``(stage, args)``, each made at once with the other rows' of its batch
+    (see :func:`su2_rows`).  The stages are looked up as module globals when
+    they are yielded.
     """
     s = s if isinstance(s, Fraction) else Fraction(s)
     row: dict = {"s": float(s)}
@@ -169,7 +173,7 @@ def _su2_row(s):
             return row
         chart = yield su2_chart_map_jet, (p0,)
         L = chart_linear_matrix(chart)
-        report = classify_spectrum(L)
+        report = yield classify_spectrum, (L,)
         row["spec_class"] = report.classification[0]
         lam = report.eigenvalues[report.pairing[0][0]]
         row["multiplier"] = _c(lam)
@@ -178,7 +182,7 @@ def _su2_row(s):
         row["omega"] = report.omega[0]
         flags = nonresonance_check([lam])
         row["resonance_flags"] = [list(f) for f in flags]
-        basis = build_C0(L, report)
+        basis = yield build_C0, (L, report)
         nf = yield diagonalized_jets, (chart.map_jet, basis)
         p, q = nf.p_jets[0], nf.q_jets[0]
         alpha2 = alpha2_closed_form(

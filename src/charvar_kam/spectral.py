@@ -43,27 +43,44 @@ def eigen_small(m):
     enforces the residual bound ||m v - lambda v|| <= EIGEN_RESIDUAL_TOL * ||m||
     for every pair; failing that, the matrix is declared defective.  A matrix
     whose norm overflows a double has no such bound and is rejected too.
+
+    ``m`` may also be a list of numpy arrays of one shape, one matrix per
+    row.  Then ``eig``, the eigenpair residuals and the singular values of
+    the bases run once, on the stack, and one result per matrix returns: its
+    (eigenvalues, eigenvectors), or the exception it raises alone.  Each
+    norm and check runs per matrix, since a stacked norm has other bits.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {m.shape}")
-    if m.shape[0] > 8:
+    if not _listed(m):
+        return _one(eigen_small([np.asarray(m, dtype=complex)]))
+    ms = np.array(m, dtype=complex)
+    if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
+        raise ValueError(f"need a square matrix, got shape {ms.shape[1:]}")
+    if ms.shape[1] > 8:
         raise ValueError("eigen_small is for matrices of size <= 8")
     try:
-        vals, vecs = np.linalg.eig(m)
+        vals, vecs = np.linalg.eig(ms)
+        # a Jordan block yields (near-)parallel eigenvectors with tiny residuals,
+        # so defectiveness must be caught through the basis conditioning: the
+        # 2-norm condition number s_max / s_min, as np.linalg.cond computes it
+        svs = np.linalg.svd(vecs, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise NonDiagonalizableError(f"eigendecomposition failed: {exc}") from exc
+        if len(ms) > 1:  # numpy rejects a whole stack for one matrix that holds inf or NaN or does not converge
+            return _alone(eigen_small, ms)
+        return [_caused(NonDiagonalizableError(f"eigendecomposition failed: {exc}"), exc)]
     # a norm past the double range overflows quietly here: the checks below reject it
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.linalg.norm(m)
-        # column k is m v_k - lambda_k v_k
-        residuals = np.linalg.norm(m @ vecs - vecs * vals, axis=0)
+        # column k of each is m v_k - lambda_k v_k
+        residuals = ms @ vecs - vecs * vals[:, None, :]
+        return _each(_checked_eigenpairs, ms, vals, vecs, residuals, svs)
+
+
+def _checked_eigenpairs(m, vals, vecs, residuals, s):
+    """``(vals, vecs)``, the eigenpairs of ``m``, once they pass :func:`eigen_small`'s checks."""
+    scale = np.linalg.norm(m)
+    residuals = np.linalg.norm(residuals, axis=0)
     if scale == 0.0:
         return vals, vecs
-    # a Jordan block yields (near-)parallel eigenvectors with tiny residuals,
-    # so defectiveness must be caught through the basis conditioning: the
-    # 2-norm condition number s_max / s_min, as np.linalg.cond computes it
-    s = np.linalg.svd(vecs, compute_uv=False).tolist()
+    s = s.tolist()
     cond = s[0] / s[-1] if s[-1] else math.inf
     if not cond <= EIGEN_COND_MAX:  # NaN fails
         raise NonDiagonalizableError(f"eigenvector basis condition number {cond:.3e}: matrix is defective")
@@ -75,6 +92,60 @@ def eigen_small(m):
     if not math.isfinite(scale):  # the bound above was inf
         raise NonDiagonalizableError(f"matrix norm {scale} is not finite")
     return vals, vecs
+
+
+def _listed(m) -> bool:
+    """True when ``m`` is a list of numpy arrays, one matrix per row, rather than one matrix."""
+    return isinstance(m, list) and all(isinstance(a, np.ndarray) for a in m)
+
+
+def _one(results):
+    """The result of a list call of one, raised when it is an exception."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _caused(exc: Exception, cause: Exception) -> Exception:
+    """``exc`` with ``cause`` as its ``__cause__``, as ``raise exc from cause`` would leave it."""
+    exc.__cause__ = cause
+    return exc
+
+
+def _failure(row):
+    """The first exception among a row's entries, or None."""
+    for x in row:
+        if isinstance(x, Exception):
+            return x
+    return None
+
+
+def _each(fn, *columns) -> list:
+    """Per row of ``columns``, ``fn`` of its entries: the result, or the exception it raises.
+
+    A row that holds an exception keeps it, and ``fn`` does not run on it.
+    """
+    out = []
+    for row in zip(*columns):
+        try:
+            out.append(_failure(row) or fn(*row))
+        except Exception as exc:  # the row's result: a one-matrix call raises it again, a batch row gets it thrown in
+            out.append(exc)
+    return out
+
+
+def _live(fn, *columns) -> list:
+    """``fn`` as one list call on the rows of ``columns`` that hold no exception; a row that holds one keeps it."""
+    rows = list(zip(*columns))
+    live = [row for row in rows if _failure(row) is None]
+    done = iter(fn(*map(list, zip(*live))) if live else ())
+    return [_failure(row) or next(done) for row in rows]
+
+
+def _alone(fn, *columns) -> list:
+    """Per row of ``columns``, the list call ``fn`` on that row alone: its result, or the exception it raises."""
+    return _each(lambda *row: _one(fn(*([x] for x in row))), *columns)
 
 
 @dataclass(frozen=True)
@@ -118,7 +189,7 @@ def _partner(vals, used, j, target, real: bool = False) -> tuple:
     return (best if best_err <= PARTNER_TOL * max(1.0, abs(target)) else None), best_err
 
 
-def classify_spectrum(m) -> SpectrumReport:
+def classify_spectrum(m):
     """Pair and tag the spectrum of a real square matrix (n <= 8, n even).
 
     Complex eigenvalues pair with their conjugates; real ones pair with their
@@ -126,11 +197,29 @@ def classify_spectrum(m) -> SpectrumReport:
     fixed points of measure-preserving actions).  Elliptic means on the unit
     circle but not at +/-1; real off-circle pairs are hyperbolic; +/-1 is
     parabolic; a repeated elliptic eigenvalue is tagged resonant.
+
+    ``m`` may also be a list of numpy arrays of one shape, one matrix per
+    row: their eigendecompositions run as one stack (:func:`eigen_small`),
+    and one result per row returns, its report or the exception it raises
+    alone.
     """
-    m = np.asarray(m)
-    if np.iscomplexobj(m) and np.max(np.abs(m.imag)) > 0:
-        raise SpectrumStructureError("classify_spectrum expects a real matrix")
-    vals, vecs = eigen_small(np.asarray(m, dtype=float))
+    if not _listed(m):
+        return _one(classify_spectrum([np.asarray(m)]))
+    return _each(_paired, _live(eigen_small, _each(_real, m)))
+
+
+def _real(m) -> np.ndarray:
+    """``m`` as a float array; an imaginary entry that is not exactly 0, NaN included, is an error."""
+    if np.iscomplexobj(m):
+        if (m.imag != 0).any():
+            raise SpectrumStructureError("classify_spectrum expects a real matrix")
+        m = m.real
+    return np.asarray(m, dtype=float)
+
+
+def _paired(eigenpairs) -> SpectrumReport:
+    """The :class:`SpectrumReport` of a matrix's ``(eigenvalues, eigenvectors)``."""
+    vals, vecs = eigenpairs
     vals = vals.tolist()  # Python complex: the same abs (hypot) and phase as numpy's scalars
     n = len(vals)
     used = [False] * n
@@ -204,7 +293,7 @@ class DiagonalizingBasis:
     normalization: dict = field(default_factory=dict)
 
 
-def build_C0(m, report: SpectrumReport) -> DiagonalizingBasis:
+def build_C0(m, report):
     """Diagonalizing basis for a real matrix with fully elliptic spectrum.
 
     The columns of C0 are the eigenvectors of ``report = classify_spectrum(m)``,
@@ -212,33 +301,55 @@ def build_C0(m, report: SpectrumReport) -> DiagonalizingBasis:
     off-diagonal residual of C0^-1 m C0 against ``C0_RESIDUAL_TOL``, which
     also rejects a report of another matrix, and rejects a matrix whose norm
     overflows a double.
+
+    ``m`` and ``report`` may also be lists, one matrix and its report per
+    row.  Then ``inv`` and ``inv @ m @ C0`` run once, on the stack of the
+    rows' C0, and one result per row returns, its basis or the exception it
+    raises alone.
     """
-    m = np.asarray(m, dtype=float)
+    if isinstance(report, SpectrumReport):
+        return _one(build_C0([m], [report]))
+    ms = [np.asarray(a, dtype=float) for a in m]
+    return _live(_bases, ms, report, _each(_pinned_columns, report))
+
+
+def _pinned_columns(report: SpectrumReport) -> list:
+    """The columns of C0 for an all-elliptic report: its unit eigenvectors, each phase pinned, and their conjugates."""
     if not report.is_elliptic():
         raise ResonanceError(
             f"build_C0 needs an all-elliptic spectrum, got tags {report.classification}"
         )
-    n = m.shape[0]
     cols = []
     for j, _ in report.pairing:
         v = report.eigenvectors[:, j]  # complex: eig of a real matrix with non-real eigenvalues
         v = v / np.linalg.norm(v)
         # deterministic phase: first entry above threshold made real positive
-        lead = next(i for i in range(n) if abs(v[i]) > PHASE_LEAD_MIN)
+        lead = next(i for i in range(len(v)) if abs(v[i]) > PHASE_LEAD_MIN)
         v = v * (abs(v[lead]) / v[lead])
         cols.append(v)
         cols.append(v.conj())
-    C0 = np.column_stack(cols)
+    return cols
+
+
+def _bases(ms: list, reports: list, columns: list) -> list:
+    """:func:`build_C0`'s stacked tail: ``inv`` and ``inv @ m @ C0`` once for the rows, then each row's checks."""
+    C0 = np.array(columns).transpose(0, 2, 1).copy()  # in C order, as each row's C0 alone
     try:
         inv = np.linalg.inv(C0)
     except np.linalg.LinAlgError as exc:
-        raise NonDiagonalizableError(f"eigenvector basis C0 is not invertible: {exc}") from exc
+        if len(C0) > 1:  # numpy rejects a whole stack for one singular matrix
+            return _alone(_bases, ms, reports, columns)
+        return [_caused(NonDiagonalizableError(f"eigenvector basis C0 is not invertible: {exc}"), exc)]
     # a norm past the double range overflows quietly here: the checks below reject it
     with np.errstate(over="ignore", invalid="ignore"):
-        off = np.abs(inv @ m @ C0)
-        scale = max(1.0, float(np.linalg.norm(m)))
-    off.flat[:: n + 1] = 0.0  # the diagonal
-    res = float(off.max())
+        off = np.abs(inv @ np.array(ms) @ C0).reshape(len(C0), -1)
+        off[:, :: C0.shape[1] + 1] = 0.0  # the diagonals
+        return _each(_checked_basis, ms, reports, C0, inv, off.max(axis=1).tolist())
+
+
+def _checked_basis(m, report, C0, inv, res) -> DiagonalizingBasis:
+    """The basis of ``m`` once ``res``, the largest off-diagonal modulus of C0^-1 m C0, passes."""
+    scale = max(1.0, float(np.linalg.norm(m)))
     if not res <= C0_RESIDUAL_TOL * scale:  # NaN fails
         raise NonDiagonalizableError(f"off-diagonal residual {res:.3e} exceeds tolerance")
     if math.isinf(scale):  # the bound above was inf

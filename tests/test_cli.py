@@ -757,6 +757,29 @@ def test_streamed_report_equals_the_collected_report_on_drawn_scans(tmp_path_fac
     assert (out.read_bytes(), code) == _collected_bytes(argv)
 
 
+def test_su3_csv_writes_twist_and_non_planarity_each_in_its_own_column():
+    """A hand-made su3-main report whose rows differ in ``twist_ok`` and ``nonplanar_ok``: each flag keeps its column.
+
+    No s of the drawn scans gives such a row, so a projection that wrote one flag for the other would pass them.
+    """
+    import csv
+
+    from oracles import report_csv
+
+    rows = [
+        {"s": 0.2456, "ell": 1.25, "spec_class": ["elliptic"] * 3, "alpha_det": {"re": -3.5, "im": 0.25}},
+        {"s": 0.2473, "ell": 1.5, "spec_class": ["elliptic"] * 3, "alpha_det": {"re": 2e-13, "im": -1e-14}},
+    ]
+    rows[0].update(twist_ok=True, nonplanar_ok=False, verdict=False)
+    rows[1].update(twist_ok=False, nonplanar_ok=True, verdict=False, notes="twist below tolerance")
+    report = {"schema": "kam-report/1", "pipeline": "su3-main", "config": {"s_values": [0.2456, 0.2473]}, "rows": rows}
+    buf = io.StringIO()
+    cli.write_report(report, RunConfig(pipeline="su3-main", format="csv"), buf)
+    assert buf.getvalue() == report_csv(report)
+    table = list(csv.DictReader(io.StringIO(buf.getvalue())))
+    assert [(r["twist_ok"], r["nonplanar_ok"]) for r in table] == [("True", "False"), ("False", "True")]
+
+
 def test_reference_reports_stream_to_their_stored_bytes(tmp_path):
     """The stored hashes are those of ``cli.run``'s reports written whole (tests/test_reference_reports.py)."""
     import hashlib

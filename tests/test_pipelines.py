@@ -249,6 +249,34 @@ def test_su2_row_builds_few_jets_and_linalg_calls(monkeypatch):
     assert counts["linalg"] > 0 and counts["jets"] > 0 and counts["fittings"] > 0  # the counters saw the row
 
 
+def test_su2_scan_runs_one_eig_and_one_inv_per_batch(monkeypatch):
+    """128 elliptic rows, two batches of SU2_LANES = 64: the spectrum and C0 are stacked, not made row by row."""
+    calls = {"eig": 0, "inv": 0}
+
+    def counting(name):
+        fn = getattr(np.linalg, name)
+
+        def call(a):
+            calls[name] += 1
+            return fn(a)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    s_values = [Fraction(k, 1000) for k in range(5, 133)]
+    report, _ = cli.run(cli.RunConfig(pipeline="su2-brown", s_values=s_values))
+    assert pipelines.SU2_LANES == 64 and len(report["rows"]) == 128
+    assert all(row["twist_ok"] is True for row in report["rows"])  # each row went through build_C0
+    assert calls == {"eig": 2, "inv": 2}
+
+
+def test_su2_edge_rows_record_the_defective_spectrum():
+    for s, cond in ((Fraction(1, 4), "9.007e+15"), (Fraction(-1, 2), "1.351e+16")):
+        error = su2_brown_point(s)["error"]
+        assert error == f"NonDiagonalizableError: eigenvector basis condition number {cond}: matrix is defective"
+
+
 def test_twist_changes_sign_between_window_rows():
     """det(Re b) changes sign between the grid rows s = 0.2470 and 0.2475 of the window.
 
@@ -411,10 +439,11 @@ def test_su2_rows_equal_fraction_oracle():
 
 
 #: Rows that end early or in a scan error, and a row whose chart lanes split: the origin, ResonanceError (1e-9),
-#: SingularChartError (1e-320 and 1), UnrealizableError (+-0.9), a hyperbolic spectrum (0.3), and 1/5, where an
-#: intermediate product of the chart cancels to 0.0 in its lane alone.
+#: SingularChartError (1e-320 and 1), UnrealizableError (+-0.9), a hyperbolic spectrum (0.3), 1/5, where an
+#: intermediate product of the chart cancels to 0.0 in its lane alone, and the two ends of the elliptic interval,
+#: 1/4 and -1/2, whose defective spectra raise NonDiagonalizableError inside the batch's stacked spectrum.
 _SU2_EDGE_S = [Fraction(0), Fraction(1, 10**9), Fraction(1, 10**320), Fraction(1), Fraction(9, 10), Fraction(-9, 10)]
-_SU2_EDGE_S += [Fraction(3, 10), Fraction(1, 5)]
+_SU2_EDGE_S += [Fraction(3, 10), Fraction(1, 5), Fraction(1, 4), Fraction(-1, 2)]
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charvar_kam.errors import NonDiagonalizableError, ResonanceError, SpectrumStructureError
-from charvar_kam.spectral import build_C0, classify_spectrum, eigen_small
+from charvar_kam.spectral import SpectrumReport, build_C0, classify_spectrum, eigen_small
 
 
 def rotation(theta):
@@ -70,8 +70,8 @@ def test_eigen_small_names_the_first_pair_past_the_residual_bound(monkeypatch):
     """One residual check for all pairs still reports the first bad pair, with the same message."""
     from charvar_kam import spectral
 
-    def wrong_eig(m):
-        return np.array([2.0, 3.5, 6.0], dtype=complex), np.eye(3, dtype=complex)
+    def wrong_eig(m):  # eigen_small calls eig on a stack, here of one matrix
+        return np.array([[2.0, 3.5, 6.0]], dtype=complex), np.eye(3, dtype=complex)[None]
 
     monkeypatch.setattr(spectral.np.linalg, "eig", wrong_eig)
     with pytest.raises(NonDiagonalizableError, match=r"^eigenpair 1 residual 5\.000e-01 exceeds 1\.0e-09 \* \|\|m\|\|$"):
@@ -81,8 +81,8 @@ def test_eigen_small_names_the_first_pair_past_the_residual_bound(monkeypatch):
 def test_eigen_small_singular_basis_has_infinite_condition(monkeypatch):
     from charvar_kam import spectral
 
-    def parallel_eig(m):
-        return np.array([1.0, 1.0], dtype=complex), np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+    def parallel_eig(m):  # eigen_small calls eig on a stack, here of one matrix
+        return np.array([[1.0, 1.0]], dtype=complex), np.array([[[1.0, 1.0], [0.0, 0.0]]], dtype=complex)
 
     monkeypatch.setattr(spectral.np.linalg, "eig", parallel_eig)
     with pytest.raises(NonDiagonalizableError, match="^eigenvector basis condition number inf: matrix is defective$"):
@@ -168,6 +168,25 @@ def test_classify_parabolic():
 def test_classify_rejects_complex_input():
     with pytest.raises(SpectrumStructureError):
         classify_spectrum(np.array([[1j, 0], [0, -1j]]))
+
+
+def test_classify_rejects_a_nan_imaginary_part():
+    """An imaginary part that is NaN is not 0: the matrix is refused, alone and in a list, not read by its real part."""
+    m = np.array([[complex(0, math.nan), -1], [1, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpectrumStructureError, match="^classify_spectrum expects a real matrix$"):
+            classify_spectrum(m)
+        rotated, refused = classify_spectrum([rotation(0.3), m])
+    assert rotated == classify_spectrum(rotation(0.3))
+    assert type(refused) is SpectrumStructureError
+
+
+def test_classify_reads_a_complex_matrix_with_zero_imaginary_part_quietly():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = classify_spectrum(rotation(0.3).astype(complex))
+    assert repr(rep) == repr(classify_spectrum(rotation(0.3)))
 
 
 def test_classify_mixed_spectrum():
@@ -385,3 +404,95 @@ def test_classify_spectrum_returns_the_tags_of_its_blocks(case):
     for (j, k), t in zip(rep.pairing, rep.classification):
         if t == "hyperbolic":
             assert abs(lams[j]) > abs(lams[k]) and abs(lams[j] * lams[k] - 1) < 1e-9
+
+
+# ------------------------------------------------------------------ list calls
+
+
+def _same_outcome(got, alone_call):
+    """``got``, one row of a list call, raised what ``alone_call()`` raises, or nothing; returns the call's result or None."""
+    try:
+        want = alone_call()
+    except Exception as exc:
+        assert type(got) is type(exc) and str(got) == str(exc)
+        return None
+    assert not isinstance(got, Exception)
+    return want
+
+
+def _window_matrices():
+    """6x6 linear parts of SU(3) charts in and around the paper's window, and one with an inf entry."""
+    from charvar_kam.charts import chart_linear_matrix, chart_map_jet
+    from charvar_kam.mcg import fixed_family_su3
+
+    ms = [chart_linear_matrix(chart_map_jet(fixed_family_su3(Fraction(k, 10**4)))) for k in (2390, 2411, 2450, 2490)]
+    broken = ms[1].copy()
+    broken[2, 3] = math.inf
+    return [ms[0], broken, ms[1], ms[2], block_diag(rotation(0.5), rotation(0.5), rotation(1.0)), ms[3]]
+
+
+def _su2_mixed():
+    """2x2 rows of every kind: elliptic, hyperbolic, parabolic, defective, zero, an inf entry, complex."""
+    return [
+        rotation(0.7),
+        np.diag([2.0, 0.5]),
+        np.eye(2),
+        -np.eye(2),
+        np.array([[1.0, 1.0], [0.0, 1.0]]),
+        np.zeros((2, 2)),
+        np.array([[math.inf, 0.0], [0.0, 1.0]]),
+        np.array([[1j, 0.0], [0.0, -1j]]),
+        rotation(2.1),
+    ]
+
+
+@pytest.mark.parametrize("mats", [_su2_mixed, _window_matrices], ids=["2x2", "6x6"])
+def test_classify_spectrum_of_a_list_is_each_matrix_alone(mats):
+    """Row by row, a list call gives the report or the exception of the matrix alone, with numpy's own eig bits."""
+    mats = mats()
+    reports = classify_spectrum(mats)
+    assert len(reports) == len(mats)
+    for m, got in zip(mats, reports):
+        want = _same_outcome(got, lambda: classify_spectrum(m))
+        if want is None:
+            continue
+        assert repr(got) == repr(want)  # eigenvalues, pairing, tags and omega, NaN placeholders included
+        vals, vecs = np.linalg.eig(np.asarray(m, dtype=complex))
+        assert np.array(got.eigenvalues).tobytes() == vals.tobytes()
+        assert got.eigenvectors.tobytes() == vecs.tobytes() == want.eigenvectors.tobytes()
+    # the failing rows change nothing of the others
+    good = [m for m, r in zip(mats, reports) if not isinstance(r, Exception)]
+    assert [repr(r) for r in classify_spectrum(good)] == [repr(r) for r in reports if not isinstance(r, Exception)]
+    assert sum(isinstance(r, Exception) for r in reports) >= 1 and len(good) >= 2
+
+
+def _singular_report():
+    """An elliptic report whose two eigenvectors are parallel, so its C0 is singular."""
+    vecs = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+    return SpectrumReport((1j, -1j), ((0, 1),), ("elliptic",), (0.25,), vecs)
+
+
+@pytest.mark.parametrize("mats", [_su2_mixed, _window_matrices], ids=["2x2", "6x6"])
+def test_build_C0_of_a_list_is_each_basis_alone(mats):
+    """Row by row, a list call gives the basis or the exception of the row alone: C0, its inverse and eigenvalues."""
+    mats = mats()
+    rows = [(m, r) for m, r in zip(mats, classify_spectrum(mats)) if not isinstance(r, Exception)]
+    n = len(rows[0][0])
+    sheared = np.eye(n) + np.eye(n, k=1)
+    rows.insert(1, (rows[0][0], classify_spectrum(sheared @ rows[0][0] @ np.linalg.inv(sheared))))  # another matrix's
+    if n == 2:
+        rows.insert(2, (rotation(0.25), _singular_report()))
+    bases = build_C0([m for m, _ in rows], [r for _, r in rows])
+    assert len(bases) == len(rows)
+    kinds = []
+    for (m, report), got in zip(rows, bases):
+        want = _same_outcome(got, lambda: build_C0(m, report))
+        kinds.append(type(got).__name__)
+        if want is None:
+            continue
+        assert got.C0.tobytes() == want.C0.tobytes() and got.inverse.tobytes() == want.inverse.tobytes()
+        assert got.normalization == want.normalization
+    good = [(m, r) for (m, r), b in zip(rows, bases) if not isinstance(b, Exception)]
+    again = build_C0([m for m, _ in good], [r for _, r in good])
+    assert [b.C0.tobytes() for b in again] == [b.C0.tobytes() for b in bases if not isinstance(b, Exception)]
+    assert "ResonanceError" in kinds and "NonDiagonalizableError" in kinds and "DiagonalizingBasis" in kinds
