@@ -12,7 +12,9 @@ row (``cli.compare_golden``).
 the chart, the spectrum, C0 and the normal-form input run once for all rows
 of a batch.  The chart and the normal-form input run on ``jets.Lanes``
 coefficients, and the spectrum and C0 as stacked numpy calls; either gives
-each row the bits it gets alone.  An su2 scan reads its rows from
+each row the bits it gets alone.  A stage raises for the whole batch when
+one row fails it, and :func:`_in_lanes` runs the batch again in halves
+until that row runs alone, so the error reaches only its own row.  An su2 scan reads its rows from
 :func:`su2_rows`, which makes a batch when the batch's first row is read
 and holds its rows until each is read; ``su2_brown_point(s)`` called alone
 is a batch of one, on Python floats.
@@ -133,7 +135,7 @@ def _in_lanes(stage, rows: list) -> list:
     """``stage`` on each row's arguments, all rows in one call; per row its result, or the exception it raises alone.
 
     ``stage`` takes one list per argument and returns one result per row, or
-    the exception that row raises (the spectrum and C0 stages).  Rows whose
+    raises.  This is the only place that sets a failing row apart.  Rows whose
     lanes disagree on a zero test split by the lanes' mask and run again; a
     batch that raises anything else splits in halves.  A single row runs on
     Python floats.

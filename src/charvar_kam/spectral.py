@@ -44,15 +44,14 @@ def eigen_small(m):
     for every pair; failing that, the matrix is declared defective.  A matrix
     whose norm overflows a double has no such bound and is rejected too.
 
-    ``m`` may also be a list of numpy arrays of one shape, one matrix per
+    ``m`` may also be a list of 2-D numpy arrays of one shape, one matrix per
     row.  Then ``eig``, the eigenpair residuals and the singular values of
-    the bases run once, on the stack, and one result per matrix returns: its
-    (eigenvalues, eigenvectors), or the exception it raises alone.  Each
-    norm and check runs per matrix, since a stacked norm has other bits.
+    the bases run once, on the stack, and one (eigenvalues, eigenvectors)
+    per matrix returns; if any matrix fails, the call raises.  Each norm and
+    check runs per matrix, since a stacked norm has other bits.
     """
-    if not _listed(m):
-        return _one(eigen_small([np.asarray(m, dtype=complex)]))
-    ms = np.array(m, dtype=complex)
+    batch = _batch(m)
+    ms = np.array(m if batch else [m], dtype=complex)
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
         raise ValueError(f"need a square matrix, got shape {ms.shape[1:]}")
     if ms.shape[1] > 8:
@@ -64,14 +63,13 @@ def eigen_small(m):
         # 2-norm condition number s_max / s_min, as np.linalg.cond computes it
         svs = np.linalg.svd(vecs, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        if len(ms) > 1:  # numpy rejects a whole stack for one matrix that holds inf or NaN or does not converge
-            return _alone(eigen_small, ms)
-        return [_caused(NonDiagonalizableError(f"eigendecomposition failed: {exc}"), exc)]
+        raise NonDiagonalizableError(f"eigendecomposition failed: {exc}") from exc
     # a norm past the double range overflows quietly here: the checks below reject it
     with np.errstate(over="ignore", invalid="ignore"):
         # column k of each is m v_k - lambda_k v_k
         residuals = ms @ vecs - vecs * vals[:, None, :]
-        return _each(_checked_eigenpairs, ms, vals, vecs, residuals, svs)
+        pairs = [_checked_eigenpairs(*row) for row in zip(ms, vals, vecs, residuals, svs)]
+    return pairs if batch else pairs[0]
 
 
 def _checked_eigenpairs(m, vals, vecs, residuals, s):
@@ -94,58 +92,9 @@ def _checked_eigenpairs(m, vals, vecs, residuals, s):
     return vals, vecs
 
 
-def _listed(m) -> bool:
-    """True when ``m`` is a list of numpy arrays, one matrix per row, rather than one matrix."""
-    return isinstance(m, list) and all(isinstance(a, np.ndarray) for a in m)
-
-
-def _one(results):
-    """The result of a list call of one, raised when it is an exception."""
-    (result,) = results
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
-def _caused(exc: Exception, cause: Exception) -> Exception:
-    """``exc`` with ``cause`` as its ``__cause__``, as ``raise exc from cause`` would leave it."""
-    exc.__cause__ = cause
-    return exc
-
-
-def _failure(row):
-    """The first exception among a row's entries, or None."""
-    for x in row:
-        if isinstance(x, Exception):
-            return x
-    return None
-
-
-def _each(fn, *columns) -> list:
-    """Per row of ``columns``, ``fn`` of its entries: the result, or the exception it raises.
-
-    A row that holds an exception keeps it, and ``fn`` does not run on it.
-    """
-    out = []
-    for row in zip(*columns):
-        try:
-            out.append(_failure(row) or fn(*row))
-        except Exception as exc:  # the row's result: a one-matrix call raises it again, a batch row gets it thrown in
-            out.append(exc)
-    return out
-
-
-def _live(fn, *columns) -> list:
-    """``fn`` as one list call on the rows of ``columns`` that hold no exception; a row that holds one keeps it."""
-    rows = list(zip(*columns))
-    live = [row for row in rows if _failure(row) is None]
-    done = iter(fn(*map(list, zip(*live))) if live else ())
-    return [_failure(row) or next(done) for row in rows]
-
-
-def _alone(fn, *columns) -> list:
-    """Per row of ``columns``, the list call ``fn`` on that row alone: its result, or the exception it raises."""
-    return _each(lambda *row: _one(fn(*([x] for x in row))), *columns)
+def _batch(m) -> bool:
+    """True when ``m`` is a list of 2-D numpy arrays, one matrix per row, rather than one matrix."""
+    return isinstance(m, list) and all(isinstance(a, np.ndarray) and a.ndim == 2 for a in m)
 
 
 @dataclass(frozen=True)
@@ -198,14 +147,13 @@ def classify_spectrum(m):
     circle but not at +/-1; real off-circle pairs are hyperbolic; +/-1 is
     parabolic; a repeated elliptic eigenvalue is tagged resonant.
 
-    ``m`` may also be a list of numpy arrays of one shape, one matrix per
-    row: their eigendecompositions run as one stack (:func:`eigen_small`),
-    and one result per row returns, its report or the exception it raises
-    alone.
+    ``m`` may also be a list of 2-D numpy arrays of one shape, one matrix
+    per row: their eigendecompositions run as one stack (:func:`eigen_small`),
+    and one report per row returns; if any row fails, the call raises.
     """
-    if not _listed(m):
-        return _one(classify_spectrum([np.asarray(m)]))
-    return _each(_paired, _live(eigen_small, _each(_real, m)))
+    if not _batch(m):
+        return _paired(eigen_small(_real(np.asarray(m))))
+    return [_paired(p) for p in eigen_small([_real(a) for a in m])]
 
 
 def _real(m) -> np.ndarray:
@@ -304,13 +252,22 @@ def build_C0(m, report):
 
     ``m`` and ``report`` may also be lists, one matrix and its report per
     row.  Then ``inv`` and ``inv @ m @ C0`` run once, on the stack of the
-    rows' C0, and one result per row returns, its basis or the exception it
-    raises alone.
+    rows' C0, and one basis per row returns; if any row fails, the call
+    raises.
     """
     if isinstance(report, SpectrumReport):
-        return _one(build_C0([m], [report]))
+        return build_C0([m], [report])[0]
     ms = [np.asarray(a, dtype=float) for a in m]
-    return _live(_bases, ms, report, _each(_pinned_columns, report))
+    C0 = np.array([_pinned_columns(r) for r in report]).transpose(0, 2, 1).copy()  # in C order, as each row's C0 alone
+    try:
+        inv = np.linalg.inv(C0)
+    except np.linalg.LinAlgError as exc:
+        raise NonDiagonalizableError(f"eigenvector basis C0 is not invertible: {exc}") from exc
+    # a norm past the double range overflows quietly here: the checks below reject it
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = np.abs(inv @ np.array(ms) @ C0).reshape(len(C0), -1)
+        off[:, :: C0.shape[1] + 1] = 0.0  # the diagonals
+        return [_checked_basis(*row) for row in zip(ms, report, C0, inv, off.max(axis=1).tolist())]
 
 
 def _pinned_columns(report: SpectrumReport) -> list:
@@ -329,22 +286,6 @@ def _pinned_columns(report: SpectrumReport) -> list:
         cols.append(v)
         cols.append(v.conj())
     return cols
-
-
-def _bases(ms: list, reports: list, columns: list) -> list:
-    """:func:`build_C0`'s stacked tail: ``inv`` and ``inv @ m @ C0`` once for the rows, then each row's checks."""
-    C0 = np.array(columns).transpose(0, 2, 1).copy()  # in C order, as each row's C0 alone
-    try:
-        inv = np.linalg.inv(C0)
-    except np.linalg.LinAlgError as exc:
-        if len(C0) > 1:  # numpy rejects a whole stack for one singular matrix
-            return _alone(_bases, ms, reports, columns)
-        return [_caused(NonDiagonalizableError(f"eigenvector basis C0 is not invertible: {exc}"), exc)]
-    # a norm past the double range overflows quietly here: the checks below reject it
-    with np.errstate(over="ignore", invalid="ignore"):
-        off = np.abs(inv @ np.array(ms) @ C0).reshape(len(C0), -1)
-        off[:, :: C0.shape[1] + 1] = 0.0  # the diagonals
-        return _each(_checked_basis, ms, reports, C0, inv, off.max(axis=1).tolist())
 
 
 def _checked_basis(m, report, C0, inv, res) -> DiagonalizingBasis:

@@ -249,8 +249,8 @@ def test_su2_row_builds_few_jets_and_linalg_calls(monkeypatch):
     assert counts["linalg"] > 0 and counts["jets"] > 0 and counts["fittings"] > 0  # the counters saw the row
 
 
-def test_su2_scan_runs_one_eig_and_one_inv_per_batch(monkeypatch):
-    """128 elliptic rows, two batches of SU2_LANES = 64: the spectrum and C0 are stacked, not made row by row."""
+def _count_eig_and_inv(monkeypatch) -> dict:
+    """The number of ``np.linalg.eig`` and ``np.linalg.inv`` calls from here on, counted into the dict returned."""
     calls = {"eig": 0, "inv": 0}
 
     def counting(name):
@@ -264,11 +264,28 @@ def test_su2_scan_runs_one_eig_and_one_inv_per_batch(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counting(name))
+    return calls
+
+
+def test_su2_scan_runs_one_eig_and_one_inv_per_batch(monkeypatch):
+    """128 elliptic rows, two batches of SU2_LANES = 64: the spectrum and C0 are stacked, not made row by row."""
+    calls = _count_eig_and_inv(monkeypatch)
     s_values = [Fraction(k, 1000) for k in range(5, 133)]
     report, _ = cli.run(cli.RunConfig(pipeline="su2-brown", s_values=s_values))
     assert pipelines.SU2_LANES == 64 and len(report["rows"]) == 128
     assert all(row["twist_ok"] is True for row in report["rows"])  # each row went through build_C0
     assert calls == {"eig": 2, "inv": 2}
+
+
+def test_a_failing_row_is_set_apart_in_log2_of_the_batch(monkeypatch):
+    """s = 1/4 among 64 rows: its batch runs again in halves, so eig runs at most 1 + 2 log2(64) times, inv once."""
+    s_values = [Fraction(22, 100) + Fraction(k, 1000) for k in range(64)]
+    alone = [_row_bytes(su2_brown_point(s)) for s in s_values]
+    calls = _count_eig_and_inv(monkeypatch)
+    rows = list(pipelines.su2_rows(s_values))
+    assert calls["eig"] <= 13 and calls["inv"] == 1
+    assert [_row_bytes(su2_brown_point(s, row)) for s, row in zip(s_values, rows)] == alone
+    assert rows[30]["error"].startswith("NonDiagonalizableError: ")
 
 
 def test_su2_edge_rows_record_the_defective_spectrum():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charvar_kam.errors import NonDiagonalizableError, ResonanceError, SpectrumStructureError
+from charvar_kam.pipelines import SCAN_ERRORS, _in_lanes
 from charvar_kam.spectral import SpectrumReport, build_C0, classify_spectrum, eigen_small
 
 
@@ -171,13 +172,15 @@ def test_classify_rejects_complex_input():
 
 
 def test_classify_rejects_a_nan_imaginary_part():
-    """An imaginary part that is NaN is not 0: the matrix is refused, alone and in a list, not read by its real part."""
+    """An imaginary part that is NaN is not 0: the matrix is refused, alone and in lanes, not read by its real part."""
     m = np.array([[complex(0, math.nan), -1], [1, 0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SpectrumStructureError, match="^classify_spectrum expects a real matrix$"):
             classify_spectrum(m)
-        rotated, refused = classify_spectrum([rotation(0.3), m])
+        with pytest.raises(SpectrumStructureError, match="^classify_spectrum expects a real matrix$"):
+            classify_spectrum([rotation(0.3), m])
+        rotated, refused = _in_lanes(classify_spectrum, [(rotation(0.3),), (m,)])
     assert rotated == classify_spectrum(rotation(0.3))
     assert type(refused) is SpectrumStructureError
 
@@ -406,11 +409,21 @@ def test_classify_spectrum_returns_the_tags_of_its_blocks(case):
             assert abs(lams[j]) > abs(lams[k]) and abs(lams[j] * lams[k] - 1) < 1e-9
 
 
-# ------------------------------------------------------------------ list calls
+def test_one_matrix_given_as_a_list_of_its_rows_is_one_matrix():
+    """A list of 1-D arrays is the rows of one matrix, not a batch: only a list of 2-D arrays is a batch."""
+    rows = [np.array([0.0, -1.0]), np.array([1.0, 0.0])]
+    assert classify_spectrum(rows).classification == ("elliptic",)
+    assert repr(classify_spectrum(rows)) == repr(classify_spectrum(np.array(rows)))
+    vals, vecs = eigen_small(rows)
+    want_vals, want_vecs = eigen_small(np.array(rows))
+    assert vals.tobytes() == want_vals.tobytes() and vecs.tobytes() == want_vecs.tobytes()
+
+
+# ------------------------------------------------------------------ list calls in lanes
 
 
 def _same_outcome(got, alone_call):
-    """``got``, one row of a list call, raised what ``alone_call()`` raises, or nothing; returns the call's result or None."""
+    """``got``, one row's result in lanes, raised what ``alone_call()`` raises, or nothing; returns the call's result or None."""
     try:
         want = alone_call()
     except Exception as exc:
@@ -448,9 +461,12 @@ def _su2_mixed():
 
 @pytest.mark.parametrize("mats", [_su2_mixed, _window_matrices], ids=["2x2", "6x6"])
 def test_classify_spectrum_of_a_list_is_each_matrix_alone(mats):
-    """Row by row, a list call gives the report or the exception of the matrix alone, with numpy's own eig bits."""
+    """Row by row, a list call in lanes gives the report or the exception of the matrix alone, with numpy's own eig bits.
+
+    A direct list call that holds a failing row raises that row's scan error.
+    """
     mats = mats()
-    reports = classify_spectrum(mats)
+    reports = _in_lanes(classify_spectrum, [(m,) for m in mats])
     assert len(reports) == len(mats)
     for m, got in zip(mats, reports):
         want = _same_outcome(got, lambda: classify_spectrum(m))
@@ -464,6 +480,15 @@ def test_classify_spectrum_of_a_list_is_each_matrix_alone(mats):
     good = [m for m, r in zip(mats, reports) if not isinstance(r, Exception)]
     assert [repr(r) for r in classify_spectrum(good)] == [repr(r) for r in reports if not isinstance(r, Exception)]
     assert sum(isinstance(r, Exception) for r in reports) >= 1 and len(good) >= 2
+    _raises_a_row_error(lambda: classify_spectrum(mats), reports)
+
+
+def _raises_a_row_error(list_call, results):
+    """``list_call()`` raises a scan error of the type and message of one failing row in ``results``."""
+    with pytest.raises(SCAN_ERRORS) as info:
+        list_call()
+    failed = {(type(r), str(r)) for r in results if isinstance(r, Exception)}
+    assert (type(info.value), str(info.value)) in failed
 
 
 def _singular_report():
@@ -474,15 +499,19 @@ def _singular_report():
 
 @pytest.mark.parametrize("mats", [_su2_mixed, _window_matrices], ids=["2x2", "6x6"])
 def test_build_C0_of_a_list_is_each_basis_alone(mats):
-    """Row by row, a list call gives the basis or the exception of the row alone: C0, its inverse and eigenvalues."""
+    """Row by row, a list call in lanes gives the basis or the exception of the row alone: C0, its inverse and eigenvalues.
+
+    A direct list call that holds a failing row raises that row's scan error.
+    """
     mats = mats()
-    rows = [(m, r) for m, r in zip(mats, classify_spectrum(mats)) if not isinstance(r, Exception)]
+    reports = _in_lanes(classify_spectrum, [(m,) for m in mats])
+    rows = [(m, r) for m, r in zip(mats, reports) if not isinstance(r, Exception)]
     n = len(rows[0][0])
     sheared = np.eye(n) + np.eye(n, k=1)
     rows.insert(1, (rows[0][0], classify_spectrum(sheared @ rows[0][0] @ np.linalg.inv(sheared))))  # another matrix's
     if n == 2:
         rows.insert(2, (rotation(0.25), _singular_report()))
-    bases = build_C0([m for m, _ in rows], [r for _, r in rows])
+    bases = _in_lanes(build_C0, rows)
     assert len(bases) == len(rows)
     kinds = []
     for (m, report), got in zip(rows, bases):
@@ -496,3 +525,4 @@ def test_build_C0_of_a_list_is_each_basis_alone(mats):
     again = build_C0([m for m, _ in good], [r for _, r in good])
     assert [b.C0.tobytes() for b in again] == [b.C0.tobytes() for b in bases if not isinstance(b, Exception)]
     assert "ResonanceError" in kinds and "NonDiagonalizableError" in kinds and "DiagonalizingBasis" in kinds
+    _raises_a_row_error(lambda: build_C0([m for m, _ in rows], [r for _, r in rows]), bases)
