@@ -268,7 +268,7 @@ def _shift_plan(same: _Same, trunc_degree: int, zero: tuple) -> _ShiftPlan:
     return _ShiftPlan(top=top, coeff_den=coeff_den, live=live, center_powers=center_powers, steps=steps)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=None)
 def _p_no_t_7() -> Jet:
     """P with t set to zero, as a polynomial in the 7 remaining variables."""
     coeffs = {}

@@ -30,7 +30,7 @@ from types import GeneratorType
 
 from .charts import chart_map_jet
 from .mcg import fixed_family_su3
-from .pipelines import SCAN_ERRORS, su2_brown_point, su2_rows, su3_main_point
+from .pipelines import SCAN_ERRORS, error_text, su2_brown_point, su2_rows, su3_main_point
 
 __all__ = ["RunConfig", "run", "dump_goldens", "main"]
 
@@ -198,7 +198,7 @@ def _in_double_range(value) -> Fraction:
     try:
         float(s)
     except OverflowError:
-        raise ValueError(f"s = {str(value).strip()} is outside the double range") from None
+        raise ValueError(f"s = {_shown(str(value).strip())} is outside the double range") from None
     return s
 
 
@@ -214,8 +214,12 @@ def _exact(value, name: str = "s") -> Fraction:
         s = Fraction(value)
         if max(abs(s.numerator), s.denominator) < _S_DIGITS_LIMIT:
             return s
-    shown = f"{name} = {text if len(text) <= 40 else text[:37] + '...'}" if text else name
+    shown = f"{name} = {_shown(text)}" if text else name
     raise ValueError(f"{shown} is past the cap of {MAX_S_DIGITS} digits")
+
+
+def _shown(text: str) -> str:  # a config error names a long s by its first 37 characters
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def _check_count(count: int):
@@ -501,7 +505,7 @@ def compare_golden(path: Path, golden: dict, row: dict | None = None) -> dict:
     try:
         chart = chart_map_jet(fixed_family_su3(s))
     except SCAN_ERRORS as exc:
-        result["error"] = f"{type(exc).__name__}: {exc}"
+        result["error"] = error_text(exc)
         return result
     z0 = chart.z_jet.constant_term()
     # each jet's constants, by golden key, then its terms; the printed z constant keeps a raw "-x" term

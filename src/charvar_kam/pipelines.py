@@ -54,7 +54,7 @@ from .spectral import build_C0, classify_spectrum
 # not called: the SU(2) level comes from fixed_family_su2; perfbench/tracer.py looks it up here
 from .varieties import kappa_su2  # noqa: F401
 
-__all__ = ["su2_brown_point", "su2_rows", "su3_main_point", "SCAN_ERRORS", "SU2_LANES"]
+__all__ = ["su2_brown_point", "su2_rows", "su3_main_point", "SCAN_ERRORS", "SU2_LANES", "error_text"]
 
 #: Everything a scan survives by recording instead of raising.
 SCAN_ERRORS = (
@@ -69,6 +69,15 @@ SCAN_ERRORS = (
     ConsistencyError,
     OverflowError,  # values too large for a double
 )
+
+#: Longest ``error`` text a row keeps; a message prints s as an exact Fraction.
+MAX_ERROR_CHARS = 500
+
+
+def error_text(exc: Exception) -> str:
+    """``"Type: message"`` for an ``error`` field; past ``MAX_ERROR_CHARS``, its first 250 and last 247 characters."""
+    text = f"{type(exc).__name__}: {exc}"
+    return text if len(text) <= MAX_ERROR_CHARS else f"{text[:250]}...{text[-247:]}"
 
 #: Most SU(2) rows whose chart, spectrum, C0 and normal-form input run together.
 #: A batch holds its rows' charts, spectra and normal-form inputs, about 7 kB
@@ -199,7 +208,7 @@ def _su2_row(s):
         row["twist_ok"] = bool(abs(alpha2) > TWIST_DET_TOL)
         row["brjuno_partial"] = brjuno_partial_sum(report.omega[0]).partial_sum
     except SCAN_ERRORS as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
+        row["error"] = error_text(exc)
     return row
 
 
@@ -255,5 +264,5 @@ def su3_main_point(s, trunc_degree: int = 3, dump_jets: bool = False) -> dict:
         row["brjuno_partial"] = brjuno
         row["verdict"] = row["twist_ok"] and nonplanar_ok and not flags
     except SCAN_ERRORS as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
+        row["error"] = error_text(exc)
     return row

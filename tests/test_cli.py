@@ -109,6 +109,13 @@ def test_config_rejects_s_outside_the_double_range(pipeline):
     RunConfig(pipeline=pipeline, s_values=[Fraction(10) ** 300, Fraction(1, 10**400)])  # 1e-400 rounds to 0.0: accepted
 
 
+def test_config_error_cuts_a_long_s():
+    """A 2000-digit s is named by its first digits, as ``--s`` names a long text."""
+    with pytest.raises(ValueError, match="is outside the double range") as info:
+        RunConfig(pipeline="su2-brown", s_values=[Fraction(10) ** 1999])
+    assert len(str(info.value)) < 100 and str(info.value).startswith("s = 1000")
+
+
 def test_config_rejects_unknown_pipeline():
     with pytest.raises(ValueError):
         RunConfig(pipeline="nope")

@@ -148,6 +148,27 @@ def test_su3_scan_errors_recorded():
     assert pole["s"] == 0.5
 
 
+@pytest.mark.parametrize(
+    "point, kind, end",
+    [
+        (su2_brown_point, "UnrealizableError", ": |u| > 1, B(s) leaves SU(2)"),
+        (su3_main_point, "OverflowError", ": the fixed point does not fit a double"),
+    ],
+)
+def test_a_long_error_is_cut_around_its_middle(point, kind, end):
+    """A row's error prints s as an exact Fraction: at s = 1/2 + 10^-1999 its text keeps its head and tail only."""
+    error = point(Fraction(1, 2) + Fraction(1, 10**1999))["error"]
+    assert len(error) == pipelines.MAX_ERROR_CHARS
+    assert error.startswith(f"{kind}: s = 5000") and error.endswith(f"0000{end}")
+    assert error[pipelines.MAX_ERROR_CHARS // 2 :].startswith("...")
+
+
+def test_a_short_error_is_kept_whole():
+    exc = ValueError("x" * (pipelines.MAX_ERROR_CHARS - len("ValueError: ")))
+    assert pipelines.error_text(exc) == f"ValueError: {exc}"
+    assert len(pipelines.error_text(ValueError(f"{exc}y"))) == pipelines.MAX_ERROR_CHARS
+
+
 def test_alpha_det_stable_under_higher_truncation():
     """The degree-4 chart changes nothing below degree 4, so alpha agrees."""
     r3 = su3_main_point(S249, trunc_degree=3)

@@ -1,6 +1,9 @@
 """Source-level checks on the package itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import charvar_kam
@@ -141,3 +144,17 @@ def test_every_import_is_used():
                     continue
                 found.append(f"{path.name}:{alias.lineno} {name}")
     assert found == []
+
+
+def test_a_scan_loads_only_what_it_runs():
+    """Importing the CLI leaves ``poisson`` unloaded, and the package root holds submodules only: one import path per name."""
+    src = str(Path(charvar_kam.__file__).resolve().parents[1])
+    probe = (
+        "import sys, types, charvar_kam, charvar_kam.cli\n"
+        "print('charvar_kam.poisson' in sys.modules)\n"
+        "print(sorted(n for n, v in vars(charvar_kam).items()"
+        " if not n.startswith('_') and not isinstance(v, types.ModuleType)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n[]\n"
