@@ -90,15 +90,12 @@ class NormalFormInput:
             raise ShapeMismatchError("need d eigenvalues lambda and mu")
 
     def validate_linear_part(self):
-        n = 2 * self.d
         for j in range(self.d):
             for block, jets, diag in (("xi", self.p_jets, self.lam), ("eta", self.q_jets, self.mu)):
-                jet = jets[j]
                 own = j if block == "xi" else self.d + j
-                weights = _monomials(n, jet.trunc_degree).weights  # weights[i] is the code of variable i
-                for i in range(n):
+                for i, c in enumerate(jets[j].linear_coefficients()):
                     want = diag[j] if i == own else 0.0
-                    got = complex(jet._coded.get(weights[i], 0))
+                    got = complex(c)
                     if not abs(got - want) <= LINEAR_PART_TOL:  # NaN fails
                         raise ShapeMismatchError(
                             f"linear part of {block}_{j + 1} is off by {abs(got - want):.2e} at variable {i}"
@@ -229,23 +226,15 @@ def nonresonance_check(lam: Sequence[complex]) -> list:
 
 def _solve_homological(jet: Jet, lam, mu, own: complex) -> Jet:
     """phi with phi(lam xi, mu eta) - own * phi = [jet]_2, coefficientwise."""
-    n, td = jet.num_vars, jet.trunc_degree
-    table = _monomials(n, td)
-    low, high = 2 * table.top, 3 * table.top  # the codes of degree 2
     out = {}
-    for code, c in jet._coded.items():
-        if not low <= code < high:
-            continue
-        e = table.decode(code)
+    for e, c in jet.homogeneous_part(2).coeffs.items():
         denom = _eig_product(lam, mu, e) - own
         if not abs(denom) >= RESONANCE_DENOM_TOL:  # NaN fails
             raise ResonanceError(
                 f"homological denominator {abs(denom):.2e} at monomial {e} is resonant"
             )
-        v = complex(c) / denom
-        if v:
-            out[code] = v
-    return Jet._raw(n, td, out)
+        out[e] = complex(c) / denom
+    return Jet(jet.num_vars, jet.trunc_degree, out)
 
 
 def phi2_psi2(nf: NormalFormInput) -> tuple[JetVector, JetVector]:

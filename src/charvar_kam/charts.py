@@ -35,7 +35,9 @@ the SU(2) discriminant is written out as integer coefficients.  Each
 converts by correctly rounded ``int / int`` division, which gives the float
 ``float(Fraction)`` gives, so no ``Fraction`` arithmetic runs per chart.
 All eliminations and substitutions are degree-truncated at the chart's
-truncation degree (default 3).
+truncation degree (default 3).  Chart jets are built and read through the
+jet operations (the constructor, ``-``, ``substitute_variable``,
+``linear_coefficients``); only the recentering plans work on monomial codes.
 """
 
 from __future__ import annotations
@@ -64,15 +66,7 @@ __all__ = [
     "chart_map_jet",
     "chart_linear_matrix",
     "su2_chart_map_jet",
-    "CHART_VARS",
-    "SEVEN_VARS",
 ]
-
-#: Variables of the 7-dimensional space after the t-elimination.
-SEVEN_VARS = ("x", "X", "y", "Y", "z", "Z", "T")
-
-#: Chart variables after both eliminations.
-CHART_VARS = ("x", "X", "y", "Y", "Z", "T")
 
 # source index -> target index when a variable is dropped
 _MAP_8_TO_7 = {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 7: 6}  # drop t (index 6)
@@ -144,27 +138,27 @@ def _translate(poly: Jet, centers, trunc_degree: int) -> tuple[Jet, int]:
     report floats in their last digits.
 
     The expansion's bookkeeping does not depend on the center, only on which
-    center coordinates are zero, so it is recorded once as a :class:`_ShiftPlan`
-    and replayed: with c_i = a_i / b_i, step (key, W, k) adds the integer
+    center coordinates are zero, so it is recorded once (``_shift_plan``) and
+    replayed: with c_i = a_i / b_i, step (key, W, k) adds the integer
     ``W * prod_i a_i^k_i b_i^(top_i - k_i)``, the same integer the expansion
     sums at that step.
     """
     nums = [c.numerator for c in centers]
     dens = [c.denominator for c in centers]
-    plan = _shift_plan(_Same(poly), trunc_degree, tuple(not a for a in nums))
+    top, coeff_den, live, center_powers, steps = _shift_plan(_Same(poly), trunc_degree, tuple(not a for a in nums))
     # factors[n][m] = a_i^m b_i^(top_i - m) for the n-th nonzero coordinate i;
     # a zero coordinate (a_i = 0, b_i = 1) always has k_i = 0 and factor 1
-    factors = [[nums[i] ** m * dens[i] ** (plan.top[i] - m) for m in range(plan.top[i] + 1)] for i in plan.live]
-    shifted = [math.prod(map(list.__getitem__, factors, k)) for k in plan.center_powers]
+    factors = [[nums[i] ** m * dens[i] ** (top[i] - m) for m in range(top[i] + 1)] for i in live]
+    shifted = [math.prod(map(list.__getitem__, factors, k)) for k in center_powers]
     sums: dict[int, int] = {}
     get, pop = sums.get, sums.pop
-    for key, weight, m in plan.steps:
+    for key, weight, m in steps:
         total = get(key, 0) + weight * shifted[m]
         if total:
             sums[key] = total
         else:
             pop(key, None)
-    den = plan.coeff_den * math.prod(map(pow, dens, plan.top))
+    den = coeff_den * math.prod(map(pow, dens, top))
     return Jet._raw(poly.num_vars, trunc_degree, sums), den
 
 
@@ -203,10 +197,11 @@ class _Same:
         return self.poly is other.poly
 
 
-@dataclass(frozen=True)
-class _ShiftPlan:
-    """The recorded Taylor shift of one polynomial at one degree and zero pattern.
+@lru_cache(maxsize=64)
+def _shift_plan(same: _Same, trunc_degree: int, zero: tuple) -> tuple:
+    """Record the expansion of ``_translate`` for centers whose zero coordinates are ``zero``.
 
+    The plan is the tuple ``(top, coeff_den, live, center_powers, steps)``:
     ``top[i]`` is the highest exponent of variable i, ``coeff_den`` the lcm
     of the coefficient denominators and ``live`` the nonzero center
     coordinates.  Each step ``(key, W, m)`` is one term of the expansion, in
@@ -214,18 +209,6 @@ class _ShiftPlan:
     ``W = c_num * (coeff_den / c_den) * prod_i C(e_i, j_i)`` and
     ``center_powers[m]`` is ``k = e - j``, its power of the center, on the
     live coordinates.
-    """
-
-    top: tuple
-    coeff_den: int
-    live: tuple
-    center_powers: list
-    steps: list
-
-
-@lru_cache(maxsize=64)
-def _shift_plan(same: _Same, trunc_degree: int, zero: tuple) -> _ShiftPlan:
-    """Record the expansion of ``_translate`` for centers whose zero coordinates are ``zero``.
 
     A zero coordinate contributes only its j = e_i term (every other factor
     has a power of 0), so steps with k_i > 0 there are left out.  A term
@@ -265,17 +248,13 @@ def _shift_plan(same: _Same, trunc_degree: int, zero: tuple) -> _ShiftPlan:
         for key, _, w, k in terms:
             steps.append((key, w, index.setdefault(k, len(index))))
     center_powers = [tuple(k // place[i] % (top[i] + 1) for i in live) for k in index]
-    return _ShiftPlan(top=top, coeff_den=coeff_den, live=live, center_powers=center_powers, steps=steps)
+    return top, coeff_den, live, center_powers, steps
 
 
 @lru_cache(maxsize=None)
 def _p_no_t_7() -> Jet:
     """P with t set to zero, as a polynomial in the 7 remaining variables."""
-    coeffs = {}
-    for e, c in p_poly().coeffs.items():
-        if e[_T8] == 0:
-            coeffs[e[:_T8] + e[_T8 + 1 :]] = c
-    return Jet(7, p_poly().trunc_degree, coeffs)
+    return p_poly().substitute_variable(_T8, Jet.zero(7, p_poly().trunc_degree), _MAP_8_TO_7)
 
 
 def _finite_sqrt(radicand: Jet, s) -> Jet:
@@ -441,17 +420,15 @@ def _centered_map(comps, s, centers=None) -> JetVector:
     """The chart map's components without their constants.
 
     Each constant, less its ``centers`` entry when given, must be below
-    ``CHART_CONSTANT_TOL`` (NaN fails).  Dropping key 0 leaves the items, in
-    order, that subtracting the constant leaves.
+    ``CHART_CONSTANT_TOL`` (NaN fails).
     """
     out = []
     for i, comp in enumerate(comps):
-        const = comp.constant_term() if centers is None else comp.constant_term() - centers[i]
-        if not abs(const) < CHART_CONSTANT_TOL:
-            raise ConsistencyError(f"s = {s}: chart map constant term {const} should vanish")
-        coded = dict(comp._coded)
-        coded.pop(0, None)
-        out.append(Jet._raw(comp.num_vars, comp.trunc_degree, coded))
+        const = comp.constant_term()
+        off = const if centers is None else const - centers[i]
+        if not abs(off) < CHART_CONSTANT_TOL:
+            raise ConsistencyError(f"s = {s}: chart map constant term {off} should vanish")
+        out.append(comp - const)
     return JetVector(out)
 
 
@@ -472,8 +449,7 @@ def chart_map_jet(fp: FixedPointSample, trunc_degree: int = 3) -> ChartJet:
 
 def chart_linear_matrix(chart: ChartJet) -> np.ndarray:
     """Linearization of the chart map at the fixed point (n x n real; entry (i, j) is d comp_i / d var_j)."""
-    weights = _monomials(chart.map_jet.num_vars, chart.map_jet.trunc_degree).weights
-    return np.array([[float(comp._coded.get(w, 0)) for w in weights] for comp in chart.map_jet])
+    return np.array([comp.linear_coefficients() for comp in chart.map_jet], dtype=float)
 
 
 # --------------------------------------------------------------------------
@@ -488,23 +464,6 @@ class Su2ChartJet:
     fixed_point: Su2FixedPoint
     x_jet: Jet
     map_jet: JetVector
-
-
-def _float_jet2(trunc_degree: int, exps, rows) -> Jet:
-    """The (y, z) jet of the ``int / int`` quotients ``nums[i] / den`` at the monomials ``exps[i]`` up to the degree.
-
-    ``rows`` holds one ``(nums, den)`` per row; each coefficient is the
-    :class:`Lanes` of the rows' quotients (the quotient itself for one row).
-    A quotient of 0.0 drops, as in ``map_coefficients``.
-    """
-    encode = _monomials(2, trunc_degree).encode
-    coded = {}
-    for i, e in enumerate(exps):
-        if sum(e) <= trunc_degree:
-            v = Lanes.of([nums[i] / den for nums, den in rows])
-            if v:
-                coded[encode(e)] = v
-    return Jet._raw(2, trunc_degree, coded)
 
 
 # the monomials of the integer terms of b^4 disc and b^2 yz, in the key order the
@@ -559,10 +518,15 @@ def su2_chart_map_jet(p0, trunc_degree: int = 3):
     points = [p0] if isinstance(p0, Su2FixedPoint) else p0
     s = points[0].s if len(points) == 1 else [p.s for p in points]
     branch, disc, yz = zip(*map(_su2_chart_integers, points))
-    disc = _float_jet2(trunc_degree, _DISC_EXPS, disc)
+
+    def quotients(exps, rows):
+        """``n[i] / den`` at ``exps[i]`` up to the degree, as the Lanes of the rows' ``(n, den)``; a 0.0 drops."""
+        return {e: Lanes.of([n[i] / den for n, den in rows]) for i, e in enumerate(exps) if sum(e) <= trunc_degree}
+
+    disc = Jet(2, trunc_degree, quotients(_DISC_EXPS, disc))
     if not disc.constant_term():
         raise SingularChartError(f"s = {s}: discriminant at the center underflows to 0.0")
-    yz = _float_jet2(trunc_degree, _YZ_EXPS, yz)
+    yz = Jet(2, trunc_degree, quotients(_YZ_EXPS, yz))
     x_jet = yz + _finite_sqrt(disc, s) * Lanes.of(branch)
     x_jet = x_jet * 0.5
     # the fixed point's y0 and z0: the constants of y and z, less which the images' constants must vanish

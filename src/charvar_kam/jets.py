@@ -30,6 +30,11 @@ Design notes
   only.  Exponent tuples appear at the edges: the constructor and
   ``coefficient`` encode them, and ``coeffs`` decodes the stored keys into a
   new dict, in storage order.  One table per shape caches the bijection.
+  The charts and the normal form build and read their jets through these
+  edges (and ``linear_coefficients``, ``homogeneous_part``,
+  ``constant_term``); only two fast paths there work on codes: the replayed
+  recentering plans of ``charts._translate`` and the sets of codes that
+  ``birkhoff.diagonalized_jets`` and ``birkhoff.alpha_matrix`` keep.
 * Products have one pairwise loop, ``_mul``: ``Jet.__mul__``, the powers
   and monomial products of compositions and substitutions, and the powers
   of ``jet_sqrt`` all run it.  Its right factor comes grouped by degree
@@ -49,7 +54,7 @@ Design notes
 * Substitution of one variable has one routine too,
   ``JetVector.substitute_variable``: the replacement's powers are built once
   for all components, by the same :class:`_Products` that builds a
-  composition's powers (the one cache of powers), and
+  composition's powers and ``jet_sqrt``'s (the one cache of powers), and
   ``Jet.substitute_variable`` is its one-component case.  A source term's
   split into the substituted exponent and the code of the rest comes from a
   table kept per substitution signature.
@@ -177,6 +182,11 @@ class Jet:
 
     def constant_term(self):
         return self._coded.get(0, 0)
+
+    def linear_coefficients(self) -> list:
+        """The coefficients of the variables x_0, ..., x_{n-1}, in that order (0 where absent)."""
+        get = self._coded.get
+        return [get(w, 0) for w in _monomials(self.num_vars, self.trunc_degree).weights]
 
     def degree(self) -> int:
         """Total degree of the stored support (-1 for the zero jet)."""
@@ -1048,16 +1058,15 @@ def jet_sqrt(a: Jet) -> Jet:
     if c_f <= 0.0:
         raise ValueError(f"jet_sqrt needs a positive constant term, got {c_f}")
     w = (a - c) * (1.0 / c_f)  # zero constant term
-    within = _fitting(w)
+    powers = _Products([w], _monomials(1, a.trunc_degree))
+    step = powers.table.weights[0]  # w**k has the code k * step
     # sqrt(c(1+w)) = sqrt(c) * sum binom(1/2, k) w^k, summed from the constant
     # 1.0; the powers start at w, which is the constant-1 jet times w bit for bit
     parts, coefs = [{0: 1.0}], [1.0]
     coeff = 1.0
-    w_pow = w
     for k in range(1, a.trunc_degree + 1):
         coeff *= (0.5 - (k - 1)) / k
-        if k > 1:
-            w_pow = _mul(w_pow, within)
+        w_pow = powers.product(k * step)
         if w_pow.is_zero():
             break
         parts.append(w_pow._coded)

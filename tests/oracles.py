@@ -344,7 +344,7 @@ def translate_items(poly, centers, trunc_degree):
 
 
 def shift_plan_tuples(poly, trunc_degree, zero):
-    """``charts._shift_plan`` fields, built with exponent tuples concatenated one variable at a time.
+    """The ``charts._shift_plan`` tuple, built with exponent tuples concatenated one variable at a time.
 
     Returns ``(top, coeff_den, live, center_powers, steps)``; each key is
     encoded only once its tuple is complete.

@@ -231,6 +231,15 @@ def test_translate_replays_the_expansion_loop(s, trunc_degree):
         assert _read_scaled(got, den) == translate_items(poly, centers, trunc_degree)
 
 
+def test_p_without_t_is_the_t_free_terms_of_p():
+    """P at t = 0 keeps P's t-free terms, in P's order, with the t slot cut out and every coefficient exact."""
+    p = p_poly()
+    got = charts._p_no_t_7()
+    assert (got.num_vars, got.trunc_degree) == (7, p.trunc_degree)
+    want = [(e[:6] + e[7:], c) for e, c in p.coeffs.items() if e[6] == 0]
+    assert [(e, type(c), c) for e, c in got.coeffs.items()] == [(e, type(c), c) for e, c in want]
+
+
 @pytest.mark.parametrize("trunc_degree", [2, 3, 4, 5])
 def test_shift_plan_matches_the_tuple_built_plan(trunc_degree):
     """Plans built on integer codes equal those built by concatenating exponent tuples, field for field."""
@@ -242,8 +251,7 @@ def test_shift_plan_matches_the_tuple_built_plan(trunc_degree):
     cases += [(charts._p_no_t_7(), zero[:6] + zero[7:]) for zero in patterns8]
     for poly, zero in cases:
         charts._shift_plan.cache_clear()
-        plan = charts._shift_plan(charts._Same(poly), trunc_degree, zero)
-        got = (plan.top, plan.coeff_den, plan.live, plan.center_powers, plan.steps)
+        got = charts._shift_plan(charts._Same(poly), trunc_degree, zero)
         assert got == shift_plan_tuples(poly, trunc_degree, zero)
 
 

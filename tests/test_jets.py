@@ -16,6 +16,7 @@ from charvar_kam.jets import (
     _mul,
     jet_sqrt,
     jet_variables,
+    stack_lanes,
 )
 from oracles import QQi
 
@@ -791,6 +792,24 @@ def test_jet_sqrt_matches_whole_jet_steps(kind):
 def test_canonical_form_drops_zeros():
     jet = Jet(2, 3, {(1, 0): Fraction(0), (0, 1): 2})
     assert jet.coeffs == {(0, 1): 2}
+
+
+def test_linear_coefficients_are_the_variables_coefficients_in_order():
+    """One coefficient per variable, 0 where the variable's term is absent, whatever the coefficient type."""
+    exact = Jet(4, 3, {(0, 0, 0, 0): 7, (0, 0, 0, 1): Fraction(-2, 3), (1, 0, 0, 0): 5, (2, 0, 0, 0): 9})
+    want = [(int, 5), (int, 0), (int, 0), (Fraction, Fraction(-2, 3))]
+    assert [(type(c), c) for c in exact.linear_coefficients()] == want
+    floats = Jet(3, 2, {(0, 1, 0): -1.5, (1, 1, 0): 4.0, (0, 0, 2): 0.25, (0, 0, 0): 2.0})
+    assert floats.linear_coefficients() == [0, -1.5, 0]
+    assert Jet.zero(2, 3).linear_coefficients() == [0, 0]
+    rows = [Jet(3, 3, {(0, 0, 1): x, (1, 0, 0): 2.0 * x, (1, 1, 0): 3.0}) for x in (0.5, -1.25)]
+    lanes = stack_lanes(rows).linear_coefficients()
+    assert [c if isinstance(c, int) else c.values() for c in lanes] == [[1.0, -2.5], 0, [0.5, -1.25]]
+    rng = random.Random("linear coefficients")
+    for num_vars, trunc_degree in [(1, 1), (2, 3), (6, 3), (7, 5)]:
+        jet = random_jet(rng, num_vars, trunc_degree, density=0.4)
+        units = [tuple(int(i == j) for j in range(num_vars)) for i in range(num_vars)]
+        assert jet.linear_coefficients() == [jet.coefficient(u) for u in units]
 
 
 def test_constructor_rejects_over_degree():

@@ -1,10 +1,13 @@
-"""Property tests of jet evaluation, powers, composition and coefficient reads, in exact arithmetic.
+"""Property tests of jet evaluation, powers, composition and coefficient reads.
 
-Random jets have ``int`` and ``Fraction`` coefficients and points have
+Random exact jets have ``int`` and ``Fraction`` coefficients and points have
 ``Fraction`` coordinates, so every check is an exact equality.  The lane
 coefficient type is checked against Python's own float and complex
-arithmetic, bit for bit.  Examples are derandomized and no example database
-is kept, so each run checks the same cases.
+arithmetic, bit for bit.  Random float jets, with float and complex
+coefficients, check the kernels' products, compositions, substitutions and
+square roots against the reference loops of ``oracles``, item for item and
+bit for bit.  Examples are derandomized and no example database is kept, so
+each run checks the same cases.
 """
 
 import cmath
@@ -19,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charvar_kam.jets import Jet, JetVector, Lanes, LanesDisagree, _isfinite, _sqrt, stack_lanes, unstack_lanes
+from charvar_kam.jets import Jet, JetVector, Lanes, LanesDisagree, _isfinite, _sqrt, jet_sqrt, stack_lanes, unstack_lanes
 
 _SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -278,3 +281,100 @@ def test_stack_lanes_takes_jets_with_the_first_ones_keys_or_marks_them(jets):
         return
     rows = unstack_lanes(stack_lanes(jets), len(jets))
     assert [list(r._coded.items()) for r in rows] == [list(j._coded.items()) for j in jets]
+
+
+# ------------------------------------------------------------------ jets, float
+
+_FLOAT_COEFFS = st.floats(-4.0, 4.0)
+_COMPLEX_COEFFS = st.builds(complex, _FLOAT_COEFFS, _FLOAT_COEFFS)
+
+
+@st.composite
+def _float_jets(draw, num_vars, trunc_degree, constant=None, min_terms=0, max_terms=10):
+    """Jets of one shape with float or complex coefficients (one kind per jet, or both mixed).
+
+    ``constant`` is a strategy for the constant term; ``st.just(0.0)`` gives zero-constant jets.
+    The monomials are a prefix of a drawn order, so a dense jet costs one draw per coefficient.
+    """
+    monomials = [e for e in _exponents(num_vars, trunc_degree) if constant is None or any(e)]
+    kind = draw(st.sampled_from([_FLOAT_COEFFS, _COMPLEX_COEFFS, st.one_of(_FLOAT_COEFFS, _COMPLEX_COEFFS)]))
+    size = draw(st.integers(min(min_terms, len(monomials)), min(max_terms, len(monomials))))
+    order = draw(st.permutations(monomials))
+    coeffs = dict(zip(order[:size], draw(st.lists(kind, min_size=size, max_size=size))))
+    if constant is not None:
+        coeffs[(0,) * num_vars] = draw(constant)
+    return Jet(num_vars, trunc_degree, coeffs)
+
+
+def _bit_items(items) -> list:
+    return [(e, _bits(c)) for e, c in items]
+
+
+@st.composite
+def _float_jet_pair(draw):
+    nv, td = draw(_SHAPES)
+    return draw(_float_jets(nv, td)), draw(_float_jets(nv, td))
+
+
+@_SETTINGS
+@given(_float_jet_pair())
+def test_float_product_matches_the_pair_scan(pair):
+    from oracles import mul_items
+
+    a, b = pair
+    assert _bit_items((a * b).coeffs.items()) == _bit_items(mul_items(a, b))
+
+
+@st.composite
+def _float_outer_and_inner(draw):
+    """An outer jet of 2 or 3 variables and one dense zero-constant inner jet per variable, in a shape of their own.
+
+    With outer monomials in two variables and inner products that sum three or more terms per
+    key, the order of a monomial's factors shows in the bits.
+    """
+    m, td_outer = draw(st.tuples(st.integers(2, 3), st.integers(2, 4)))
+    nv, td = draw(st.tuples(st.integers(2, 3), st.integers(3, 4)))
+    inner = [draw(_float_jets(nv, td, st.just(0.0), min_terms=4, max_terms=16)) for _ in range(m)]
+    return draw(_float_jets(m, td_outer, min_terms=3)), inner
+
+
+@_SETTINGS
+@given(_float_outer_and_inner())
+def test_float_composition_matches_the_per_term_loop(case):
+    from oracles import compose_items
+
+    outer, inner = case
+    assert _bit_items(outer.compose(inner).coeffs.items()) == _bit_items(compose_items(outer, inner))
+
+
+@st.composite
+def _float_substitution(draw):
+    """A jet, one of its variables, a zero-constant replacement and a target for every other variable."""
+    nv, td_source = draw(_SHAPES)
+    nv_t, td = draw(_SHAPES)
+    var = draw(st.integers(0, nv - 1))
+    var_map = {i: draw(st.integers(0, nv_t - 1)) for i in range(nv) if i != var}
+    return draw(_float_jets(nv, td_source)), var, draw(_float_jets(nv_t, td, st.just(0.0))), var_map
+
+
+@_SETTINGS
+@given(_float_substitution())
+def test_float_substitution_matches_the_pair_scan(case):
+    from oracles import substitute_variable_items
+
+    jet, var, replacement, var_map = case
+    got = jet.substitute_variable(var, replacement, var_map).coeffs.items()
+    assert _bit_items(got) == _bit_items(substitute_variable_items(jet, var, replacement, var_map))
+
+
+# degrees 3 to 6 and dense jets: a power's keys then sum three or more products, so the
+# order of the factors shows in the bits
+_SQRT_SHAPES = st.tuples(st.integers(1, 3), st.integers(3, 6))
+
+
+@_SETTINGS
+@given(_SQRT_SHAPES.flatmap(lambda shape: _float_jets(*shape, st.floats(0.125, 8.0), max_terms=24)))
+def test_float_jet_sqrt_matches_the_whole_jet_steps(a):
+    from oracles import jet_sqrt_steps
+
+    assert _bit_items(jet_sqrt(a).coeffs.items()) == _bit_items(jet_sqrt_steps(a).coeffs.items())
